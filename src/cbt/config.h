@@ -6,9 +6,6 @@
 
 namespace cbt::core {
 
-/// Deliberate protocol defects for validating the causal-path checker
-/// (src/check/): a mutated run must trip the expectation suite. Never
-/// enabled by default; benches expose it behind --mutate.
 /// Data-plane execution mode. kFast memoizes resolved forwarding
 /// decisions in a per-router flow cache (generation-invalidated) and
 /// encodes each outgoing variant once per hop; kSlow recomputes the
@@ -20,6 +17,9 @@ enum class DataplaneMode : std::uint8_t {
   kSlow = 1,
 };
 
+/// Deliberate protocol defects for validating the causal-path checker
+/// (src/check/): a mutated run must trip the expectation suite. Never
+/// enabled by default; benches expose it behind --mutate.
 enum class ProtocolMutation : std::uint8_t {
   kNone = 0,
   /// Suppress every FLUSH-TREE transmission (teardown and the section 2.7

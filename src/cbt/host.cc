@@ -38,7 +38,7 @@ void HostAgent::JoinGroupWithCores(Ipv4Address group,
   netsim::AffinityScope affinity(*sim_, self_);
   auto& membership = groups_[group];
   if (membership == nullptr) membership = std::make_unique<Membership>();
-  membership->cores = std::move(cores);
+  membership->cores = cores;
   membership->target_index =
       target_index < membership->cores.size() ? target_index : 0;
   membership->response_timer.BindTo(*sim_);

@@ -84,7 +84,7 @@ class HostAgent : public netsim::NetworkAgent {
 
  private:
   struct Membership {
-    std::vector<Ipv4Address> cores;
+    packet::CoreList cores;
     std::size_t target_index = 0;
     netsim::Timer response_timer;  // pending query response (suppressible)
   };

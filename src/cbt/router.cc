@@ -268,7 +268,7 @@ void CbtRouter::HandleJoinRequest(VifIndex vif, const packet::Ipv4Header& ip,
     // Section 6.2: "a core only becomes aware that it is such by receiving
     // a JOIN-REQUEST". Install as tree (sub)root.
     FibEntry& core_entry = fib_.Create(group);
-    core_entry.cores = pkt.cores;
+    core_entry.cores.assign(pkt.cores.begin(), pkt.cores.end());
     core_entry.affiliation = pkt.target_core;
     core_entry.is_core = true;
     core_entry.is_primary_core =
@@ -289,7 +289,7 @@ void CbtRouter::HandleJoinRequest(VifIndex vif, const packet::Ipv4Header& ip,
   // Off-tree transit router: create transient state and forward.
   auto p = std::make_unique<PendingJoin>();
   p->group = group;
-  p->cores = pkt.cores;
+  p->cores.assign(pkt.cores.begin(), pkt.cores.end());
   p->target_core = pkt.target_core;
   const auto core_pos =
       std::find(p->cores.begin(), p->cores.end(), pkt.target_core);
@@ -412,7 +412,7 @@ void CbtRouter::HandleRejoinNactive(VifIndex vif, const packet::Ipv4Header& ip,
 void CbtRouter::TerminateJoin(VifIndex vif, const packet::Ipv4Header& ip,
                               const ControlPacket& pkt, FibEntry& entry) {
   if (entry.cores.empty() && !pkt.cores.empty()) {
-    entry.cores = pkt.cores;
+    entry.cores.assign(pkt.cores.begin(), pkt.cores.end());
     entry.Touch();
   }
   SendAckTo(DownstreamRequester{vif, ip.src, pkt.origin, pkt.join_subcode()},
@@ -540,7 +540,11 @@ void CbtRouter::HandleJoinAck(VifIndex vif, const packet::Ipv4Header& ip,
   // Normal ack: "the receipt of a JOIN-ACK ... actually creates a tree
   // branch."
   FibEntry& entry = fib_.Create(group);
-  entry.cores = !pkt.cores.empty() ? pkt.cores : p.cores;
+  if (!pkt.cores.empty()) {
+    entry.cores.assign(pkt.cores.begin(), pkt.cores.end());
+  } else {
+    entry.cores = p.cores;
+  }
   entry.parent_address = ip.src;
   entry.parent_vif = vif;
   entry.Touch();
@@ -1544,8 +1548,8 @@ void CbtRouter::OnMemberReport(VifIndex vif, Ipv4Address group,
   std::vector<Ipv4Address> cores;
   std::size_t target_index = 0;
   if (const auto it = learned_cores_.find(group); it != learned_cores_.end()) {
-    cores = it->second.first;
-    target_index = it->second.second;
+    cores.assign(it->second.cores.begin(), it->second.cores.end());
+    target_index = it->second.target_index;
   } else {
     cores = directory_->CoresFor(group);
     // Multi-core partition: this LAN's members join their assigned core's
@@ -1558,12 +1562,22 @@ void CbtRouter::OnMemberReport(VifIndex vif, Ipv4Address group,
 
 void CbtRouter::OnCoreReport(VifIndex vif, const IgmpMessage& msg) {
   if (msg.cores.empty()) return;
-  learned_cores_[msg.group] = {msg.cores, msg.target_core_index};
+  // Every member's report repeats the same mapping; only a change needs
+  // storing.
+  LearnedCores& learned = learned_cores_[msg.group];
+  if (learned.cores != msg.cores ||
+      learned.target_index != msg.target_core_index) {
+    learned.cores = msg.cores;
+    learned.target_index = msg.target_core_index;
+  }
   // The RP/Core-Report may arrive after the membership report (section
   // 2.5 tolerates either order); if membership is already known, join
   // now. Never join on the core report alone — "the receipt of an IGMP
   // group membership report ... triggers the tree joining process".
-  if (igmp_.AnyMembers(msg.group)) {
+  // OnMemberReport ignores a group already on the tree or pending, so
+  // test that before scanning every vif for members.
+  if (!IsOnTree(msg.group) && !IsPending(msg.group) &&
+      igmp_.AnyMembers(msg.group)) {
     OnMemberReport(vif, msg.group, Ipv4Address{}, false);
   }
 }
@@ -2059,9 +2073,10 @@ void CbtRouter::ForwardUnicast(const packet::Ipv4Header& ip,
 
 void CbtRouter::SendControl(VifIndex vif, Ipv4Address link_dst,
                             Ipv4Address ip_dst, const ControlPacket& pkt) {
-  auto bytes = packet::BuildControlDatagram(VifAddress(vif), ip_dst, pkt);
+  const packet::Datagram bytes =
+      packet::BuildControlDatagram(VifAddress(vif), ip_dst, pkt);
   stats_.control_bytes_sent += bytes.size();
-  sim_->SendDatagram(self_, vif, link_dst, std::move(bytes));
+  sim_->SendDatagram(self_, vif, link_dst, bytes);
 }
 
 void CbtRouter::SendIgmp(VifIndex vif, Ipv4Address dst,

@@ -422,8 +422,11 @@ class CbtRouter : public netsim::NetworkAgent {
   /// (group, subnet) pairs where we granted a proxy-ack and act as G-DR.
   std::set<std::pair<Ipv4Address, SubnetId>> gdr_;
   /// <group, cores> gleaned from RP/Core-Reports (section 2.5).
-  std::map<Ipv4Address, std::pair<std::vector<Ipv4Address>, std::size_t>>
-      learned_cores_;
+  struct LearnedCores {
+    packet::CoreList cores;
+    std::size_t target_index = 0;
+  };
+  std::map<Ipv4Address, LearnedCores> learned_cores_;
 
   netsim::Timer echo_timer_;
   netsim::Timer child_scan_timer_;

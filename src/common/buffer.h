@@ -1,11 +1,13 @@
 // Byte-order-aware serialization buffers.
 //
 // All CBT wire formats (section 8) are big-endian. BufferWriter appends
-// network-order fields to a growable byte vector; BufferReader consumes
-// them with explicit bounds checking — a truncated or corrupt packet turns
-// into a failed read, never undefined behaviour.
+// network-order fields to a growable byte vector; SpanWriter fills a
+// buffer the caller has already sized (the one-pass datagram encoders);
+// BufferReader consumes them with explicit bounds checking — a truncated
+// or corrupt packet turns into a failed read, never undefined behaviour.
 #pragma once
 
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -47,12 +49,60 @@ class BufferWriter {
     bytes_.at(offset + 1) = static_cast<std::uint8_t>(v);
   }
 
+  /// Appends `n` zero bytes and returns them for a fixed-size encoder
+  /// (e.g. Ipv4Header::Encode) to fill in place.
+  std::span<std::uint8_t> Append(std::size_t n) {
+    const std::size_t at = bytes_.size();
+    bytes_.resize(at + n);
+    return std::span<std::uint8_t>(bytes_).subspan(at, n);
+  }
+
   std::size_t size() const { return bytes_.size(); }
   std::span<const std::uint8_t> View() const { return bytes_; }
   std::vector<std::uint8_t> Take() && { return std::move(bytes_); }
 
  private:
   std::vector<std::uint8_t> bytes_;
+};
+
+/// Big-endian serializer into a caller-sized span. The caller computes
+/// the encoded length first, so no write can outgrow the buffer (debug
+/// builds assert it) and nothing is allocated.
+class SpanWriter {
+ public:
+  explicit SpanWriter(std::span<std::uint8_t> out) : out_(out) {}
+
+  void WriteU8(std::uint8_t v) {
+    assert(pos_ < out_.size());
+    out_[pos_++] = v;
+  }
+
+  void WriteU16(std::uint16_t v) {
+    WriteU8(static_cast<std::uint8_t>(v >> 8));
+    WriteU8(static_cast<std::uint8_t>(v));
+  }
+
+  void WriteU32(std::uint32_t v) {
+    WriteU16(static_cast<std::uint16_t>(v >> 16));
+    WriteU16(static_cast<std::uint16_t>(v));
+  }
+
+  void WriteAddress(Ipv4Address a) { WriteU32(a.bits()); }
+
+  /// Overwrites a previously written 16-bit field (checksum back-patching).
+  void PatchU16(std::size_t offset, std::uint16_t v) {
+    assert(offset + 2 <= pos_);
+    out_[offset] = static_cast<std::uint8_t>(v >> 8);
+    out_[offset + 1] = static_cast<std::uint8_t>(v);
+  }
+
+  std::size_t size() const { return pos_; }
+  /// The bytes written so far.
+  std::span<const std::uint8_t> View() const { return out_.first(pos_); }
+
+ private:
+  std::span<std::uint8_t> out_;
+  std::size_t pos_ = 0;
 };
 
 /// Bounds-checked big-endian deserializer over a borrowed byte span.

@@ -1,16 +1,52 @@
 #include "common/checksum.h"
 
+#include <bit>
+#include <cstring>
+
 namespace cbt {
 
+// RFC 1071 section 2(B): the one's complement sum is byte-order
+// independent, so whole native words can be summed and the folded result
+// swapped into network order once at the end. Words are accumulated as
+// 32-bit halves into a 64-bit total, which cannot overflow for any buffer
+// shorter than 2^32 words; the fold then carries the excess back in.
 std::uint16_t InternetChecksum(std::span<const std::uint8_t> data) {
-  std::uint32_t sum = 0;
-  std::size_t i = 0;
-  for (; i + 1 < data.size(); i += 2) {
-    sum += (std::uint32_t{data[i]} << 8) | data[i + 1];
+  const std::uint8_t* p = data.data();
+  std::size_t n = data.size();
+  std::uint64_t sum = 0;
+  for (; n >= 8; p += 8, n -= 8) {
+    std::uint64_t w;
+    std::memcpy(&w, p, 8);
+    sum += (w & 0xFFFFFFFFu) + (w >> 32);
   }
-  if (i < data.size()) sum += std::uint32_t{data[i]} << 8;  // odd trailing byte
+  if (n >= 4) {
+    std::uint32_t w;
+    std::memcpy(&w, p, 4);
+    sum += w;
+    p += 4;
+    n -= 4;
+  }
+  if (n >= 2) {
+    std::uint16_t w;
+    std::memcpy(&w, p, 2);
+    sum += w;
+    p += 2;
+    n -= 2;
+  }
+  if (n == 1) {
+    // The odd trailing byte is the high-order byte of a zero-padded
+    // network-order word, i.e. the first byte of that word in memory.
+    const std::uint8_t pad[2] = {*p, 0};
+    std::uint16_t w;
+    std::memcpy(&w, pad, 2);
+    sum += w;
+  }
   while (sum >> 16) sum = (sum & 0xFFFFu) + (sum >> 16);
-  return static_cast<std::uint16_t>(~sum & 0xFFFFu);
+  auto folded = static_cast<std::uint16_t>(sum);
+  if constexpr (std::endian::native == std::endian::little) {
+    folded = static_cast<std::uint16_t>((folded << 8) | (folded >> 8));
+  }
+  return static_cast<std::uint16_t>(~folded);
 }
 
 bool VerifyInternetChecksum(std::span<const std::uint8_t> data) {

@@ -13,6 +13,8 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstring>
+#include <initializer_list>
+#include <span>
 #include <type_traits>
 #include <utility>
 
@@ -30,6 +32,19 @@ class SmallVec {
   using const_iterator = const T*;
 
   SmallVec() = default;
+
+  SmallVec(std::initializer_list<T> values) { *this = values; }
+
+  SmallVec& operator=(std::initializer_list<T> values) {
+    assign(values.begin(), values.size());
+    return *this;
+  }
+  /// Copies from any contiguous source (a std::vector, a span); `values`
+  /// must not alias this vector's storage.
+  SmallVec& operator=(std::span<const T> values) {
+    assign(values.data(), values.size());
+    return *this;
+  }
 
   SmallVec(const SmallVec& other) { *this = other; }
   SmallVec& operator=(const SmallVec& other) {
@@ -115,6 +130,20 @@ class SmallVec {
   void assign(const T* src, std::size_t count) {
     if (count > capacity_) Grow(count);
     if (count > 0) std::memcpy(data(), src, count * sizeof(T));
+    size_ = count;
+  }
+
+  void assign(std::size_t count, const T& value) {
+    const T copy = value;  // `value` may alias our own storage
+    if (count > capacity_) Grow(count);
+    std::fill_n(data(), count, copy);
+    size_ = count;
+  }
+
+  /// Grows with value-initialized elements or truncates to `count`.
+  void resize(std::size_t count) {
+    if (count > capacity_) Grow(count);
+    if (count > size_) std::fill(data() + size_, data() + count, T{});
     size_ = count;
   }
 

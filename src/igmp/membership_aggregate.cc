@@ -22,6 +22,14 @@ struct LaterEntry {
   }
 };
 
+/// First entry of a (group, index) table not ordered before `group`.
+template <typename Index>
+auto LowerBound(Index& index, Ipv4Address group) {
+  return std::lower_bound(
+      index.begin(), index.end(), group,
+      [](const auto& entry, Ipv4Address g) { return entry.first < g; });
+}
+
 }  // namespace
 
 MembershipAggregate::MembershipAggregate(netsim::Simulator& sim, NodeId self,
@@ -36,10 +44,15 @@ MembershipAggregate::MembershipAggregate(netsim::Simulator& sim, NodeId self,
       subnet_delay_(sim.subnet(sim.interface(self, 0).subnet).delay) {}
 
 void MembershipAggregate::Join(Ipv4Address group) {
-  std::vector<Ipv4Address> cores =
-      cores_for_ != nullptr ? cores_for_(group) : std::vector<Ipv4Address>{};
-  const std::size_t target_index =
-      index_for_ != nullptr ? index_for_(group) : 0;
+  // JoinWithCores adopts a list only for a group without members, so the
+  // mapping is fetched just then; later joins reuse the adopted list.
+  const GroupState* gs = FindState(group);
+  std::vector<Ipv4Address> cores;
+  std::size_t target_index = 0;
+  if (gs == nullptr || gs->active_count == 0 || gs->cores.empty()) {
+    if (cores_for_ != nullptr) cores = cores_for_(group);
+    if (index_for_ != nullptr) target_index = index_for_(group);
+  }
   JoinWithCores(group, std::move(cores), target_index);
 }
 
@@ -49,13 +62,13 @@ void MembershipAggregate::JoinWithCores(Ipv4Address group,
   netsim::AffinityScope affinity(*sim_, self_);
   GroupState& gs = StateFor(group);
   if (gs.active_count == 0 || gs.cores.empty()) {
-    gs.cores = std::move(cores);
+    gs.cores = cores;
     gs.target_index = target_index < gs.cores.size() ? target_index : 0;
   }
   ++gs.active_count;
   ++total_members_;
   ++stats_.joins;
-  const std::uint32_t group_idx = group_index_.at(group);
+  const std::uint32_t group_idx = gs.index;
 
   if (mode_ == Mode::kExactHostEquivalence) {
     const auto slot_idx = static_cast<std::uint32_t>(slots_.size());
@@ -271,7 +284,7 @@ void MembershipAggregate::DrawResponsesCoalesced(GroupState& gs,
       frac * static_cast<double>(max_delay));
   delay = std::clamp<SimDuration>(delay, 0, max_delay);
   gs.pending_deadline = sim_->Now() + delay;
-  const std::uint32_t group_idx = group_index_.at(gs.group);
+  const std::uint32_t group_idx = gs.index;
   gs.response_timer.Schedule(delay,
                              [this, group_idx] { OnResponseTimer(group_idx); });
 }
@@ -289,7 +302,7 @@ void MembershipAggregate::ArmResponseTimer(GroupState& gs) {
     gs.response_timer.Cancel();
     return;
   }
-  const std::uint32_t group_idx = group_index_.at(gs.group);
+  const std::uint32_t group_idx = gs.index;
   gs.response_timer.Schedule(gs.outstanding.front().first - sim_->Now(),
                              [this, group_idx] { OnResponseTimer(group_idx); });
 }
@@ -373,7 +386,7 @@ void MembershipAggregate::NoteSelfReport(GroupState& gs,
     // per-host model delivers each report to every co-member except the
     // sender, so a shared coalesced cancel event would be unfaithful.
     const SimTime sent_at = sim_->Now();
-    const std::uint32_t group_idx = group_index_.at(gs.group);
+    const std::uint32_t group_idx = gs.index;
     sim_->Schedule(subnet_delay_, [this, group_idx, sent_at, sender_slot] {
       CancelOutstandingExact(groups_[group_idx], sent_at, sender_slot);
     });
@@ -381,7 +394,7 @@ void MembershipAggregate::NoteSelfReport(GroupState& gs,
   }
   if (gs.cancel_pending) return;  // an earlier arrival already covers it
   gs.cancel_pending = true;
-  const std::uint32_t group_idx = group_index_.at(gs.group);
+  const std::uint32_t group_idx = gs.index;
   gs.cancel_timer.Schedule(subnet_delay_, [this, group_idx] {
     GroupState& g = groups_[group_idx];
     g.cancel_pending = false;
@@ -430,12 +443,15 @@ void MembershipAggregate::Send(Ipv4Address dst, const IgmpMessage& msg) {
 
 MembershipAggregate::GroupState& MembershipAggregate::StateFor(
     Ipv4Address group) {
-  const auto it = group_index_.find(group);
-  if (it != group_index_.end()) return groups_[it->second];
+  const auto it = LowerBound(group_index_, group);
+  if (it != group_index_.end() && it->first == group) {
+    return groups_[it->second];
+  }
   const auto idx = static_cast<std::uint32_t>(groups_.size());
-  group_index_.emplace(group, idx);
+  group_index_.emplace(it, group, idx);
   GroupState gs;
   gs.group = group;
+  gs.index = idx;
   gs.response_timer.BindTo(*sim_);
   gs.cancel_timer.BindTo(*sim_);
   groups_.push_back(std::move(gs));
@@ -444,14 +460,16 @@ MembershipAggregate::GroupState& MembershipAggregate::StateFor(
 
 MembershipAggregate::GroupState* MembershipAggregate::FindState(
     Ipv4Address group) {
-  const auto it = group_index_.find(group);
-  return it != group_index_.end() ? &groups_[it->second] : nullptr;
+  const auto it = LowerBound(group_index_, group);
+  return it != group_index_.end() && it->first == group ? &groups_[it->second]
+                                                        : nullptr;
 }
 
 const MembershipAggregate::GroupState* MembershipAggregate::FindState(
     Ipv4Address group) const {
-  const auto it = group_index_.find(group);
-  return it != group_index_.end() ? &groups_[it->second] : nullptr;
+  const auto it = LowerBound(group_index_, group);
+  return it != group_index_.end() && it->first == group ? &groups_[it->second]
+                                                        : nullptr;
 }
 
 }  // namespace cbt::igmp

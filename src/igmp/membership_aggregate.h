@@ -45,7 +45,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <span>
 #include <vector>
 
@@ -154,7 +153,8 @@ class MembershipAggregate : public netsim::NetworkAgent {
 
   struct GroupState {
     Ipv4Address group;
-    std::vector<Ipv4Address> cores;
+    std::uint32_t index = 0;  // position in groups_ (and group_index_ value)
+    packet::CoreList cores;
     std::size_t target_index = 0;
     std::uint64_t active_count = 0;
     bool confirmed = false;
@@ -223,7 +223,10 @@ class MembershipAggregate : public netsim::NetworkAgent {
   /// Deque, not vector: pending Timer events capture their Timer's
   /// address, so a GroupState must never relocate once created.
   std::deque<GroupState> groups_;
-  std::map<Ipv4Address, std::uint32_t> group_index_;
+  /// (group, index into groups_), sorted by group: a station serves a
+  /// handful of groups, so a binary search over one or two cache lines
+  /// beats a tree walk on the per-frame lookups.
+  std::vector<std::pair<Ipv4Address, std::uint32_t>> group_index_;
   Stats stats_;
 };
 

@@ -74,14 +74,15 @@ void RouterIgmp::OnMessage(VifIndex vif, Ipv4Address src,
       HandleQuery(vs, src, msg);
       break;
     case IgmpType::kMembershipReport: {
-      const bool newly = !vs.groups.contains(msg.group);
+      std::unique_ptr<GroupPresence>& presence = vs.groups[msg.group];
+      const bool newly = presence == nullptr;
       if (newly) {
         OBS_TRACE(sim_->trace(), .time = sim_->Now(),
                   .kind = obs::TraceKind::kIgmp, .name = "member-appeared",
                   .node = self_.value(), .group = msg.group,
                   .arg_a = static_cast<std::uint64_t>(vif));
       }
-      RefreshGroup(vs, msg.group, config_.GroupMembershipTimeout(),
+      RefreshGroup(vs, msg.group, presence, config_.GroupMembershipTimeout(),
                    /*from_leave=*/false);
       if (callbacks_.on_report) {
         callbacks_.on_report(vif, msg.group, src, newly);
@@ -137,10 +138,12 @@ void RouterIgmp::HandleQuery(VifState& vs, Ipv4Address src,
   // expiry for that group to the last-member window; a surviving member's
   // report will stretch it back out. This keeps G-DRs — which track
   // membership passively — in sync with leave latency (section 2.7).
-  if (!msg.group.IsUnspecified() && vs.groups.contains(msg.group) &&
-      src != mine) {
-    RefreshGroup(vs, msg.group, config_.LastMemberTimeout(),
-                 /*from_leave=*/true);
+  if (!msg.group.IsUnspecified() && src != mine) {
+    const auto it = vs.groups.find(msg.group);
+    if (it != vs.groups.end()) {
+      RefreshGroup(vs, msg.group, it->second, config_.LastMemberTimeout(),
+                   /*from_leave=*/true);
+    }
   }
 }
 
@@ -167,12 +170,13 @@ void RouterIgmp::HandleLeave(VifState& vs, Ipv4Address /*src*/,
       callbacks_.send(vs.vif, group, query);
     });
   }
-  RefreshGroup(vs, group, config_.LastMemberTimeout(), /*from_leave=*/true);
+  RefreshGroup(vs, group, it->second, config_.LastMemberTimeout(),
+               /*from_leave=*/true);
 }
 
 void RouterIgmp::RefreshGroup(VifState& vs, Ipv4Address group,
+                              std::unique_ptr<GroupPresence>& presence,
                               SimDuration timeout, bool from_leave) {
-  auto& presence = vs.groups[group];
   if (presence == nullptr) {
     presence = std::make_unique<GroupPresence>();
     ++state_version_;
@@ -237,18 +241,15 @@ std::vector<Ipv4Address> RouterIgmp::PresentGroups() const {
 }
 
 const RouterIgmp::VifState* RouterIgmp::FindVif(VifIndex vif) const {
-  for (const auto& vs : vifs_) {
-    if (vs->vif == vif) return vs.get();
-  }
-  return nullptr;
+  // vifs_ is index-aligned with the node's interfaces (see constructor).
+  if (vif < 0 || static_cast<std::size_t>(vif) >= vifs_.size()) return nullptr;
+  return vifs_[static_cast<std::size_t>(vif)].get();
 }
 
 RouterIgmp::VifState& RouterIgmp::MustVif(VifIndex vif) {
-  for (auto& vs : vifs_) {
-    if (vs->vif == vif) return *vs;
-  }
-  assert(false && "unknown vif");
-  return *vifs_.front();
+  const bool known = FindVif(vif) != nullptr;
+  assert(known && "unknown vif");
+  return known ? *vifs_[static_cast<std::size_t>(vif)] : *vifs_.front();
 }
 
 }  // namespace cbt::igmp

@@ -123,8 +123,11 @@ class RouterIgmp {
 
   void SendGeneralQuery(VifState& vs);
   void ScheduleNextQuery(VifState& vs);
-  void RefreshGroup(VifState& vs, Ipv4Address group, SimDuration timeout,
-                    bool from_leave);
+  /// (Re)arms `group`'s expiry; `presence` is its slot in vs.groups,
+  /// created (null) by the caller when the group is new.
+  void RefreshGroup(VifState& vs, Ipv4Address group,
+                    std::unique_ptr<GroupPresence>& presence,
+                    SimDuration timeout, bool from_leave);
   void HandleQuery(VifState& vs, Ipv4Address src,
                    const packet::IgmpMessage& msg);
   void HandleLeave(VifState& vs, Ipv4Address src, Ipv4Address group);

@@ -33,12 +33,19 @@ std::uint32_t EventQueue::AllocSlot() {
     index = static_cast<std::uint32_t>(events_.size());
     events_.emplace_back();
   }
+  RenewSlot(index);
+  return index;
+}
+
+void EventQueue::RenewSlot(std::uint32_t index) {
   Event& ev = events_[index];
+  BumpGeneration(ev);
+  ev.next = ev.prev = kNil;
+}
+
+void EventQueue::BumpGeneration(Event& ev) {
   ++ev.gen;                    // ids of prior incarnations become stale
   if (ev.gen == 0) ++ev.gen;   // wrap: keep MakeId(0, gen) != kInvalidEventId
-  ev.next = ev.prev = kNil;
-  ev.heap_pos = kNil;
-  return index;
 }
 
 void EventQueue::FreeSlot(std::uint32_t index) {
@@ -58,8 +65,42 @@ EventId EventQueue::ScheduleAt(SimTime when, EventFn fn) {
     legacy_pending_.insert(id);
     return id;
   }
+  return Enqueue(AllocSlot(), when, std::move(fn));
+}
+
+EventId EventQueue::Reschedule(EventId id, SimTime when, EventFn fn) {
+  guard_.AssertOwned("netsim::EventQueue");
+  if (engine_ == Engine::kLegacyHeap) {
+    Cancel(id);
+    return ScheduleAt(when, std::move(fn));
+  }
+  const std::uint32_t index = PendingIndex(id);
+  if (index == kNil) return ScheduleAt(when, std::move(fn));  // nothing to cancel
+  // Cancel would free the slot onto the free-list head and ScheduleAt
+  // would pop it straight back; skip the round trip.
+  Event& ev = events_[index];
+  ev.fn.Reset();  // the old closure dies first, as in Cancel
+  if (ev.state == kWheel && TickOf(when) > cur_tick_ &&
+      TickOf(when) >= TickOf(ev.when)) {
+    // Pushed back in time (a soft-state refresh): the event may stay in
+    // its slot, which is reached no later than the new time. Only its key
+    // changes; CollectTick or the cascade re-places it when the slot is
+    // drained, so the order is still exactly (time, sequence).
+    BumpGeneration(ev);
+    ev.when = when;
+    ev.seq = ++next_seq_;
+    ev.fn = std::move(fn);
+    return MakeId(index, ev.gen);
+  }
+  // A due-run entry keeps its old sequence number and is skipped at pop
+  // time, exactly like a cancelled one.
+  Detach(index);
+  RenewSlot(index);
+  return Enqueue(index, when, std::move(fn));
+}
+
+EventId EventQueue::Enqueue(std::uint32_t index, SimTime when, EventFn&& fn) {
   assert(when >= 0 && "wheel engine models nonnegative sim time");
-  const std::uint32_t index = AllocSlot();
   Event& ev = events_[index];
   ev.when = when;
   ev.seq = ++next_seq_;
@@ -176,20 +217,17 @@ void EventQueue::HeapRemove(std::uint32_t pos) {
   }
 }
 
-bool EventQueue::Cancel(EventId id) {
-  guard_.AssertOwned("netsim::EventQueue");
-  if (engine_ == Engine::kLegacyHeap) {
-    // The heap entry stays behind and is skipped lazily when it surfaces
-    // (the known tombstone leak the wheel engine fixes).
-    if (legacy_pending_.erase(id) == 0) return false;
-    --live_;
-    return true;
-  }
+std::uint32_t EventQueue::PendingIndex(EventId id) const {
   const auto index = static_cast<std::uint32_t>(id >> 32);
   const auto gen = static_cast<std::uint32_t>(id);
-  if (id == kInvalidEventId || index >= events_.size()) return false;
+  if (id == kInvalidEventId || index >= events_.size()) return kNil;
+  const Event& ev = events_[index];
+  if (ev.state == kFree || ev.gen != gen) return kNil;
+  return index;
+}
+
+void EventQueue::Detach(std::uint32_t index) {
   Event& ev = events_[index];
-  if (ev.state == kFree || ev.gen != gen) return false;
   switch (ev.state) {
     case kWheel:
       UnlinkFromSlot(index);
@@ -204,6 +242,20 @@ bool EventQueue::Cancel(EventId id) {
     default:
       break;
   }
+}
+
+bool EventQueue::Cancel(EventId id) {
+  guard_.AssertOwned("netsim::EventQueue");
+  if (engine_ == Engine::kLegacyHeap) {
+    // The heap entry stays behind and is skipped lazily when it surfaces
+    // (the known tombstone leak the wheel engine fixes).
+    if (legacy_pending_.erase(id) == 0) return false;
+    --live_;
+    return true;
+  }
+  const std::uint32_t index = PendingIndex(id);
+  if (index == kNil) return false;
+  Detach(index);
   FreeSlot(index);
   --live_;
   return true;
@@ -220,10 +272,18 @@ void EventQueue::CollectTick(std::int64_t tick, int level, int slot) {
     while (node != kNil) {
       Event& ev = events_[node];
       const std::uint32_t next = ev.next;
-      ev.state = kDue;
-      due_.push_back(DueEntry{ev.when, ev.seq, node});
+      if (TickOf(ev.when) != tick) {
+        InsertIntoWheel(node);  // re-armed to a later tick while parked here
+      } else {
+        ev.state = kDue;
+        due_.push_back(DueEntry{ev.when, ev.seq, node});
+      }
       node = next;
     }
+    // Events scheduled straight into a slot are pushed at its head, so
+    // reversing the run restores their schedule order and hands the sort
+    // nearly sorted input.
+    std::reverse(due_.begin() + begin, due_.end());
   }
   // Far-future events whose time has come share the tick with the wheel's.
   while (!heap_.empty() && TickOf(events_[heap_.front()].when) == tick) {
@@ -259,8 +319,9 @@ void EventQueue::RefillDue() {
       return;
     }
     // All level-k events share cur_tick_'s high bits above the level span
-    // (cascade invariant), so the lowest occupied level holds the
-    // earliest events and the lowest occupied slot bounds them below.
+    // (cascade invariant) and no event sits in a slot later than its own
+    // tick (a re-arm to a later tick may leave it parked earlier), so the
+    // lowest occupied level and slot bound every pending event below.
     const int slot = std::countr_zero(levels_[level].occupancy);
     const int low_shift = kLevelBits * level;
     const int span_shift = kLevelBits * (level + 1);

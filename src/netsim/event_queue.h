@@ -69,6 +69,15 @@ class EventQueue {
   /// eagerly (wheel engine).
   bool Cancel(EventId id);
 
+  /// Re-arms: exactly Cancel(id) followed by ScheduleAt(when, fn), and
+  /// returns the new handle. The wheel engine moves a still-pending event
+  /// in place — same slab slot, next generation, a fresh sequence number —
+  /// so the new (time, sequence) key, the returned id and the slab's free
+  /// list all equal what the two calls would produce. A wheel event pushed
+  /// to a later tick is not even relinked: it stays parked in its slot
+  /// until that slot drains. A stale or invalid `id` just schedules.
+  EventId Reschedule(EventId id, SimTime when, EventFn fn);
+
   /// True if no runnable (non-cancelled) events remain.
   bool Empty() const { return live_ == 0; }
 
@@ -104,17 +113,22 @@ class EventQueue {
 
   enum State : std::uint8_t { kFree, kWheel, kHeap, kDue };
 
+  /// The bookkeeping every queue operation touches fills the first 32
+  /// bytes; the closure, needed only to schedule and to run, follows.
   struct Event {
     SimTime when = 0;
     std::uint64_t seq = 0;
-    EventFn fn;
     std::uint32_t gen = 0;
     std::uint32_t next = kNil;  // slot list link / free list link
-    std::uint32_t prev = kNil;
-    std::uint32_t heap_pos = kNil;
+    // An event sits in a slot list or in the heap, never both.
+    union {
+      std::uint32_t prev = kNil;  // kWheel: slot list back link
+      std::uint32_t heap_pos;     // kHeap: index into heap_
+    };
     std::uint8_t state = kFree;
     std::uint8_t level = 0;
     std::uint8_t slot = 0;
+    EventFn fn;
   };
 
   struct Level {
@@ -131,7 +145,17 @@ class EventQueue {
   static std::int64_t TickOf(SimTime when) { return when >> kTickShift; }
 
   std::uint32_t AllocSlot();
+  /// Starts a new incarnation of slab slot `index`: bumps the generation
+  /// (so ids of prior incarnations go stale) and clears the links.
+  void RenewSlot(std::uint32_t index);
+  static void BumpGeneration(Event& ev);
   void FreeSlot(std::uint32_t index);
+  /// Index of the pending event `id` names, or kNil when it is stale.
+  std::uint32_t PendingIndex(EventId id) const;
+  /// Takes a pending event out of its slot list, heap or due run.
+  void Detach(std::uint32_t index);
+  /// Stamps (when, fn, next sequence) on a renewed slot and queues it.
+  EventId Enqueue(std::uint32_t index, SimTime when, EventFn&& fn);
   void InsertIntoWheel(std::uint32_t index);
   void UnlinkFromSlot(std::uint32_t index);
   void InsertDueSorted(std::uint32_t index);

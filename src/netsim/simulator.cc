@@ -85,6 +85,10 @@ VifIndex Simulator::AttachWithHostPart(NodeId node_id, SubnetId subnet_id,
   iface.address = addr;
   n.interfaces.push_back(iface);
   s.attachments.emplace_back(node_id, iface.vif);
+  // A shared address resolves to its lowest-numbered owner, the node a
+  // scan in id order would find first.
+  const auto [it, inserted] = address_index_.try_emplace(addr, node_id);
+  if (!inserted && node_id < it->second) it->second = node_id;
   RecordTopologyChange(TopologyChange::Kind::kAttach, subnet_id, node_id,
                        true);
   return iface.vif;
@@ -138,12 +142,9 @@ const Interface& Simulator::interface(NodeId node_id, VifIndex vif) const {
 }
 
 std::optional<NodeId> Simulator::FindNodeByAddress(Ipv4Address address) const {
-  for (const NodeRecord& n : nodes_) {
-    for (const Interface& iface : n.interfaces) {
-      if (iface.address == address) return n.id;
-    }
-  }
-  return std::nullopt;
+  const auto it = address_index_.find(address);
+  if (it == address_index_.end()) return std::nullopt;
+  return it->second;
 }
 
 Ipv4Address Simulator::PrimaryAddress(NodeId node_id) const {
@@ -233,7 +234,7 @@ void Simulator::SetSubnetFaults(SubnetId subnet_id,
 
 bool Simulator::SendDatagram(NodeId node_id, VifIndex vif,
                              Ipv4Address link_dst,
-                             std::vector<std::uint8_t> datagram) {
+                             std::span<const std::uint8_t> datagram) {
   const NodeRecord& sender = node(node_id);
   if (!sender.up) return false;
   const Interface& out = interface(node_id, vif);

@@ -24,11 +24,13 @@
 
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <memory>
 #include <optional>
 #include <span>
 #include <string>
 #include <type_traits>
+#include <unordered_map>
 #include <vector>
 
 #include "common/random.h"
@@ -321,7 +323,8 @@ class Simulator {
 
   const Interface& interface(NodeId node, VifIndex vif) const;
 
-  /// Looks up the node owning `address`, if any.
+  /// Looks up the node owning `address`, if any (the lowest node id when
+  /// several interfaces share it). Hash lookup, kept current by Attach.
   std::optional<NodeId> FindNodeByAddress(Ipv4Address address) const;
 
   /// First interface address of a node — its conventional "router id".
@@ -357,9 +360,16 @@ class Simulator {
   /// `link_dst`. Multicast/broadcast destinations reach every other live
   /// attachment on the subnet; unicast reaches the owning interface.
   /// Returns false if the frame could not be transmitted at all (node,
-  /// interface, or subnet down).
+  /// interface, or subnet down). The bytes are copied once into the
+  /// packet arena, so callers encode into a stack or reused buffer.
   bool SendDatagram(NodeId node, VifIndex vif, Ipv4Address link_dst,
-                    std::vector<std::uint8_t> datagram);
+                    std::span<const std::uint8_t> datagram);
+  bool SendDatagram(NodeId node, VifIndex vif, Ipv4Address link_dst,
+                    std::initializer_list<std::uint8_t> datagram) {
+    return SendDatagram(node, vif, link_dst,
+                        std::span<const std::uint8_t>(datagram.begin(),
+                                                      datagram.size()));
+  }
 
   /// Copies `datagram` into the current execution context's packet arena
   /// and returns the pooled handle. Pair with SendDatagramRef so one
@@ -437,6 +447,16 @@ class Simulator {
   bool Cancel(EventId id) {
     return backend_ != nullptr ? backend_->Cancel(id) : events_.Cancel(id);
   }
+  /// Cancel(id) followed by Schedule(delay, fn), as one queue operation
+  /// on the serial engine (EventQueue::Reschedule); a shard backend gets
+  /// the two calls.
+  EventId Reschedule(EventId id, SimDuration delay, EventFn fn) {
+    if (backend_ != nullptr) {
+      if (id != kInvalidEventId) backend_->Cancel(id);
+      return backend_->Schedule(backend_->Now() + delay, std::move(fn));
+    }
+    return events_.Reschedule(id, clock_ + delay, std::move(fn));
+  }
 
   const EventQueue& events() const { return events_; }
   const PacketArena& packet_arena() const { return arena_; }
@@ -507,6 +527,8 @@ class Simulator {
   Rng rng_;
   std::vector<NodeRecord> nodes_;
   std::vector<SubnetRecord> subnets_;
+  /// Interface address -> owning node, for FindNodeByAddress.
+  std::unordered_map<Ipv4Address, NodeId> address_index_;
   std::uint64_t topology_epoch_ = 0;
   /// Ring of recent scoped changes, one per epoch bump, contiguous up to
   /// topology_epoch(); trimmed from the front when it outgrows the cap.

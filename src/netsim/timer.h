@@ -32,17 +32,18 @@ class Timer {
 
   void BindTo(Simulator& sim) { sim_ = &sim; }
 
-  /// Cancels any pending firing and schedules `fn` after `delay`.
+  /// Cancels any pending firing and schedules `fn` after `delay`. A
+  /// pending timer is re-armed in place (Simulator::Reschedule), which
+  /// orders events exactly as a cancel plus a fresh schedule would.
   /// Templated on the callable so the id-reset wrapper stays within
   /// EventFn's inline capture budget (no per-arm heap allocation).
   template <typename F>
   void Schedule(SimDuration delay, F&& fn) {
-    Cancel();
-    id_ = sim_->Schedule(delay,
-                         [this, fn = std::forward<F>(fn)]() mutable {
-                           id_ = kInvalidEventId;  // fired; re-Schedule ok
-                           fn();
-                         });
+    id_ = sim_->Reschedule(id_, delay,
+                           [this, fn = std::forward<F>(fn)]() mutable {
+                             id_ = kInvalidEventId;  // fired; re-Schedule ok
+                             fn();
+                           });
   }
 
   void Cancel() {

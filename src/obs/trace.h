@@ -61,8 +61,10 @@ struct TraceEvent {
   const char* name = "";
   /// Emitting node (-1 when not node-scoped); the Chrome "tid".
   std::int32_t node = -1;
-  /// Multicast group the event concerns (unspecified when N/A).
-  Ipv4Address group;
+  /// Multicast group the event concerns (unspecified when N/A). The
+  /// explicit initializer lets OBS_TRACE call sites omit it without a
+  /// -Wmissing-field-initializers warning.
+  Ipv4Address group{};
   /// Event-specific scalars (subnet id, epoch, counts...; see call sites).
   std::uint64_t arg_a = 0;
   std::uint64_t arg_b = 0;

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 
+#include "common/buffer.h"
 #include "common/checksum.h"
 
 namespace cbt::packet {
@@ -20,32 +21,40 @@ bool IsValidType(std::uint8_t t) {
 //   group identifier | packet origin | target core address | core #1..#N
 // For echo messages (Figure 9) the #cores byte is the aggregate flag and a
 // single group-id-mask word stands in for the core list.
+std::size_t ControlPacket::EncodedSize() const {
+  // The group-mask word replaces an echo's core list.
+  return IsEcho() ? kControlFixedSize + 4 : kControlFixedSize + 4 * cores.size();
+}
+
+void ControlPacket::EncodeTo(std::span<std::uint8_t> out) const {
+  const std::size_t length = EncodedSize();
+  SpanWriter w(out.first(length));
+  w.WriteU8(static_cast<std::uint8_t>(version << 4));
+  w.WriteU8(static_cast<std::uint8_t>(type));
+  w.WriteU8(code);
+  if (IsEcho()) {
+    w.WriteU8(aggregate ? 0xFF : 0x00);
+  } else {
+    w.WriteU8(static_cast<std::uint8_t>(cores.size()));
+  }
+  w.WriteU16(static_cast<std::uint16_t>(length));
+  const std::size_t checksum_offset = w.size();
+  w.WriteU16(0);
+  w.WriteAddress(group);
+  w.WriteAddress(origin);
+  w.WriteAddress(target_core);
+  if (IsEcho()) {
+    w.WriteU32(group_mask);
+  } else {
+    for (const Ipv4Address& c : cores) w.WriteAddress(c);
+  }
+  w.PatchU16(checksum_offset, InternetChecksum(w.View()));
+}
+
 std::vector<std::uint8_t> ControlPacket::Encode() const {
-  BufferWriter out(kControlFixedSize + 4 * cores.size());
-  out.WriteU8(static_cast<std::uint8_t>(version << 4));
-  out.WriteU8(static_cast<std::uint8_t>(type));
-  out.WriteU8(code);
-  if (IsEcho()) {
-    out.WriteU8(aggregate ? 0xFF : 0x00);
-  } else {
-    out.WriteU8(static_cast<std::uint8_t>(cores.size()));
-  }
-  const std::size_t length =
-      IsEcho() ? kControlFixedSize + 4  // group-mask word replaces core list
-               : kControlFixedSize + 4 * cores.size();
-  out.WriteU16(static_cast<std::uint16_t>(length));
-  const std::size_t checksum_offset = out.size();
-  out.WriteU16(0);
-  out.WriteAddress(group);
-  out.WriteAddress(origin);
-  out.WriteAddress(target_core);
-  if (IsEcho()) {
-    out.WriteU32(group_mask);
-  } else {
-    for (const Ipv4Address& c : cores) out.WriteAddress(c);
-  }
-  out.PatchU16(checksum_offset, InternetChecksum(out.View()));
-  return std::move(out).Take();
+  std::vector<std::uint8_t> out(EncodedSize());
+  EncodeTo(out);
+  return out;
 }
 
 std::optional<ControlPacket> ControlPacket::Decode(
@@ -86,7 +95,6 @@ std::optional<ControlPacket> ControlPacket::Decode(
     const std::size_t n = count_or_aggregate;
     if (n > kMaxCores) return std::nullopt;
     if (length != kControlFixedSize + 4 * n) return std::nullopt;
-    pkt.cores.reserve(n);
     for (std::size_t i = 0; i < n; ++i) pkt.cores.push_back(in.ReadAddress());
   }
   if (!in.ok()) return std::nullopt;

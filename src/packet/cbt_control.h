@@ -21,6 +21,7 @@
 #include "common/buffer.h"
 #include "common/types.h"
 #include "packet/cbt_header.h"
+#include "packet/core_list.h"
 
 namespace cbt::packet {
 
@@ -56,10 +57,6 @@ enum class AckSubcode : std::uint8_t {
   kRejoinNactive = 2,  // primary core acks a NACTIVE rejoin directly
 };
 
-/// Spec -02 fixed the core list at 5; -03 made it variable with a count
-/// byte. We allow up to 8 and validate on decode.
-constexpr std::size_t kMaxCores = 8;
-
 /// Fixed part of the Figure-8 header: word0, len+checksum, group, origin,
 /// target core.
 constexpr std::size_t kControlFixedSize = 20;
@@ -77,7 +74,7 @@ struct ControlPacket {
   /// overwrites this with the converting router's address (section 8.3.1).
   Ipv4Address target_core;
   /// Ordered core list; cores[0] is the primary core.
-  std::vector<Ipv4Address> cores;
+  CoreList cores;
 
   // Echo-only fields (Figure 9).
   bool aggregate = false;
@@ -91,6 +88,12 @@ struct ControlPacket {
            type == ControlType::kEchoReply;
   }
 
+  /// Length of the encoded packet in bytes (the Figure 8 "hdr length").
+  std::size_t EncodedSize() const;
+  /// Writes the packet (checksum computed) into the first EncodedSize()
+  /// bytes of `out`; BuildControlDatagram places it behind IP and UDP in
+  /// the same buffer.
+  void EncodeTo(std::span<std::uint8_t> out) const;
   std::vector<std::uint8_t> Encode() const;
   static std::optional<ControlPacket> Decode(std::span<const std::uint8_t> bytes);
 

@@ -4,27 +4,27 @@
 
 namespace cbt::packet {
 
-std::vector<std::uint8_t> BuildControlDatagram(Ipv4Address src,
-                                               Ipv4Address dst,
-                                               const ControlPacket& pkt,
-                                               std::uint8_t ttl) {
-  const std::vector<std::uint8_t> control = pkt.Encode();
+Datagram BuildControlDatagram(Ipv4Address src, Ipv4Address dst,
+                              const ControlPacket& pkt, std::uint8_t ttl) {
   const bool auxiliary = pkt.IsEcho() ||
                          pkt.type == ControlType::kCorePing ||
                          pkt.type == ControlType::kPingReply;
   const std::uint16_t port = auxiliary ? kCbtAuxiliaryPort : kCbtPrimaryPort;
+  const std::size_t control_size = pkt.EncodedSize();
 
-  BufferWriter out(kIpv4HeaderSize + kUdpHeaderSize + control.size());
+  Datagram out;
+  out.resize(kIpv4HeaderSize + kUdpHeaderSize + control_size);
+  const std::span<std::uint8_t> bytes(out.data(), out.size());
   Ipv4Header ip;
   ip.src = src;
   ip.dst = dst;
   ip.ttl = ttl;
   ip.protocol = IpProtocol::kUdp;
-  ip.Encode(out, kUdpHeaderSize + control.size());
+  ip.Encode(bytes, kUdpHeaderSize + control_size);
   UdpHeader udp{port, port};
-  udp.Encode(out, control.size());
-  out.WriteBytes(control);
-  return std::move(out).Take();
+  udp.Encode(bytes.subspan(kIpv4HeaderSize), control_size);
+  pkt.EncodeTo(bytes.subspan(kIpv4HeaderSize + kUdpHeaderSize));
+  return out;
 }
 
 std::optional<ControlPacket> ExtractControl(const ParsedDatagram& dgram) {
@@ -38,18 +38,20 @@ std::optional<ControlPacket> ExtractControl(const ParsedDatagram& dgram) {
   return ControlPacket::Decode(dgram.payload.subspan(kUdpHeaderSize));
 }
 
-std::vector<std::uint8_t> BuildIgmpDatagram(Ipv4Address src, Ipv4Address dst,
-                                            const IgmpMessage& msg) {
-  const std::vector<std::uint8_t> body = msg.Encode();
-  BufferWriter out(kIpv4HeaderSize + body.size());
+Datagram BuildIgmpDatagram(Ipv4Address src, Ipv4Address dst,
+                           const IgmpMessage& msg) {
+  const std::size_t body_size = msg.EncodedSize();
+  Datagram out;
+  out.resize(kIpv4HeaderSize + body_size);
+  const std::span<std::uint8_t> bytes(out.data(), out.size());
   Ipv4Header ip;
   ip.src = src;
   ip.dst = dst;
   ip.ttl = 1;  // IGMP never leaves the subnet
   ip.protocol = IpProtocol::kIgmp;
-  ip.Encode(out, body.size());
-  out.WriteBytes(body);
-  return std::move(out).Take();
+  ip.Encode(bytes, body_size);
+  msg.EncodeTo(bytes.subspan(kIpv4HeaderSize));
+  return out;
 }
 
 std::optional<IgmpMessage> ExtractIgmp(const ParsedDatagram& dgram) {

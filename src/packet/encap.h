@@ -7,6 +7,7 @@
 #include <span>
 #include <vector>
 
+#include "common/small_vec.h"
 #include "packet/cbt_control.h"
 #include "packet/cbt_header.h"
 #include "packet/igmp.h"
@@ -14,14 +15,23 @@
 
 namespace cbt::packet {
 
+/// Largest control datagram a decoder accepts: IP + UDP + the Figure 8
+/// header with kMaxCores cores. It bounds IGMP datagrams too.
+constexpr std::size_t kMaxControlDatagramSize =
+    kIpv4HeaderSize + kUdpHeaderSize + kControlFixedSize + 4 * kMaxCores;
+
+/// An encoded control or IGMP datagram. Its inline storage holds every
+/// well-formed one, so building a frame touches no allocator; pass it to
+/// Simulator::SendDatagram as a span.
+using Datagram = SmallVec<std::uint8_t, kMaxControlDatagramSize>;
+
 // --- Control (Figure 2: IP | UDP | CBT control) ---------------------------
 
-/// Builds IP/UDP/control. Primary messages go to port 7777, echo messages
-/// to 7778, chosen from the packet type.
-std::vector<std::uint8_t> BuildControlDatagram(Ipv4Address src,
-                                               Ipv4Address dst,
-                                               const ControlPacket& pkt,
-                                               std::uint8_t ttl = kDefaultTtl);
+/// Builds IP/UDP/control in one pass. Primary messages go to port 7777,
+/// echo messages to 7778, chosen from the packet type.
+Datagram BuildControlDatagram(Ipv4Address src, Ipv4Address dst,
+                              const ControlPacket& pkt,
+                              std::uint8_t ttl = kDefaultTtl);
 
 /// Extracts a control packet from a parsed IP datagram; nullopt when the
 /// datagram is not CBT control (wrong protocol/port) or fails validation.
@@ -29,9 +39,10 @@ std::optional<ControlPacket> ExtractControl(const ParsedDatagram& dgram);
 
 // --- IGMP ------------------------------------------------------------------
 
-/// IGMP messages are link-local: TTL 1, destination a local group.
-std::vector<std::uint8_t> BuildIgmpDatagram(Ipv4Address src, Ipv4Address dst,
-                                            const IgmpMessage& msg);
+/// IGMP messages are link-local: TTL 1, destination a local group. Built
+/// in one pass, like BuildControlDatagram.
+Datagram BuildIgmpDatagram(Ipv4Address src, Ipv4Address dst,
+                           const IgmpMessage& msg);
 
 std::optional<IgmpMessage> ExtractIgmp(const ParsedDatagram& dgram);
 

@@ -1,5 +1,6 @@
 #include "packet/igmp.h"
 
+#include "common/buffer.h"
 #include "common/checksum.h"
 
 namespace cbt::packet {
@@ -7,25 +8,33 @@ namespace {
 
 constexpr std::size_t kBasicSize = 8;        // type, code, checksum, group
 constexpr std::size_t kCoreReportFixed = 12;  // + version/target/count word
-constexpr std::size_t kMaxReportCores = 8;
 
 }  // namespace
 
-std::vector<std::uint8_t> IgmpMessage::Encode() const {
-  BufferWriter out(kCoreReportFixed + 4 * cores.size());
-  out.WriteU8(static_cast<std::uint8_t>(type));
-  out.WriteU8(code);
-  const std::size_t checksum_offset = out.size();
-  out.WriteU16(0);
-  out.WriteAddress(group);
+std::size_t IgmpMessage::EncodedSize() const {
+  return IsCoreReport() ? kCoreReportFixed + 4 * cores.size() : kBasicSize;
+}
+
+void IgmpMessage::EncodeTo(std::span<std::uint8_t> out) const {
+  SpanWriter w(out.first(EncodedSize()));
+  w.WriteU8(static_cast<std::uint8_t>(type));
+  w.WriteU8(code);
+  const std::size_t checksum_offset = w.size();
+  w.WriteU16(0);
+  w.WriteAddress(group);
   if (IsCoreReport()) {
-    out.WriteU8(version);
-    out.WriteU8(target_core_index);
-    out.WriteU16(static_cast<std::uint16_t>(cores.size()));
-    for (const Ipv4Address& c : cores) out.WriteAddress(c);
+    w.WriteU8(version);
+    w.WriteU8(target_core_index);
+    w.WriteU16(static_cast<std::uint16_t>(cores.size()));
+    for (const Ipv4Address& c : cores) w.WriteAddress(c);
   }
-  out.PatchU16(checksum_offset, InternetChecksum(out.View()));
-  return std::move(out).Take();
+  w.PatchU16(checksum_offset, InternetChecksum(w.View()));
+}
+
+std::vector<std::uint8_t> IgmpMessage::Encode() const {
+  std::vector<std::uint8_t> out(EncodedSize());
+  EncodeTo(out);
+  return out;
 }
 
 std::optional<IgmpMessage> IgmpMessage::Decode(
@@ -54,11 +63,10 @@ std::optional<IgmpMessage> IgmpMessage::Decode(
     msg.version = in.ReadU8();
     msg.target_core_index = in.ReadU8();
     const std::uint16_t n = in.ReadU16();
-    if (n > kMaxReportCores || bytes.size() < kCoreReportFixed + 4u * n) {
+    if (n > kMaxCores || bytes.size() < kCoreReportFixed + 4u * n) {
       return std::nullopt;
     }
     if (msg.target_core_index >= n) return std::nullopt;
-    msg.cores.reserve(n);
     for (std::uint16_t i = 0; i < n; ++i) msg.cores.push_back(in.ReadAddress());
   }
   if (!in.ok()) return std::nullopt;

@@ -14,8 +14,8 @@
 #include <span>
 #include <vector>
 
-#include "common/buffer.h"
 #include "common/types.h"
+#include "packet/core_list.h"
 
 namespace cbt::packet {
 
@@ -47,10 +47,16 @@ struct IgmpMessage {
   /// numeric value of the position of the target core in the RP/Core list".
   std::uint8_t target_core_index = 0;
   /// Ordered candidate core list; index 0 is the primary core.
-  std::vector<Ipv4Address> cores;
+  CoreList cores;
 
   bool IsCoreReport() const { return type == IgmpType::kRpCoreReport; }
 
+  /// Length of the encoded message in bytes.
+  std::size_t EncodedSize() const;
+  /// Writes the message (checksum computed) into the first EncodedSize()
+  /// bytes of `out`. BuildIgmpDatagram calls this straight behind the IP
+  /// header, so a datagram is encoded in one pass.
+  void EncodeTo(std::span<std::uint8_t> out) const;
   std::vector<std::uint8_t> Encode() const;
   static std::optional<IgmpMessage> Decode(std::span<const std::uint8_t> bytes);
 };

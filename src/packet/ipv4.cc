@@ -4,22 +4,21 @@
 
 namespace cbt::packet {
 
-void Ipv4Header::Encode(BufferWriter& out, std::size_t payload_size) const {
-  const std::size_t start = out.size();
-  out.WriteU8(0x45);  // version 4, IHL 5 (no options)
-  out.WriteU8(tos);
-  out.WriteU16(static_cast<std::uint16_t>(kIpv4HeaderSize + payload_size));
-  out.WriteU16(identification);
-  out.WriteU16(0);  // flags / fragment offset: fragmentation not modelled
-  out.WriteU8(ttl);
-  out.WriteU8(static_cast<std::uint8_t>(protocol));
-  const std::size_t checksum_offset = out.size();
-  out.WriteU16(0);
-  out.WriteAddress(src);
-  out.WriteAddress(dst);
-  const std::uint16_t sum =
-      InternetChecksum(out.View().subspan(start, kIpv4HeaderSize));
-  out.PatchU16(checksum_offset, sum);
+void Ipv4Header::Encode(std::span<std::uint8_t> out,
+                        std::size_t payload_size) const {
+  SpanWriter w(out.first(kIpv4HeaderSize));
+  w.WriteU8(0x45);  // version 4, IHL 5 (no options)
+  w.WriteU8(tos);
+  w.WriteU16(static_cast<std::uint16_t>(kIpv4HeaderSize + payload_size));
+  w.WriteU16(identification);
+  w.WriteU16(0);  // flags / fragment offset: fragmentation not modelled
+  w.WriteU8(ttl);
+  w.WriteU8(static_cast<std::uint8_t>(protocol));
+  const std::size_t checksum_offset = w.size();
+  w.WriteU16(0);
+  w.WriteAddress(src);
+  w.WriteAddress(dst);
+  w.PatchU16(checksum_offset, InternetChecksum(w.View()));
 }
 
 std::optional<Ipv4Header> Ipv4Header::Decode(BufferReader& in) {
@@ -69,11 +68,13 @@ std::vector<std::uint8_t> BuildDatagram(const Ipv4Header& header,
   return std::move(out).Take();
 }
 
-void UdpHeader::Encode(BufferWriter& out, std::size_t payload_size) const {
-  out.WriteU16(src_port);
-  out.WriteU16(dst_port);
-  out.WriteU16(static_cast<std::uint16_t>(kUdpHeaderSize + payload_size));
-  out.WriteU16(0);  // checksum unused; CBT payload self-checksums
+void UdpHeader::Encode(std::span<std::uint8_t> out,
+                       std::size_t payload_size) const {
+  SpanWriter w(out.first(kUdpHeaderSize));
+  w.WriteU16(src_port);
+  w.WriteU16(dst_port);
+  w.WriteU16(static_cast<std::uint16_t>(kUdpHeaderSize + payload_size));
+  w.WriteU16(0);  // checksum unused; CBT payload self-checksums
 }
 
 std::optional<UdpHeader> UdpHeader::Decode(BufferReader& in) {

@@ -35,9 +35,13 @@ struct Ipv4Header {
   Ipv4Address src;
   Ipv4Address dst;
 
-  /// Appends the 20-byte header (checksum computed) for a payload of
-  /// `payload_size` bytes.
-  void Encode(BufferWriter& out, std::size_t payload_size) const;
+  /// Writes the 20-byte header (checksum computed) for a payload of
+  /// `payload_size` bytes into the first kIpv4HeaderSize bytes of `out`.
+  void Encode(std::span<std::uint8_t> out, std::size_t payload_size) const;
+  /// Appends the header to a growable writer.
+  void Encode(BufferWriter& out, std::size_t payload_size) const {
+    Encode(out.Append(kIpv4HeaderSize), payload_size);
+  }
 
   /// Parses and checksum-verifies a header; advances `in` past it.
   static std::optional<Ipv4Header> Decode(BufferReader& in);
@@ -69,7 +73,11 @@ struct UdpHeader {
   std::uint16_t src_port = 0;
   std::uint16_t dst_port = 0;
 
-  void Encode(BufferWriter& out, std::size_t payload_size) const;
+  /// Writes the 8-byte header into the first kUdpHeaderSize bytes of `out`.
+  void Encode(std::span<std::uint8_t> out, std::size_t payload_size) const;
+  void Encode(BufferWriter& out, std::size_t payload_size) const {
+    Encode(out.Append(kUdpHeaderSize), payload_size);
+  }
   static std::optional<UdpHeader> Decode(BufferReader& in);
 };
 

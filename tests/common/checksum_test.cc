@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/buffer.h"
+#include "common/random.h"
 
 namespace cbt {
 namespace {
@@ -61,6 +62,64 @@ TEST(InternetChecksum, SingleBitFlipsAlwaysDetected) {
       corrupted[byte] ^= static_cast<std::uint8_t>(1u << bit);
       EXPECT_FALSE(VerifyInternetChecksum(corrupted))
           << "byte " << byte << " bit " << bit;
+    }
+  }
+}
+
+/// The RFC 1071 definition, one network-order 16-bit word at a time: the
+/// reference the word-wise implementation must match bit for bit.
+std::uint16_t BytewiseChecksum(std::span<const std::uint8_t> data) {
+  std::uint32_t sum = 0;
+  std::size_t i = 0;
+  for (; i + 1 < data.size(); i += 2) {
+    sum += (std::uint32_t{data[i]} << 8) | data[i + 1];
+  }
+  if (i < data.size()) sum += std::uint32_t{data[i]} << 8;
+  while (sum >> 16) sum = (sum & 0xFFFFu) + (sum >> 16);
+  return static_cast<std::uint16_t>(~sum & 0xFFFFu);
+}
+
+TEST(InternetChecksum, WordwiseMatchesBytewiseOnRandomBuffers) {
+  Rng rng(1071);
+  // Every length up to 70 covers each 8/4/2/1-byte tail combination
+  // several times over, odd tails included.
+  for (std::size_t len = 0; len <= 70; ++len) {
+    for (int trial = 0; trial < 50; ++trial) {
+      std::vector<std::uint8_t> data(len);
+      for (std::uint8_t& b : data) {
+        b = static_cast<std::uint8_t>(rng.NextBelow(256));
+      }
+      ASSERT_EQ(InternetChecksum(data), BytewiseChecksum(data))
+          << "len " << len << " trial " << trial;
+    }
+  }
+}
+
+TEST(InternetChecksum, WordwiseMatchesBytewiseAtCarryExtremes) {
+  // All-0xFF words maximise end-around carries; all-zero buffers check
+  // that no carry turns an empty sum into negative zero.
+  for (std::size_t len = 0; len <= 70; ++len) {
+    const std::vector<std::uint8_t> ones(len, 0xFF);
+    EXPECT_EQ(InternetChecksum(ones), BytewiseChecksum(ones)) << len;
+    const std::vector<std::uint8_t> zeros(len, 0x00);
+    EXPECT_EQ(InternetChecksum(zeros), BytewiseChecksum(zeros)) << len;
+  }
+}
+
+TEST(InternetChecksum, WordwiseMatchesBytewiseOnUnalignedViews) {
+  // Datagram payloads are sub-spans at arbitrary offsets (an IGMP body
+  // behind a 20-byte IP header, say); loads must not assume alignment.
+  Rng rng(7);
+  std::vector<std::uint8_t> backing(96);
+  for (std::uint8_t& b : backing) {
+    b = static_cast<std::uint8_t>(rng.NextBelow(256));
+  }
+  const std::span<const std::uint8_t> all(backing);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len + offset <= all.size(); len += 3) {
+      const auto view = all.subspan(offset, len);
+      ASSERT_EQ(InternetChecksum(view), BytewiseChecksum(view))
+          << "offset " << offset << " len " << len;
     }
   }
 }

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <utility>
+#include <vector>
 
 namespace cbt {
 namespace {
@@ -117,6 +118,41 @@ TEST(SmallVec, EqualityAndClear) {
   a.clear();
   EXPECT_TRUE(a.empty());
   EXPECT_GE(a.capacity(), 3u);
+}
+
+TEST(SmallVec, InitializerListConstructAndAssign) {
+  SmallVec<int, 4> v{1, 2, 3};
+  EXPECT_EQ(v.size(), 3u);
+  EXPECT_TRUE(v.inlined());
+  EXPECT_EQ(v[2], 3);
+  v = {7, 8, 9, 10, 11};  // past the inline capacity
+  EXPECT_EQ(v.size(), 5u);
+  EXPECT_FALSE(v.inlined());
+  EXPECT_EQ(v.front(), 7);
+  EXPECT_EQ(v.back(), 11);
+  v = {};
+  EXPECT_TRUE(v.empty());
+}
+
+TEST(SmallVec, AssignsFromVectorAndFill) {
+  const std::vector<int> source{4, 5, 6};
+  SmallVec<int, 4> v;
+  v = source;
+  EXPECT_TRUE(std::equal(v.begin(), v.end(), source.begin(), source.end()));
+  v.assign(6, 9);
+  EXPECT_EQ(v.size(), 6u);
+  EXPECT_TRUE(std::all_of(v.begin(), v.end(), [](int x) { return x == 9; }));
+}
+
+TEST(SmallVec, ResizeZeroFillsGrowthAndTruncates) {
+  SmallVec<std::uint8_t, 4> v{1, 2};
+  v.resize(6);
+  ASSERT_EQ(v.size(), 6u);
+  EXPECT_EQ(v[1], 2);
+  for (std::size_t i = 2; i < 6; ++i) EXPECT_EQ(v[i], 0) << i;
+  v.resize(1);
+  ASSERT_EQ(v.size(), 1u);
+  EXPECT_EQ(v[0], 1);
 }
 
 }  // namespace

@@ -92,6 +92,180 @@ TEST_P(EngineDifferential, QueueExecutionTracesIdentical) {
   }
 }
 
+// --- Re-arm parity -----------------------------------------------------------
+
+/// How a harness moves a pending event to a new time.
+enum class RearmMode { kReschedule, kCancelThenSchedule };
+
+/// A seeded workload that keeps re-arming events — from the driver loop
+/// and from inside running events, so pending entries of every kind move:
+/// wheel-slot lists, the overflow heap, and the due run of the tick being
+/// drained (including re-arms back into that same tick).
+class RearmHarness {
+ public:
+  RearmHarness(EventQueue::Engine engine, RearmMode mode, std::uint64_t seed)
+      : q_(engine), mode_(mode), rng_(seed) {}
+
+  void Run() {
+    for (int round = 0; round < 150; ++round) {
+      const int n = static_cast<int>(1 + rng_.NextBelow(12));
+      for (int i = 0; i < n; ++i) {
+        const SimTime when = clock_ + Horizon();
+        const int t = tag_++;
+        handles_.push_back(q_.ScheduleAt(when, Fire(when, t)));
+      }
+      const int rearms = static_cast<int>(rng_.NextBelow(n + 1));
+      for (int i = 0; i < rearms; ++i) RearmRandom();
+      const int runs = static_cast<int>(rng_.NextBelow(20));
+      for (int i = 0; i < runs; ++i) {
+        if (!q_.RunNext(clock_)) break;
+      }
+    }
+    while (q_.RunNext(clock_)) {
+    }
+  }
+
+  const std::vector<std::pair<SimTime, int>>& trace() const { return trace_; }
+  const std::vector<EventId>& issued() const { return issued_; }
+  std::size_t slot_capacity() const { return q_.slot_capacity(); }
+
+ private:
+  /// Offsets from now on a coarse grid, so that equal times — where
+  /// only the sequence number orders events — are common at every level.
+  SimTime Horizon() {
+    const auto pick = [this](std::uint64_t n) {
+      return static_cast<SimTime>(rng_.NextBelow(n));
+    };
+    switch (rng_.NextBelow(4)) {
+      case 0:
+        return pick(3);  // this tick
+      case 1:
+        return 1'000 * pick(8);  // level-0 slots
+      case 2:
+        return 1'000'000 * pick(100);  // higher levels, cascaded down
+      default:
+        // Beyond the wheel's ~4.8 h horizon: the overflow heap.
+        return 20'000'000'000 + 1'000'000'000 * pick(8);
+    }
+  }
+
+  EventFn Fire(SimTime when, int t) {
+    return [this, when, t] {
+      trace_.emplace_back(when, t);
+      // Running events re-arm others mid-tick, often into this very tick.
+      if (rng_.NextBelow(3) == 0) RearmRandom();
+    };
+  }
+
+  /// Re-arms a random handle. Some handles already fired; re-arming one
+  /// of those is a plain schedule on both paths.
+  void RearmRandom() {
+    if (handles_.empty()) return;
+    const std::size_t pick = rng_.NextBelow(handles_.size());
+    const SimTime when = clock_ + Horizon();
+    const int t = tag_++;
+    EventId id;
+    if (mode_ == RearmMode::kReschedule) {
+      id = q_.Reschedule(handles_[pick], when, Fire(when, t));
+    } else {
+      q_.Cancel(handles_[pick]);
+      id = q_.ScheduleAt(when, Fire(when, t));
+    }
+    handles_[pick] = id;
+    issued_.push_back(id);
+  }
+
+  EventQueue q_;
+  RearmMode mode_;
+  Rng rng_;
+  SimTime clock_ = 0;
+  int tag_ = 0;
+  std::vector<EventId> handles_;
+  std::vector<EventId> issued_;
+  std::vector<std::pair<SimTime, int>> trace_;
+};
+
+TEST_P(EngineDifferential, RescheduleMatchesCancelThenSchedule) {
+  RearmHarness rearm(EventQueue::Engine::kTimerWheel, RearmMode::kReschedule,
+                     GetParam());
+  RearmHarness pair(EventQueue::Engine::kTimerWheel,
+                    RearmMode::kCancelThenSchedule, GetParam());
+  rearm.Run();
+  pair.Run();
+  ASSERT_EQ(rearm.trace().size(), pair.trace().size());
+  for (std::size_t i = 0; i < rearm.trace().size(); ++i) {
+    ASSERT_EQ(rearm.trace()[i], pair.trace()[i]) << "divergence at event " << i;
+  }
+  // Same slab slot, same generation: the handles and the slab agree too.
+  EXPECT_EQ(rearm.issued(), pair.issued());
+  EXPECT_EQ(rearm.slot_capacity(), pair.slot_capacity());
+  EXPECT_GT(rearm.issued().size(), 100u);
+}
+
+TEST_P(EngineDifferential, RescheduleMatchesLegacyHeap) {
+  RearmHarness wheel(EventQueue::Engine::kTimerWheel, RearmMode::kReschedule,
+                     GetParam());
+  RearmHarness legacy(EventQueue::Engine::kLegacyHeap, RearmMode::kReschedule,
+                      GetParam());
+  wheel.Run();
+  legacy.Run();
+  ASSERT_EQ(wheel.trace().size(), legacy.trace().size());
+  for (std::size_t i = 0; i < wheel.trace().size(); ++i) {
+    ASSERT_EQ(wheel.trace()[i], legacy.trace()[i])
+        << "divergence at event " << i;
+  }
+}
+
+/// Hand-placed re-arms of each pending kind, checked against the order a
+/// cancel plus a fresh schedule must give.
+std::vector<int> PlacedRearmOrder(EventQueue::Engine engine, RearmMode mode) {
+  EventQueue q(engine);
+  std::vector<int> order;
+  const auto rec = [&order](int tag) {
+    return [&order, tag] { order.push_back(tag); };
+  };
+  const auto rearm = [&](EventId id, SimTime when, int tag) {
+    if (mode == RearmMode::kReschedule) {
+      return q.Reschedule(id, when, rec(tag));
+    }
+    q.Cancel(id);
+    return q.ScheduleAt(when, rec(tag));
+  };
+  // One 1024 us tick holds 100, 200 and 300; 50'000 sits in a later
+  // wheel slot, 70'000 in another and 30'000'000'000 in the overflow heap.
+  q.ScheduleAt(100, rec(1));
+  const EventId b = q.ScheduleAt(200, rec(2));
+  const EventId c = q.ScheduleAt(300, rec(3));
+  const EventId slot = q.ScheduleAt(50'000, rec(4));
+  const EventId near = q.ScheduleAt(70'000, rec(5));
+  const EventId far = q.ScheduleAt(30'000'000'000, rec(6));
+  SimTime clock = 0;
+  q.RunNext(clock);  // runs 1; the tick's due run now holds 2 and 3
+  // Due-run entry re-armed earlier within the same tick: it overtakes 2.
+  rearm(c, 150, 30);
+  // Due-run entry re-armed to its own time: it now queues behind 30.
+  rearm(b, 200, 20);
+  // Wheel-slot entry pulled into the current tick, heap entry pulled into
+  // the wheel, wheel entry pushed out to the overflow heap.
+  rearm(slot, 250, 40);
+  rearm(far, 60'000, 60);
+  rearm(near, 40'000'000'000, 50);
+  while (q.RunNext(clock)) {
+  }
+  return order;
+}
+
+TEST(EngineDifferential, RescheduleOfEachPendingKindKeepsOrder) {
+  const std::vector<int> expected{1, 30, 20, 40, 60, 50};
+  for (const auto engine :
+       {EventQueue::Engine::kTimerWheel, EventQueue::Engine::kLegacyHeap}) {
+    for (const auto mode :
+         {RearmMode::kReschedule, RearmMode::kCancelThenSchedule}) {
+      EXPECT_EQ(PlacedRearmOrder(engine, mode), expected);
+    }
+  }
+}
+
 // --- Full-simulation differentials ------------------------------------------
 
 constexpr Ipv4Address kGroup(239, 42, 42, 42);

@@ -48,6 +48,38 @@ TEST(Igmp, RpCoreReportRoundTrip) {
   EXPECT_EQ(decoded->cores[2], Ipv4Address(10, 97, 0, 1));
 }
 
+TEST(Igmp, EightCoreReportRoundTripsInline) {
+  // kMaxCores is the wire cap, and the inline list holds exactly that many.
+  IgmpMessage msg;
+  msg.type = IgmpType::kRpCoreReport;
+  msg.code = kCoreReportCodeCbt;
+  msg.group = Ipv4Address(239, 1, 0, 8);
+  msg.target_core_index = 7;
+  for (std::uint8_t i = 0; i < kMaxCores; ++i) {
+    msg.cores.push_back(Ipv4Address(10, 90, i, 1));
+  }
+  ASSERT_TRUE(msg.cores.inlined());
+  const auto bytes = msg.Encode();
+  EXPECT_EQ(bytes.size(), 12 + 4 * kMaxCores);
+  const auto decoded = IgmpMessage::Decode(bytes);
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_TRUE(decoded->cores.inlined());
+  EXPECT_EQ(decoded->cores, msg.cores);
+  EXPECT_EQ(decoded->target_core_index, 7);
+}
+
+TEST(Igmp, NineCoreReportRejected) {
+  IgmpMessage msg;
+  msg.type = IgmpType::kRpCoreReport;
+  msg.code = kCoreReportCodeCbt;
+  msg.group = Ipv4Address(239, 1, 0, 9);
+  msg.cores.assign(kMaxCores + 1, Ipv4Address(10, 90, 0, 1));
+  EXPECT_FALSE(msg.cores.inlined());  // encodable, but over the wire cap
+  const auto bytes = msg.Encode();
+  EXPECT_EQ(bytes.size(), 12 + 4 * (kMaxCores + 1));
+  EXPECT_FALSE(IgmpMessage::Decode(bytes).has_value());
+}
+
 TEST(Igmp, TargetIndexBeyondListRejected) {
   IgmpMessage msg;
   msg.type = IgmpType::kRpCoreReport;
