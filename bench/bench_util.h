@@ -6,8 +6,7 @@
 //   --smoke         shrunken workload for CI smoke runs
 //   --seed N        master RNG seed (default 1)
 //   --repeat N      repeat the measured sweep with seeds seed..seed+N-1
-//   --json FILE     write a structured report (bench::JsonReporter);
-//                   --out FILE is accepted as an alias
+//   --json FILE     write a structured report (bench::JsonReporter)
 //   --trace FILE    record an obs trace and export Chrome trace_event
 //                   JSON on exit (bench::TraceSession)
 //   --jobs N        worker threads for independent simulation replicas
@@ -157,8 +156,7 @@ class Options {
         std::exit(0);
       }
       if (arg.rfind("--", 0) != 0) Fail("unexpected argument '" + arg + "'");
-      std::string name = arg.substr(2);
-      if (name == "out") name = "json";  // legacy alias kept for CI scripts
+      const std::string name = arg.substr(2);
       Spec* spec = Find(name);
       if (spec == nullptr) Fail("unknown flag '" + arg + "'");
       if (spec->kind == Spec::kBool) {
@@ -252,7 +250,6 @@ class Options {
       for (std::size_t pad = left.size(); pad < 24; ++pad) os << ' ';
       os << spec.help << "\n";
     }
-    os << "  --out <value>         alias for --json\n";
   }
 
   [[noreturn]] void Fail(const std::string& message) const {

@@ -6,7 +6,7 @@
 // implementation's per-packet costs: header encode/decode, checksum, and
 // the full CBT-mode encapsulate/decapsulate round trip.
 //
-// The binary speaks the shared bench flag dialect (--smoke, --json/--out,
+// The binary speaks the shared bench flag dialect (--smoke, --json,
 // --filter, ...) and writes the common BENCH_codec.json schema; google-
 // benchmark stays the measurement engine underneath (its console output
 // is unchanged, and its native flags are reachable via --filter /

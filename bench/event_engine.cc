@@ -12,7 +12,7 @@
 // Both workloads are seeded and also compare a fire-order checksum
 // across engines, so the bench doubles as a quick determinism probe.
 // Results go to stdout and to BENCH_event_engine.json (overridable with
-// --json / --out) so CI can track the perf trajectory; --smoke shrinks
+// --json) so CI can track the perf trajectory; --smoke shrinks
 // the sizes for a fast correctness-only pass.
 #include <chrono>
 #include <cstdint>

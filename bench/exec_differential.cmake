@@ -5,8 +5,8 @@
 # bench's own BENCH_*.json byte-identical to `--jobs 1` — wall-clock
 # lives only in BENCH_exec.json, which this script ignores. Runs
 # bench_chaos_soak (256 routers, 3 repetitions so the pool really fans
-# out, two seeds) and bench_join_latency at --jobs 1 vs --jobs 4 and
-# compares byte-for-byte.
+# out) and bench_join_latency, each at seeds 1 and 2, at --jobs 1 vs
+# --jobs 4 and compares byte-for-byte.
 #
 # Invoked as:
 #   cmake -DCHAOS_SOAK=<path> -DJOIN_LATENCY=<path> -DWORK_DIR=<dir>
@@ -64,8 +64,8 @@ endfunction()
 foreach(seed 1 2)
   check_differential(chaos_soak_seed${seed} ${CHAOS_SOAK}
     --routers 256 --events 25 --repeat 3 --seed ${seed})
+  check_differential(join_latency_seed${seed} ${JOIN_LATENCY} --seed ${seed})
 endforeach()
-check_differential(join_latency ${JOIN_LATENCY})
 
 # BENCH_exec.json sanity: the parallel run recorded per-replica timing.
 file(READ "${WORK_DIR}/chaos_soak_seed1.jobs4.exec.json" exec_json)

@@ -14,7 +14,7 @@
 // Every workload folds its answers into a checksum and the post-flap /
 // lookup runs are executed under both strategies with identical seeds, so
 // the bench doubles as a lazy==eager / indexed==linear differential.
-// Results go to stdout and BENCH_routing.json (--json / --out overrides;
+// Results go to stdout and BENCH_routing.json (--json overrides;
 // --smoke shrinks sizes for the CI correctness pass).
 #include <algorithm>
 #include <chrono>

@@ -1,66 +1,35 @@
-// Harness wiring a topology into a DVMRP flood-and-prune domain,
-// mirroring CbtDomain so experiments can run both schemes on identical
-// topologies and workloads.
+// Harness wiring a topology into a DVMRP flood-and-prune domain, on the
+// same ProtocolDomain as CbtDomain so experiments can run both schemes on
+// identical topologies and workloads.
 #pragma once
 
-#include <map>
+#include <cstddef>
 #include <memory>
-#include <string>
-#include <vector>
 
 #include "baselines/dvmrp_router.h"
-#include "cbt/host.h"
-#include "igmp/membership_aggregate.h"
-#include "netsim/topologies.h"
-#include "routing/route_manager.h"
+#include "cbt/protocol_domain.h"
 
 namespace cbt::baselines {
 
-class DvmrpDomain {
+class DvmrpDomain : public core::ProtocolDomain<DvmrpRouter> {
  public:
   DvmrpDomain(netsim::Simulator& sim, netsim::Topology& topo,
-              DvmrpConfig config = {}, igmp::IgmpConfig igmp_config = {});
-
-  void Start() { sim_->StartAgents(); }
-
-  DvmrpRouter& router(NodeId id);
-  DvmrpRouter& router(const std::string& name);
-  core::HostAgent& host(NodeId id);
-  core::HostAgent& host(const std::string& name);
-  core::HostAgent& AddHost(SubnetId lan, const std::string& name);
-
-  /// Aggregate membership station (counts, not per-host agents) — the
-  /// same model CbtDomain::AddAggregate attaches, so the churn bench
-  /// can drive every comparator with one workload.
-  igmp::MembershipAggregate& AddAggregate(
-      SubnetId lan, const std::string& name,
-      igmp::MembershipAggregate::Mode mode =
-          igmp::MembershipAggregate::Mode::kCoalesced);
-
-  routing::RouteManager& routes() { return routes_; }
-
-  std::size_t TotalStateUnits() const;
-  std::uint64_t TotalControlMessages() const;
-  std::size_t TotalForwardingEntries() const;
-
-  /// Binds router ("dvmrp.router.<id>.*"), routing, and subnet counters
-  /// into `registry` (mirrors CbtDomain::BindMetrics).
-  void BindMetrics(obs::Registry& registry) {
-    sim_->SetMetrics(&registry);
-    for (const auto& [id, router] : routers_) {
-      obs::BindStats(registry, "dvmrp.router." + std::to_string(id.value()),
-                     router->mutable_stats());
-    }
-    obs::BindStats(registry, "dvmrp.routing", routes_.mutable_stats());
+              DvmrpConfig config = {}, igmp::IgmpConfig igmp_config = {})
+      : ProtocolDomain(sim, topo, "dvmrp") {
+    Populate([&](NodeId id) {
+      return std::make_unique<DvmrpRouter>(sim, id, routes_, config,
+                                           igmp_config);
+    });
   }
 
- private:
-  netsim::Simulator* sim_;
-  netsim::Topology* topo_;
-  routing::RouteManager routes_;
-  std::map<NodeId, std::unique_ptr<DvmrpRouter>> routers_;
-  std::map<NodeId, std::unique_ptr<core::HostAgent>> hosts_;
-  std::map<NodeId, std::unique_ptr<igmp::MembershipAggregate>> aggregates_;
+  std::size_t TotalStateUnits() const {
+    return SumOverRouters<std::size_t>(
+        [](const DvmrpRouter& r) { return r.StateUnits(); });
+  }
+  std::size_t TotalForwardingEntries() const {
+    return SumOverRouters<std::size_t>(
+        [](const DvmrpRouter& r) { return r.ForwardingEntries(); });
+  }
 };
 
 }  // namespace cbt::baselines

@@ -1,59 +1,29 @@
-// Harness wiring a topology into an MOSPF-style domain (mirrors
-// CbtDomain / DvmrpDomain for identical-workload comparisons).
+// Harness wiring a topology into an MOSPF-style domain (a ProtocolDomain,
+// like CbtDomain / DvmrpDomain, for identical-workload comparisons).
 #pragma once
 
-#include <map>
+#include <cstddef>
 #include <memory>
-#include <string>
 
 #include "baselines/mospf_router.h"
-#include "cbt/host.h"
-#include "igmp/membership_aggregate.h"
-#include "netsim/topologies.h"
-#include "routing/route_manager.h"
+#include "cbt/protocol_domain.h"
 
 namespace cbt::baselines {
 
-class MospfDomain {
+class MospfDomain : public core::ProtocolDomain<MospfRouter> {
  public:
   MospfDomain(netsim::Simulator& sim, netsim::Topology& topo,
-              igmp::IgmpConfig igmp_config = {});
-
-  void Start() { sim_->StartAgents(); }
-
-  MospfRouter& router(NodeId id);
-  MospfRouter& router(const std::string& name);
-  core::HostAgent& AddHost(SubnetId lan, const std::string& name);
-
-  /// Aggregate membership station (mirrors CbtDomain::AddAggregate).
-  igmp::MembershipAggregate& AddAggregate(
-      SubnetId lan, const std::string& name,
-      igmp::MembershipAggregate::Mode mode =
-          igmp::MembershipAggregate::Mode::kCoalesced);
-
-  routing::RouteManager& routes() { return routes_; }
-
-  std::size_t TotalStateUnits() const;
-  std::uint64_t TotalControlMessages() const;
-
-  /// Binds router ("mospf.router.<id>.*"), routing, and subnet counters
-  /// into `registry` (mirrors CbtDomain::BindMetrics).
-  void BindMetrics(obs::Registry& registry) {
-    sim_->SetMetrics(&registry);
-    for (const auto& [id, router] : routers_) {
-      obs::BindStats(registry, "mospf.router." + std::to_string(id.value()),
-                     router->mutable_stats());
-    }
-    obs::BindStats(registry, "mospf.routing", routes_.mutable_stats());
+              igmp::IgmpConfig igmp_config = {})
+      : ProtocolDomain(sim, topo, "mospf") {
+    Populate([&](NodeId id) {
+      return std::make_unique<MospfRouter>(sim, id, routes_, igmp_config);
+    });
   }
 
- private:
-  netsim::Simulator* sim_;
-  netsim::Topology* topo_;
-  routing::RouteManager routes_;
-  std::map<NodeId, std::unique_ptr<MospfRouter>> routers_;
-  std::map<NodeId, std::unique_ptr<core::HostAgent>> hosts_;
-  std::map<NodeId, std::unique_ptr<igmp::MembershipAggregate>> aggregates_;
+  std::size_t TotalStateUnits() const {
+    return SumOverRouters<std::size_t>(
+        [](const MospfRouter& r) { return r.StateUnits(); });
+  }
 };
 
 }  // namespace cbt::baselines

@@ -1,60 +1,49 @@
-// Harness wiring a topology into a PIM-SM-shape RP-tree domain (mirrors
-// CbtDomain; RPs come from a shared group->RP registry).
+// Harness wiring a topology into a PIM-SM-shape RP-tree domain (a
+// ProtocolDomain, like CbtDomain; RPs come from a shared group->RP
+// registry).
 #pragma once
 
+#include <cstddef>
 #include <map>
 #include <memory>
-#include <string>
+#include <optional>
 
 #include "baselines/rp_tree_router.h"
-#include "cbt/host.h"
-#include "igmp/membership_aggregate.h"
-#include "netsim/topologies.h"
-#include "routing/route_manager.h"
+#include "cbt/protocol_domain.h"
 
 namespace cbt::baselines {
 
-class RpTreeDomain {
+class RpTreeDomain : public core::ProtocolDomain<RpTreeRouter> {
  public:
   RpTreeDomain(netsim::Simulator& sim, netsim::Topology& topo,
-               RpTreeConfig config = {});
-
-  void Start() { sim_->StartAgents(); }
+               RpTreeConfig config = {})
+      : ProtocolDomain(sim, topo, "rptree") {
+    const auto resolver =
+        [this](Ipv4Address group) -> std::optional<Ipv4Address> {
+      const auto it = rp_by_group_.find(group);
+      if (it == rp_by_group_.end()) return std::nullopt;
+      return it->second;
+    };
+    Populate([&](NodeId id) {
+      return std::make_unique<RpTreeRouter>(sim, id, routes_, resolver,
+                                            config);
+    });
+  }
 
   /// Registers `rp` (a router) as the RP for `group`.
-  Ipv4Address RegisterGroup(Ipv4Address group, NodeId rp);
+  Ipv4Address RegisterGroup(Ipv4Address group, NodeId rp) {
+    const Ipv4Address addr = sim_->PrimaryAddress(rp);
+    rp_by_group_[group] = addr;
+    return addr;
+  }
 
-  RpTreeRouter& router(NodeId id);
-  core::HostAgent& AddHost(SubnetId lan, const std::string& name);
-
-  /// Aggregate membership station (mirrors CbtDomain::AddAggregate).
-  igmp::MembershipAggregate& AddAggregate(
-      SubnetId lan, const std::string& name,
-      igmp::MembershipAggregate::Mode mode =
-          igmp::MembershipAggregate::Mode::kCoalesced);
-
-  std::size_t TotalStateUnits() const;
-  std::uint64_t TotalControlMessages() const;
-
-  /// Binds router ("rptree.router.<id>.*"), routing, and subnet counters
-  /// into `registry` (mirrors CbtDomain::BindMetrics).
-  void BindMetrics(obs::Registry& registry) {
-    sim_->SetMetrics(&registry);
-    for (const auto& [id, router] : routers_) {
-      obs::BindStats(registry, "rptree.router." + std::to_string(id.value()),
-                     router->mutable_stats());
-    }
-    obs::BindStats(registry, "rptree.routing", routes_.mutable_stats());
+  std::size_t TotalStateUnits() const {
+    return SumOverRouters<std::size_t>(
+        [](const RpTreeRouter& r) { return r.StateUnits(); });
   }
 
  private:
-  netsim::Simulator* sim_;
-  netsim::Topology* topo_;
-  routing::RouteManager routes_;
   std::map<Ipv4Address, Ipv4Address> rp_by_group_;
-  std::map<NodeId, std::unique_ptr<RpTreeRouter>> routers_;
-  std::map<NodeId, std::unique_ptr<core::HostAgent>> hosts_;
-  std::map<NodeId, std::unique_ptr<igmp::MembershipAggregate>> aggregates_;
 };
 
 }  // namespace cbt::baselines

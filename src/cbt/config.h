@@ -6,12 +6,13 @@
 
 namespace cbt::core {
 
-/// Data-plane execution mode. kFast memoizes resolved forwarding
-/// decisions in a per-router flow cache (generation-invalidated) and
-/// encodes each outgoing variant once per hop; kSlow recomputes the
-/// decision from the FIB/IGMP state on every packet. Both produce
-/// byte-identical deliveries — kSlow survives as the differential-test
-/// oracle, like the legacy event-queue engine.
+/// Data-plane execution mode. Both resolve the forwarding decision with
+/// CbtRouter::BuildFlowDecision. kFast memoizes it in a per-router flow
+/// cache (generation-invalidated) and encodes each outgoing variant once
+/// per hop; kSlow recomputes it on every packet and builds a separate copy
+/// of the bytes for every output. Both produce byte-identical deliveries —
+/// kSlow survives as the cache-off, copy-per-output differential
+/// reference.
 enum class DataplaneMode : std::uint8_t {
   kFast = 0,
   kSlow = 1,

@@ -21,7 +21,7 @@ SimDuration DelayOr(routing::RouteManager& routes, NodeId from, NodeId to,
 }
 
 // ---------------------------------------------------------------------------
-// The original selection algorithms (also backing the deprecated shims).
+// The selection algorithms behind the strategies.
 // ---------------------------------------------------------------------------
 
 std::vector<NodeId> PickRandom(const std::vector<NodeId>& routers,
@@ -543,54 +543,3 @@ std::vector<std::string_view> StrategyNames() {
 }
 
 }  // namespace cbt::core_selection
-
-namespace cbt::core {
-
-std::vector<NodeId> SelectRandomCores(const std::vector<NodeId>& routers,
-                                      std::size_t k, Rng& rng) {
-  core_selection::PlacementInput in;
-  in.routers = routers;
-  in.rng = &rng;
-  return core_selection::MakeStrategy("random")->Place(in, k).cores;
-}
-
-std::vector<NodeId> SelectHighestDegreeCores(const netsim::Simulator& sim,
-                                             const std::vector<NodeId>& routers,
-                                             std::size_t k) {
-  core_selection::PlacementInput in;
-  in.sim = &sim;
-  in.routers = routers;
-  return core_selection::MakeStrategy("degree")->Place(in, k).cores;
-}
-
-std::vector<NodeId> SelectCentreCores(routing::RouteManager& routes,
-                                      const std::vector<NodeId>& routers,
-                                      std::size_t k) {
-  core_selection::PlacementInput in;
-  in.routes = &routes;
-  in.routers = routers;
-  return core_selection::MakeStrategy("centre")->Place(in, k).cores;
-}
-
-std::vector<NodeId> SelectDelayCentreCores(routing::RouteManager& routes,
-                                           const std::vector<NodeId>& routers,
-                                           std::size_t k) {
-  core_selection::PlacementInput in;
-  in.routes = &routes;
-  in.routers = routers;
-  return core_selection::MakeStrategy("delay-centre")->Place(in, k).cores;
-}
-
-std::vector<NodeId> OrderCoresByGroupHash(const std::vector<NodeId>& candidates,
-                                          Ipv4Address group) {
-  std::vector<NodeId> out = candidates;
-  assert(!out.empty());
-  const std::size_t index =
-      static_cast<std::size_t>((group.bits() * 2654435761u) >> 16) %
-      out.size();
-  std::rotate(out.begin(), out.begin() + static_cast<std::ptrdiff_t>(index),
-              out.end());
-  return out;
-}
-
-}  // namespace cbt::core

@@ -102,36 +102,3 @@ std::vector<std::size_t> AssignNearest(routing::RouteManager& routes,
                                        const std::vector<NodeId>& members);
 
 }  // namespace cbt::core_selection
-
-namespace cbt::core {
-
-// ---------------------------------------------------------------------------
-// Deprecated free-function shims, kept so pre-registry call sites compile.
-// New code should resolve a core_selection::Strategy via MakeStrategy.
-// ---------------------------------------------------------------------------
-
-/// Deprecated: use MakeStrategy("random").
-std::vector<NodeId> SelectRandomCores(const std::vector<NodeId>& routers,
-                                      std::size_t k, Rng& rng);
-
-/// Deprecated: use MakeStrategy("degree").
-std::vector<NodeId> SelectHighestDegreeCores(const netsim::Simulator& sim,
-                                             const std::vector<NodeId>& routers,
-                                             std::size_t k);
-
-/// Deprecated: use MakeStrategy("centre").
-std::vector<NodeId> SelectCentreCores(routing::RouteManager& routes,
-                                      const std::vector<NodeId>& routers,
-                                      std::size_t k);
-
-/// Deprecated: use MakeStrategy("delay-centre").
-std::vector<NodeId> SelectDelayCentreCores(routing::RouteManager& routes,
-                                           const std::vector<NodeId>& routers,
-                                           std::size_t k);
-
-/// Deprecated: use MakeStrategy("hash"). The selected core is rotated to
-/// the front of the returned list (all candidates are kept).
-std::vector<NodeId> OrderCoresByGroupHash(const std::vector<NodeId>& candidates,
-                                          Ipv4Address group);
-
-}  // namespace cbt::core

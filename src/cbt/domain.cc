@@ -6,54 +6,15 @@ namespace cbt::core {
 
 CbtDomain::CbtDomain(netsim::Simulator& sim, netsim::Topology& topo,
                      CbtConfig config, igmp::IgmpConfig igmp_config)
-    : sim_(&sim),
-      topo_(&topo),
-      routes_(sim),
+    : ProtocolDomain(sim, topo, "cbt"),
       config_(config),
       igmp_config_(igmp_config) {
-  for (const NodeId id : topo.routers) {
-    auto router = std::make_unique<CbtRouter>(sim, id, routes_, directory_,
-                                              config_, igmp_config_);
-    sim.SetAgent(id, router.get());
-    routers_[id] = std::move(router);
-    router_ids_.push_back(id);
-  }
-  for (const NodeId id : topo.hosts) {
-    auto host = std::make_unique<HostAgent>(sim, id, &directory_);
-    sim.SetAgent(id, host.get());
-    hosts_[id] = std::move(host);
-    host_ids_.push_back(id);
-  }
-}
-
-CbtRouter& CbtDomain::router(NodeId id) {
-  const auto it = routers_.find(id);
-  assert(it != routers_.end());
-  return *it->second;
-}
-
-CbtRouter& CbtDomain::router(const std::string& name) {
-  return router(topo_->node(name));
-}
-
-HostAgent& CbtDomain::host(NodeId id) {
-  const auto it = hosts_.find(id);
-  assert(it != hosts_.end());
-  return *it->second;
-}
-
-HostAgent& CbtDomain::host(const std::string& name) {
-  return host(topo_->node(name));
-}
-
-HostAgent& CbtDomain::AddHost(SubnetId lan, const std::string& name) {
-  const NodeId id = netsim::AttachHost(*sim_, *topo_, lan, name);
-  auto host = std::make_unique<HostAgent>(*sim_, id, &directory_);
-  sim_->SetAgent(id, host.get());
-  HostAgent& ref = *host;
-  hosts_[id] = std::move(host);
-  host_ids_.push_back(id);
-  return ref;
+  Populate(
+      [this](NodeId id) {
+        return std::make_unique<CbtRouter>(*sim_, id, routes_, directory_,
+                                           config_, igmp_config_);
+      },
+      &directory_);
 }
 
 igmp::MembershipAggregate& CbtDomain::AddAggregate(
@@ -144,26 +105,8 @@ netsim::ChaosInjector::Hooks CbtDomain::ChaosHooks() {
 }
 
 std::size_t CbtDomain::TotalFibState() const {
-  std::size_t total = 0;
-  for (const auto& [id, router] : routers_) total += router->fib().StateUnits();
-  return total;
-}
-
-std::uint64_t CbtDomain::TotalControlMessages() const {
-  std::uint64_t total = 0;
-  for (const auto& [id, router] : routers_) {
-    total += router->stats().ControlMessagesSent();
-  }
-  return total;
-}
-
-void CbtDomain::BindMetrics(obs::Registry& registry) {
-  sim_->SetMetrics(&registry);  // binds netsim.subnet.<id>.* as a side effect
-  for (const auto& [id, router] : routers_) {
-    obs::BindStats(registry, "cbt.router." + std::to_string(id.value()),
-                   router->mutable_stats());
-  }
-  obs::BindStats(registry, "cbt.routing", routes_.mutable_stats());
+  return SumOverRouters<std::size_t>(
+      [](const CbtRouter& r) { return r.fib().StateUnits(); });
 }
 
 obs::MetricSet CbtDomain::MetricsSnapshot() const {

@@ -1,9 +1,8 @@
 // CbtDomain: wires a topology into a running CBT "cloud".
 //
-// Creates one CbtRouter per router node and one HostAgent per host node,
-// sharing a RouteManager and a GroupDirectory — the standard harness used
-// by tests, examples, and benchmarks. Hosts attached later (AddHost) get
-// agents too.
+// A ProtocolDomain of CbtRouters whose routers and hosts share one
+// GroupDirectory — the standard harness used by tests, examples, and
+// benchmarks. Hosts attached later (AddHost) get agents too.
 #pragma once
 
 #include <functional>
@@ -15,31 +14,17 @@
 #include "cbt/config.h"
 #include "cbt/core_selection.h"
 #include "cbt/group_directory.h"
-#include "cbt/host.h"
+#include "cbt/protocol_domain.h"
 #include "cbt/router.h"
 #include "igmp/membership_aggregate.h"
 #include "netsim/chaos.h"
-#include "netsim/topologies.h"
-#include "obs/metrics.h"
-#include "routing/route_manager.h"
 
 namespace cbt::core {
 
-class CbtDomain {
+class CbtDomain : public ProtocolDomain<CbtRouter> {
  public:
   CbtDomain(netsim::Simulator& sim, netsim::Topology& topo,
             CbtConfig config = {}, igmp::IgmpConfig igmp_config = {});
-
-  /// Starts every agent (IGMP startup queries, timers). Call once.
-  void Start() { sim_->StartAgents(); }
-
-  CbtRouter& router(NodeId id);
-  CbtRouter& router(const std::string& name);
-  HostAgent& host(NodeId id);
-  HostAgent& host(const std::string& name);
-
-  /// Attaches a brand-new host to `lan` and registers its agent.
-  HostAgent& AddHost(SubnetId lan, const std::string& name);
 
   /// Attaches an aggregate membership station to `lan` (one agent
   /// standing in for any number of member hosts; see
@@ -53,7 +38,6 @@ class CbtDomain {
   igmp::MembershipAggregate& aggregate(NodeId id);
 
   GroupDirectory& directory() { return directory_; }
-  routing::RouteManager& routes() { return routes_; }
 
   /// Space-parallel PDES support: gives every region its own
   /// RouteManager clone (same mode / LPM mode as the base manager) and
@@ -67,8 +51,6 @@ class CbtDomain {
   /// them); call before Start().
   void ShardRoutes(int regions,
                    const std::function<int(NodeId)>& region_of);
-  netsim::Simulator& sim() { return *sim_; }
-  netsim::Topology& topology() { return *topo_; }
 
   /// Registers a group in the directory with cores given by node ids
   /// (primary first) and returns the core address list.
@@ -99,41 +81,24 @@ class CbtDomain {
   /// CrashRouter/RestartRouter (host nodes just go down/up).
   netsim::ChaosInjector::Hooks ChaosHooks();
 
-  const std::vector<NodeId>& router_ids() const { return router_ids_; }
-  const std::vector<NodeId>& host_ids() const { return host_ids_; }
   const std::vector<NodeId>& aggregate_ids() const { return aggregate_ids_; }
 
   /// Sum of FIB state units across all routers (experiment E1).
   std::size_t TotalFibState() const;
-  /// Sum of control messages sent across all routers (experiment E6).
-  std::uint64_t TotalControlMessages() const;
   /// Routers holding a FIB entry for `group`.
   std::vector<NodeId> OnTreeRouters(Ipv4Address group) const;
-
-  /// Binds every router's protocol counters ("cbt.router.<id>.*"), the
-  /// route manager's work counters ("cbt.routing.*"), and the simulator's
-  /// subnet counters into `registry`, and makes it the simulator's
-  /// registry for late additions.
-  void BindMetrics(obs::Registry& registry);
 
   /// Flat point-in-time view of everything bound by BindMetrics (plus
   /// per-subnet counters). Requires a prior BindMetrics call.
   obs::MetricSet MetricsSnapshot() const;
 
  private:
-  netsim::Simulator* sim_;
-  netsim::Topology* topo_;
-  routing::RouteManager routes_;
   /// Per-region managers created by ShardRoutes; empty when unsharded.
   std::vector<std::unique_ptr<routing::RouteManager>> shard_routes_;
   GroupDirectory directory_;
   CbtConfig config_;
   igmp::IgmpConfig igmp_config_;
-  std::map<NodeId, std::unique_ptr<CbtRouter>> routers_;
-  std::map<NodeId, std::unique_ptr<HostAgent>> hosts_;
   std::map<NodeId, std::unique_ptr<igmp::MembershipAggregate>> aggregates_;
-  std::vector<NodeId> router_ids_;
-  std::vector<NodeId> host_ids_;
   std::vector<NodeId> aggregate_ids_;
 };
 

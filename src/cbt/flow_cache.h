@@ -2,11 +2,12 @@
 //
 // ForwardAlongTree's decision — which vifs get a native multicast, which
 // neighbours get a CBT-mode encapsulation, which member LANs get a local
-// delivery — depends only on (group, arrival vif, arrival source,
-// arrival mode) plus slowly-changing control state (FIB entry, IGMP
-// membership, DR/G-DR role, tunnel modes). The cache stores the resolved
-// decision keyed by the fast-varying tuple and validates it against
-// generation counters of the slow state:
+// delivery — is resolved by CbtRouter::BuildFlowDecision, which the
+// cache-off slow path calls on every packet. It depends only on (group,
+// arrival vif, arrival source, arrival mode) plus slowly-changing control
+// state (FIB entry, IGMP membership, DR/G-DR role, tunnel modes). The
+// cache stores the resolved decision keyed by the fast-varying tuple and
+// validates it against generation counters of the slow state:
 //
 //   * Fib::table_generation()  — bumped by entry Create/Remove; paired
 //     with FibEntry::generation this is alias-free across teardown and
@@ -68,7 +69,7 @@ struct FlowCbtTarget {
 /// per packet, not per flow).
 struct FlowDecision {
   /// Tree vifs (parent and/or child) in native mode: one IP multicast
-  /// each, in the slow path's emission order.
+  /// each, in emission order.
   SmallVec<VifIndex, 8> native_vifs;
   /// CBT-mode outputs (per-neighbour unicast or per-vif multicast).
   SmallVec<FlowCbtTarget, 8> cbt_targets;

@@ -650,6 +650,7 @@ void CbtRouter::HandleJoinNack(VifIndex /*vif*/, const packet::Ipv4Header& ip,
 
 void CbtRouter::InitiateJoin(Ipv4Address group, std::vector<Ipv4Address> cores,
                              std::size_t target_index) {
+  netsim::AffinityScope affinity(*sim_, self_);
   StartJoin(group, std::move(cores), target_index, /*reconnect=*/false);
 }
 
@@ -904,6 +905,7 @@ void CbtRouter::PendingJoinFailed(Ipv4Address group) {
 }
 
 void CbtRouter::SimulateRestart() {
+  netsim::AffinityScope affinity(*sim_, self_);
   std::vector<Ipv4Address> groups;
   for (const auto& [group, entry] : fib_) groups.push_back(group);
   for (const Ipv4Address& group : groups) RemoveGroupState(group);
@@ -919,6 +921,7 @@ void CbtRouter::SimulateRestart() {
 }
 
 void CbtRouter::Crash() {
+  netsim::AffinityScope affinity(*sim_, self_);
   alive_ = false;
   SimulateRestart();  // wipes FIB + transient state (their timers die too)
   echo_timer_.Cancel();
@@ -933,6 +936,7 @@ void CbtRouter::Crash() {
 }
 
 void CbtRouter::Restart() {
+  netsim::AffinityScope affinity(*sim_, self_);
   alive_ = true;
   OBS_TRACE(sim_->trace(), .time = sim_->Now(), .kind = obs::TraceKind::kFsm,
             .name = "restart", .node = self_.value());
@@ -1753,8 +1757,12 @@ void CbtRouter::ForwardAlongTree(VifIndex arrival_vif, Ipv4Address arrival_src,
 
 FlowDecision CbtRouter::BuildFlowDecision(const FibEntry& entry,
                                           const FlowKey& key) const {
-  // Mirrors ForwardAlongTreeSlow's per-packet collection exactly — the
-  // slow path is the oracle, this is its arrival-invariant projection.
+  // Collect outputs per interface mode (section 5.2 mixed operation):
+  // native interfaces get one IP multicast each — shared by parent,
+  // children and members on that LAN (section 4); CBT interfaces get
+  // per-neighbour encapsulated unicasts, or a single CBT multicast when
+  // several children sit behind one interface (section 5). Nothing here
+  // depends on the packet beyond the key, so the result can be cached.
   FlowDecision d;
   const auto add_native = [&](VifIndex v) {
     if (v != key.arrival_vif &&
@@ -1778,6 +1786,8 @@ FlowDecision CbtRouter::BuildFlowDecision(const FibEntry& entry,
       add_native(v);
       return;
     }
+    // Skip the neighbour the packet came from, remember a sole survivor
+    // for a unicast, fall back to the group address when several remain.
     std::size_t kid_count = 0;
     Ipv4Address sole_kid;
     entry.ForEachChildOnVif(v, [&](const ChildEntry& c) {
@@ -1901,53 +1911,12 @@ void CbtRouter::ForwardAlongTreeSlow(
     const packet::Ipv4Header& inner_ip,
     std::span<const std::uint8_t> inner_datagram,
     const packet::CbtDataHeader* cbt, const packet::CbtDataHeader& hdr) {
-  // Collect outputs per interface mode (section 5.2 mixed operation):
-  // native interfaces get one IP multicast each — shared by parent,
-  // children and members on that LAN (section 4); CBT interfaces get
-  // per-neighbour encapsulated unicasts, or a single CBT multicast when
-  // several children sit behind one interface (section 5).
-  SmallVec<VifIndex, 8> native_tree_vifs;
-  const auto add_native = [&](VifIndex v) {
-    if (v != arrival_vif &&
-        std::find(native_tree_vifs.begin(), native_tree_vifs.end(), v) ==
-            native_tree_vifs.end()) {
-      native_tree_vifs.push_back(v);
-    }
-  };
-  struct CbtTarget {
-    VifIndex vif;
-    Ipv4Address dst;
-  };
-  SmallVec<CbtTarget, 8> cbt_targets;
+  // The fast path's decision, recomputed for every packet (no cache), with
+  // one freshly built copy of the bytes per output (no shared staging).
+  const FlowDecision decision = BuildFlowDecision(
+      entry, FlowKey{entry.group, arrival_vif, arrival_src, cbt != nullptr});
 
-  if (entry.HasParent() && !(entry.parent_vif == arrival_vif &&
-                             entry.parent_address == arrival_src)) {
-    if (EffectiveMode(entry.parent_vif) == VifMode::kNative) {
-      add_native(entry.parent_vif);
-    } else {
-      cbt_targets.push_back({entry.parent_vif, entry.parent_address});
-    }
-  }
-  entry.ForEachChildVif([&](VifIndex v) {
-    if (EffectiveMode(v) == VifMode::kNative) {
-      add_native(v);
-      return;
-    }
-    // Per-vif fan-out without materialising a child list: skip the
-    // neighbour the packet came from, remember a sole survivor for a
-    // unicast, fall back to the group address when several remain.
-    std::size_t kid_count = 0;
-    Ipv4Address sole_kid;
-    entry.ForEachChildOnVif(v, [&](const ChildEntry& c) {
-      if (v == arrival_vif && c.address == arrival_src) return;
-      sole_kid = c.address;
-      ++kid_count;
-    });
-    if (kid_count == 0) return;
-    cbt_targets.push_back({v, kid_count == 1 ? sole_kid : entry.group});
-  });
-
-  for (const VifIndex v : native_tree_vifs) {
+  for (const VifIndex v : decision.native_vifs) {
     std::vector<std::uint8_t> bytes =
         cbt != nullptr
             ? packet::WithTtl(inner_datagram, hdr.ip_ttl)
@@ -1957,10 +1926,11 @@ void CbtRouter::ForwardAlongTreeSlow(
     ++stats_.data_forwarded_tree;
     sim_->SendDatagram(self_, v, entry.group, std::move(bytes));
   }
-  if (!cbt_targets.empty() && cbt == nullptr) ++stats_.data_encapsulated;
-  for (const CbtTarget& target : cbt_targets) {
-    auto bytes = packet::BuildCbtModeDatagram(VifAddress(target.vif),
-                                              target.dst, hdr,
+  if (!decision.cbt_targets.empty() && cbt == nullptr) {
+    ++stats_.data_encapsulated;
+  }
+  for (const FlowCbtTarget& target : decision.cbt_targets) {
+    auto bytes = packet::BuildCbtModeDatagram(target.src, target.dst, hdr,
                                               inner_datagram);
     stats_.data_bytes_sent += bytes.size();
     ++stats_.data_forwarded_tree;
@@ -1969,17 +1939,10 @@ void CbtRouter::ForwardAlongTreeSlow(
 
   // Member LANs: always native IP multicast. In CBT-mode operation the
   // inner TTL "is set to one before forwarding" (section 5); in a native
-  // domain the already-decremented datagram goes out as-is. LANs covered
-  // by a native tree transmission above already carried the packet.
+  // domain the already-decremented datagram goes out as-is.
   const bool force_ttl_one = cbt != nullptr || !config_.native_mode;
-  for (const VifIndex v : igmp_.MemberVifs(entry.group)) {
-    if (!IsSubnetDr(entry.group, v)) continue;
+  for (const VifIndex v : decision.member_vifs) {
     if (SubnetContains(v, inner_ip.src)) continue;  // origin LAN saw it
-    if (cbt == nullptr && v == arrival_vif) continue;  // already on wire
-    if (std::find(native_tree_vifs.begin(), native_tree_vifs.end(), v) !=
-        native_tree_vifs.end()) {
-      continue;
-    }
     std::vector<std::uint8_t> bytes =
         force_ttl_one ? packet::WithTtl(inner_datagram, 1)
                       : std::vector<std::uint8_t>(inner_datagram.begin(),

@@ -125,19 +125,29 @@ class CbtRouter : public netsim::NetworkAgent {
 
   /// Force-join a group (bypasses IGMP; used by tests and by cores that
   /// should pre-build the backbone).
+  ///
+  /// This and the other operational hooks below act on behalf of the
+  /// router from outside its events, so each pins the work to the
+  /// router's PDES region (netsim::AffinityScope).
   void InitiateJoin(Ipv4Address group, std::vector<Ipv4Address> cores,
                     std::size_t target_index = 0);
 
   /// Operational hook: abandon the current parent and re-join (the same
   /// path a CBT-ECHO timeout takes, section 6.1). Used by management
   /// tooling and the loop-detection tests to force a re-configuration.
-  void TriggerReconnect(Ipv4Address group) { StartReconnect(group); }
+  void TriggerReconnect(Ipv4Address group) {
+    netsim::AffinityScope affinity(*sim_, self_);
+    StartReconnect(group);
+  }
 
   /// Operational hook: run the soft-state maintenance pass (directory
   /// reconciliation + quit eligibility) for one group now instead of
   /// waiting for the next iff scan. The core migrator uses this to make a
   /// published core-list replacement take effect promptly.
-  void RunQuitCheck(Ipv4Address group) { QuitCheck(group); }
+  void RunQuitCheck(Ipv4Address group) {
+    netsim::AffinityScope affinity(*sim_, self_);
+    QuitCheck(group);
+  }
 
   /// Operational hook: drop all protocol state as if the router process
   /// restarted (section 6.2). IGMP/odometer counters survive; the tree
@@ -169,6 +179,13 @@ class CbtRouter : public netsim::NetworkAgent {
   /// the generation scheme exists to prevent). Tests corrupt state via
   /// mutable_fib() without Touch() to prove this trips.
   bool FlowCacheCoherent() const;
+
+  /// Resolves the arrival-invariant forwarding decision for `key` against
+  /// `entry` and this router's IGMP/DR/tunnel state: the one statement of
+  /// the section 4/5 forwarding rules, shared by the slow path (every
+  /// packet), the fast path (cache misses) and FlowCacheCoherent().
+  FlowDecision BuildFlowDecision(const FibEntry& entry,
+                                 const FlowKey& key) const;
 
  private:
   struct DownstreamRequester {
@@ -308,8 +325,10 @@ class CbtRouter : public netsim::NetworkAgent {
   /// Forwards a data packet along the tree (both modes). `inner` is the
   /// original IP datagram; `cbt` carries CBT-mode header state when the
   /// packet arrived encapsulated (nullptr for native arrivals).
-  /// Dispatches to the flow-cached fast path or the recompute-everything
-  /// slow path per CbtConfig::dataplane; both emit identical bytes.
+  /// Dispatches per CbtConfig::dataplane: the fast path serves the
+  /// BuildFlowDecision result from the flow cache and shares one staged
+  /// copy across outputs; the slow path recomputes it per packet and
+  /// builds one copy per output. Both emit identical bytes.
   /// `prebuilt`, when non-null, is an arena packet already holding
   /// exactly `inner_datagram`'s bytes (the caller's one-copy hop
   /// decrement); the fast path fans it out without another copy.
@@ -319,17 +338,16 @@ class CbtRouter : public netsim::NetworkAgent {
                         std::span<const std::uint8_t> inner_datagram,
                         const packet::CbtDataHeader* cbt,
                         const netsim::PacketRef* prebuilt = nullptr);
-  /// The historical per-packet recompute path (the differential oracle).
+  /// Cache-off, copy-per-output path (the fast path's differential
+  /// reference): BuildFlowDecision on every packet, then one freshly built
+  /// vector per output (packet::WithTtl / BuildCbtModeDatagram) sent with
+  /// SendDatagram.
   void ForwardAlongTreeSlow(VifIndex arrival_vif, Ipv4Address arrival_src,
                             const FibEntry& entry,
                             const packet::Ipv4Header& inner_ip,
                             std::span<const std::uint8_t> inner_datagram,
                             const packet::CbtDataHeader* cbt,
                             const packet::CbtDataHeader& hdr);
-  /// Resolves the arrival-invariant forwarding decision for `key`
-  /// (cache-miss work; also the coherence oracle's recompute).
-  FlowDecision BuildFlowDecision(const FibEntry& entry,
-                                 const FlowKey& key) const;
   /// Emits a resolved decision: encode-once per output variant, shared
   /// arena buffers across vifs, residual per-packet origin-LAN check.
   void ExecuteFlowDecision(const FlowDecision& decision, const FibEntry& entry,

@@ -201,22 +201,5 @@ TEST(CoreSelection, LocalityClustersMembersAroundTheirCore) {
   EXPECT_NE(placement.assignment[0], placement.assignment[3]);
 }
 
-TEST(CoreSelection, DeprecatedShimsDelegateToTheRegistry) {
-  Simulator sim;
-  Topology topo = MakeLine(sim, 7);
-  routing::RouteManager routes(sim);
-  PlacementInput in;
-  in.routes = &routes;
-  in.routers = topo.routers;
-  EXPECT_EQ(SelectCentreCores(routes, topo.routers, 2),
-            MakeStrategy("centre")->Place(in, 2).cores);
-  Rng rng_a(9), rng_b(9);
-  PlacementInput rin;
-  rin.routers = topo.routers;
-  rin.rng = &rng_b;
-  EXPECT_EQ(SelectRandomCores(topo.routers, 3, rng_a),
-            MakeStrategy("random")->Place(rin, 3).cores);
-}
-
 }  // namespace
 }  // namespace cbt::core

@@ -1,10 +1,12 @@
 // Data-plane fast path (flow cache + encode-once forwarding): cache
 // counter behaviour, generation invalidation, the stale-cache negative
-// probe, and fast-vs-slow / batched-vs-per-receiver differentials that
-// pin the fast path byte-identical to the per-packet slow oracle.
+// probe, BuildFlowDecision against hand-derived decisions, and
+// fast-vs-slow / batched-vs-per-receiver differentials that pin the fast
+// path byte-identical to the cache-off, copy-per-output slow path.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -196,6 +198,171 @@ TEST_F(FlowCacheFixture, StaleCacheWithoutGenerationBumpIsDetected) {
   entry->Touch();
   EXPECT_TRUE(r4.FlowCacheCoherent())
       << "a generation bump must mark the slot for re-resolution";
+}
+
+// ---------------------------------------------------------------------
+// BuildFlowDecision against decisions derived by hand from sections 4
+// and 5 (the slow path calls it too, so nothing else cross-checks it).
+// ---------------------------------------------------------------------
+
+/// One router X with five interfaces, in vif order:
+///   vif 0 "up"    native;   parent P
+///   vif 1 "cbt1"  CBT mode; children C1 and C2, member host M1
+///   vif 2 "nat"   native;   child C3, member host M2
+///   vif 3 "mem"   native;   member host M3 only
+///   vif 4 "cbt4"  CBT mode; child C4
+/// P and C1..C4 are bare nodes without agents, so X is the IGMP querier,
+/// hence the DR, on every LAN. The FIB entries are written by hand, so
+/// every expected decision follows from the forwarding rules alone.
+class HandDerivedDecision : public ::testing::Test {
+ protected:
+  HandDerivedDecision() {
+    x = sim.AddNode("X", true);
+    topo.routers = {x};
+    topo.nodes["X"] = x;
+    const char* lans[] = {"up", "cbt1", "nat", "mem", "cbt4"};
+    for (std::uint8_t i = 0; i < 5; ++i) {
+      const SubnetId lan = sim.AddSubnet(
+          lans[i], SubnetAddress::FromPrefix(Ipv4Address(10, 90, i, 0), 24));
+      EXPECT_EQ(sim.Attach(x, lan), i);
+      topo.subnets[lans[i]] = lan;
+    }
+    p = Neighbour("P", "up");
+    c1 = Neighbour("C1", "cbt1");
+    c2 = Neighbour("C2", "cbt1");
+    c3 = Neighbour("C3", "nat");
+    c4 = Neighbour("C4", "cbt4");
+    netsim::AttachHost(sim, topo, topo.subnet("cbt1"), "M1");
+    netsim::AttachHost(sim, topo, topo.subnet("nat"), "M2");
+    netsim::AttachHost(sim, topo, topo.subnet("mem"), "M3");
+
+    domain.emplace(sim, topo);
+    TunnelConfig& tunnels = domain->router(x).tunnel_config();
+    tunnels.SetVifMode(1, VifMode::kCbtTunnel);
+    tunnels.SetVifMode(4, VifMode::kCbtTunnel);
+    domain->RegisterGroup(kGroup, {x});
+    domain->Start();
+    for (const char* m : {"M1", "M2", "M3"}) domain->host(m).JoinGroup(kGroup);
+    sim.RunUntil(10 * kSecond);
+  }
+
+  /// Adds an agent-less router on `lan`; returns its address there.
+  Ipv4Address Neighbour(const char* name, const char* lan) {
+    const NodeId n = sim.AddNode(name, true);
+    return sim.interface(n, sim.Attach(n, topo.subnet(lan))).address;
+  }
+
+  /// Parent P (vif 0); children C1, C2 (vif 1), C3 (vif 2), C4 (vif 4).
+  FibEntry NativeParent() const {
+    FibEntry e;
+    e.group = kGroup;
+    e.parent_vif = 0;
+    e.parent_address = p;
+    e.AddChild(c1, 1, 0);
+    e.AddChild(c2, 1, 0);
+    e.AddChild(c3, 2, 0);
+    e.AddChild(c4, 4, 0);
+    return e;
+  }
+
+  /// Parent C4 over the CBT vif 4; children C1, C2 (vif 1), C3 (vif 2).
+  FibEntry CbtParent() const {
+    FibEntry e;
+    e.group = kGroup;
+    e.parent_vif = 4;
+    e.parent_address = c4;
+    e.AddChild(c1, 1, 0);
+    e.AddChild(c2, 1, 0);
+    e.AddChild(c3, 2, 0);
+    return e;
+  }
+
+  std::string Decide(const FibEntry& entry, VifIndex vif, Ipv4Address src,
+                     bool cbt_arrival) {
+    return Describe(domain->router(x).BuildFlowDecision(
+        entry, FlowKey{kGroup, vif, src, cbt_arrival}));
+  }
+
+  /// A CBT-mode output from X's own address on `vif` to `dst`.
+  FlowCbtTarget Cbt(VifIndex vif, Ipv4Address dst) const {
+    return {vif, sim.interface(x, vif).address, dst};
+  }
+
+  static std::string Describe(const FlowDecision& d) {
+    std::ostringstream os;
+    os << "native{";
+    for (const VifIndex v : d.native_vifs) os << ' ' << v;
+    os << " } cbt{";
+    for (const FlowCbtTarget& t : d.cbt_targets) {
+      os << ' ' << t.vif << ':' << t.src.ToString() << '>' << t.dst.ToString();
+    }
+    os << " } member{";
+    for (const VifIndex v : d.member_vifs) os << ' ' << v;
+    os << " }";
+    return os.str();
+  }
+
+  Simulator sim{1};
+  Topology topo;
+  NodeId x;
+  Ipv4Address p, c1, c2, c3, c4;
+  std::optional<CbtDomain> domain;
+};
+
+TEST_F(HandDerivedDecision, ParentArrivalIsExcluded) {
+  // From the native parent: nothing goes back up. vif 1 carries two
+  // children (group-addressed CBT multicast), vif 4 one (unicast to
+  // C4), vif 2 one native multicast that also serves M2's LAN; M1's LAN
+  // still needs its native copy because vif 1's tree output is
+  // encapsulated.
+  EXPECT_EQ(Decide(NativeParent(), 0, p, false),
+            Describe({{2}, {Cbt(1, kGroup), Cbt(4, c4)}, {1, 3}}));
+  // From the CBT-mode parent C4: no target on vif 4 at all.
+  EXPECT_EQ(Decide(CbtParent(), 4, c4, true),
+            Describe({{2}, {Cbt(1, kGroup)}, {1, 3}}));
+  // The exclusion is by (vif, address): another sender on vif 4 is not
+  // the parent, so the parent gets its unicast.
+  EXPECT_EQ(Decide(CbtParent(), 4, Ipv4Address(10, 90, 4, 200), true),
+            Describe({{2}, {Cbt(4, c4), Cbt(1, kGroup)}, {1, 3}}));
+}
+
+TEST_F(HandDerivedDecision, CbtVifUnicastsToASoleChildElseMulticasts) {
+  // Native arrival from C3: both children on vif 1 remain, so vif 1
+  // gets one CBT multicast to the group; vif 4's single child C4 gets a
+  // unicast. The parent target comes first.
+  EXPECT_EQ(Decide(NativeParent(), 2, c3, false),
+            Describe({{0}, {Cbt(1, kGroup), Cbt(4, c4)}, {1, 3}}));
+  EXPECT_EQ(Decide(CbtParent(), 2, c3, false),
+            Describe({{}, {Cbt(4, c4), Cbt(1, kGroup)}, {1, 3}}));
+  // Arrival from C1 over vif 1 leaves C2 as the sole child there: a
+  // unicast to C2 instead of the group address.
+  EXPECT_EQ(Decide(NativeParent(), 1, c1, true),
+            Describe({{0, 2}, {Cbt(1, c2), Cbt(4, c4)}, {1, 3}}));
+}
+
+TEST_F(HandDerivedDecision, MemberLanCoveredByNativeTreeVifIsDeduplicated) {
+  // With child C3, vif 2's native tree multicast already reaches M2.
+  EXPECT_EQ(Decide(NativeParent(), 0, p, false),
+            Describe({{2}, {Cbt(1, kGroup), Cbt(4, c4)}, {1, 3}}));
+  // Without it, vif 2 is a plain member LAN.
+  FibEntry no_c3 = NativeParent();
+  ASSERT_TRUE(no_c3.RemoveChild(c3));
+  EXPECT_EQ(Decide(no_c3, 0, p, false),
+            Describe({{}, {Cbt(1, kGroup), Cbt(4, c4)}, {1, 2, 3}}));
+}
+
+TEST_F(HandDerivedDecision, ArrivalVifSkipDependsOnArrivalMode) {
+  // Native arrival on vif 2: the datagram is already on that wire, so
+  // vif 2 gets neither a tree copy nor a member copy.
+  EXPECT_EQ(Decide(NativeParent(), 2, c3, false),
+            Describe({{0}, {Cbt(1, kGroup), Cbt(4, c4)}, {1, 3}}));
+  // CBT arrival on vif 2: still no tree copy back out of vif 2, but its
+  // hosts never saw the encapsulated packet, so the member LAN is served.
+  EXPECT_EQ(Decide(NativeParent(), 2, c3, true),
+            Describe({{0}, {Cbt(1, kGroup), Cbt(4, c4)}, {1, 2, 3}}));
+  // Same on a CBT-mode vif: arrival on vif 1 keeps M1's LAN.
+  EXPECT_EQ(Decide(NativeParent(), 1, c1, true),
+            Describe({{0, 2}, {Cbt(1, c2), Cbt(4, c4)}, {1, 3}}));
 }
 
 // ---------------------------------------------------------------------

@@ -181,6 +181,38 @@ TEST(PdesRuntimeTest, ScheduleAndCancelWorkUnderBackend) {
   EXPECT_EQ(fired, 1);
 }
 
+TEST(PdesRuntimeTest, CoordinatorCrashAndRestartKeepRouterTimersInRegion) {
+  // Chaos hooks crash and restart routers from coordinator context. The
+  // restarted router's timers must be scheduled in its own region: in the
+  // coordinator queue they would later be re-armed and cancelled by the
+  // region's worker thread. Coordinator-context work draws its packets
+  // from the simulator's base arena and region work from the region
+  // arenas, so any router work left in the coordinator queue shows up as
+  // base-arena packets.
+  netsim::Simulator sim(7);
+  netsim::Topology topo = netsim::MakeFigure1(sim);
+  core::CbtDomain domain(sim, topo);
+  Runtime pdes(sim, /*shards=*/4, /*threads=*/1);
+  pdes.Install();
+  domain.ShardRoutes(pdes.region_count(),
+                     [&pdes](NodeId id) { return pdes.RegionOf(id); });
+  domain.RegisterGroup(kGroup, {topo.node("R4")});
+  domain.Start();
+  domain.host("A").JoinGroup(kGroup);
+  sim.RunUntil(10 * kSecond);
+  const NodeId r1 = topo.node("R1");
+  ASSERT_TRUE(domain.router(r1).IsOnTree(kGroup));
+  const std::uint64_t base_makes = sim.packet_arena().total_makes();
+
+  domain.CrashRouter(r1);
+  sim.RunUntil(20 * kSecond);
+  domain.RestartRouter(r1);
+  sim.RunUntil(200 * kSecond);
+
+  EXPECT_TRUE(domain.router(r1).IsOnTree(kGroup));  // re-joined
+  EXPECT_EQ(sim.packet_arena().total_makes(), base_makes);
+}
+
 // --- Pool::RunWith ---------------------------------------------------------
 
 TEST(PoolRunWithTest, RunsEveryTaskAndTheCallerTask) {
@@ -229,6 +261,7 @@ TEST(PoolRunWithTest, InlinePoolRunsTasksBeforeCaller) {
 
 // --- Ownership guard -------------------------------------------------------
 
+#ifndef NDEBUG
 void TouchRegionQueueFromSecondThread() {
   RegionQueue queue;
   queue.Schedule(EventKey{kMillisecond, -1, 0}, -1, [] {});  // binds owner
@@ -237,6 +270,7 @@ void TouchRegionQueueFromSecondThread() {
     queue.Schedule(EventKey{2 * kMillisecond, -1, 1}, -1, [] {});
   }).join();
 }
+#endif
 
 TEST(PdesGuardDeathTest, RegionQueueSecondThreadAborts) {
 #ifdef NDEBUG
