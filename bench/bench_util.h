@@ -14,10 +14,9 @@
 //                   exact serial legacy path. Output is byte-identical
 //                   for every N — replicas are isolated in RunContexts
 //                   and reduced in replica order (see src/exec/).
-//                   Timing microbenches (bench_routing,
-//                   bench_event_engine, bench_codec) default to 1 so
-//                   parallel replicas cannot distort their wall-clock
-//                   comparisons; --jobs opts in explicitly.
+//                   The timing microbench bench_codec defaults to 1 so
+//                   parallel replicas cannot distort its wall-clock
+//                   numbers; --jobs opts in explicitly.
 //   --exec-json F   write per-replica + aggregate wall-clock of the
 //                   replica executor to F (default BENCH_exec.json;
 //                   deliberately a separate file: the bench's own JSON
@@ -25,7 +24,7 @@
 //   --help          usage
 //
 // plus whatever bench-specific flags each binary registers (--events,
-// --routers, --engine, --routing, --plan, ...). Unknown flags are an
+// --routers, --dataplane, --plan, ...). Unknown flags are an
 // error: usage goes to stderr and the bench exits 2, so typos no longer
 // silently run the default workload.
 //
@@ -96,7 +95,7 @@ class Options {
   }
 
   // Built-ins; assign before Parse() to change a bench's defaults
-  // (e.g. event_engine defaults json_path to BENCH_event_engine.json).
+  // (e.g. codec defaults json_path to BENCH_codec.json).
   bool csv = false;
   bool smoke = false;
   std::uint64_t seed = 1;

@@ -12,11 +12,8 @@
 // and a byte-identical report. `--events N` scales the schedule length,
 // `--plan` dumps the schedule, `--csv` switches to CSV. `--routers N`
 // replaces the default three-topology sweep with one ceil(sqrt(N))^2
-// grid — the scaling mode used to size the event engine —
-// `--engine wheel|legacy` selects the event engine under test,
-// `--routing lazy|eager` selects the unicast-routing recompute strategy
-// (the eager fallback exists for the routing differential cross-check),
-// and `--dataplane fast|slow` selects the forwarding path (the slow
+// grid — the scaling mode used to size the event engine — and
+// `--dataplane fast|slow` selects the forwarding path (the slow
 // per-packet recompute survives as the fast path's differential oracle).
 #include <algorithm>
 #include <cmath>
@@ -36,7 +33,6 @@
 #include "check/expectation.h"
 #include "check/trace_view.h"
 #include "netsim/chaos.h"
-#include "netsim/event_queue.h"
 #include "netsim/topologies.h"
 
 namespace {
@@ -113,7 +109,6 @@ struct MemberPlan {
 SoakResult RunSoak(const std::string& name, netsim::Simulator& sim,
                    netsim::Topology& topo, const MemberPlan& members,
                    std::uint64_t seed, int event_count, bool dump_plan,
-                   routing::RouteManager::Mode routing_mode,
                    core::ProtocolMutation mutation,
                    core::DataplaneMode dataplane, bool run_check,
                    int shards, std::ostream& out) {
@@ -129,7 +124,6 @@ SoakResult RunSoak(const std::string& name, netsim::Simulator& sim,
   cbt_config.mutation = mutation;
   cbt_config.dataplane = dataplane;
   core::CbtDomain domain(sim, topo, cbt_config, SoakIgmpConfig());
-  domain.routes().set_mode(routing_mode);
   if (shards > 0) {
     pdes = std::make_unique<exec::pdes::Runtime>(sim, shards);
     pdes->Install();
@@ -259,8 +253,6 @@ int main(int argc, char** argv) {
   bool dump_plan = false;
   int event_count = 100;
   int routers = 0;  // 0 = default three-topology sweep
-  std::string engine_name = "wheel";
-  std::string routing_name = "lazy";
   bool run_check = false;
   std::string check_json;
   std::string mutate_name;
@@ -268,8 +260,6 @@ int main(int argc, char** argv) {
   opts.Int("events", &event_count, "fault events per topology");
   opts.Int("routers", &routers,
            "scaling mode: one ~N-router grid instead of the sweep");
-  opts.Str("engine", &engine_name, "event engine under test: wheel|legacy");
-  opts.Str("routing", &routing_name, "unicast recompute: lazy|eager");
   opts.Flag("check", &run_check,
             "validate every failure-recovery path with the causal-path "
             "expectation suite (exit 1 on violations)");
@@ -306,12 +296,6 @@ int main(int argc, char** argv) {
 
   const bool csv = opts.csv;
   const std::uint64_t seed = opts.seed;
-  const netsim::EventQueue::Engine engine =
-      engine_name == "legacy" ? netsim::EventQueue::Engine::kLegacyHeap
-                              : netsim::EventQueue::Engine::kTimerWheel;
-  const routing::RouteManager::Mode routing_mode =
-      routing_name == "eager" ? routing::RouteManager::Mode::kEager
-                              : routing::RouteManager::Mode::kLazy;
 
   if (!csv) {
     std::cout << "Chaos soak: seed=" << seed << ", " << event_count
@@ -374,7 +358,7 @@ int main(int argc, char** argv) {
             const int side = std::max(
                 2, static_cast<int>(
                        std::ceil(std::sqrt(static_cast<double>(routers)))));
-            netsim::Simulator sim(1, engine);
+            netsim::Simulator sim(1);
             netsim::Topology topo = netsim::MakeGrid(sim, side, side);
             const std::size_t n = topo.router_lans.size();
             MemberPlan members{{0, n / 3, (2 * n) / 3, n - 1},
@@ -382,20 +366,19 @@ int main(int argc, char** argv) {
             return RunSoak(
                 "grid-" + std::to_string(side) + "x" + std::to_string(side),
                 sim, topo, members, ctx.seed, event_count, dump_plan,
-                routing_mode, mutation, dataplane, run_check, opts.shards,
-                ctx.out);
+                mutation, dataplane, run_check, opts.shards, ctx.out);
           }
           case Topo::kGrid4x4: {
-            netsim::Simulator sim(1, engine);
+            netsim::Simulator sim(1);
             netsim::Topology topo = netsim::MakeGrid(sim, 4, 4);
             MemberPlan members{{3, 5, 10, 12},
                                {topo.routers[0], topo.routers[15]}};
             return RunSoak("grid-4x4", sim, topo, members, ctx.seed,
-                           event_count, dump_plan, routing_mode, mutation,
-                           dataplane, run_check, opts.shards, ctx.out);
+                           event_count, dump_plan, mutation, dataplane,
+                           run_check, opts.shards, ctx.out);
           }
           case Topo::kWaxman20: {
-            netsim::Simulator sim(1, engine);
+            netsim::Simulator sim(1);
             netsim::WaxmanParams wp;
             wp.n = 20;
             wp.seed = 7;
@@ -403,12 +386,12 @@ int main(int argc, char** argv) {
             MemberPlan members{{4, 9, 14, 19},
                                {topo.routers[0], topo.routers[13]}};
             return RunSoak("waxman-20", sim, topo, members, ctx.seed,
-                           event_count, dump_plan, routing_mode, mutation,
-                           dataplane, run_check, opts.shards, ctx.out);
+                           event_count, dump_plan, mutation, dataplane,
+                           run_check, opts.shards, ctx.out);
           }
           case Topo::kTransitStub:
           default: {
-            netsim::Simulator sim(1, engine);
+            netsim::Simulator sim(1);
             netsim::TransitStubParams tp;
             tp.transit_nodes = 4;
             tp.stub_domains = 6;
@@ -417,8 +400,8 @@ int main(int argc, char** argv) {
             MemberPlan members{{6, 11, 16, 21},
                                {topo.routers[0], topo.routers[1]}};
             return RunSoak("transit-stub", sim, topo, members, ctx.seed,
-                           event_count, dump_plan, routing_mode, mutation,
-                           dataplane, run_check, opts.shards, ctx.out);
+                           event_count, dump_plan, mutation, dataplane,
+                           run_check, opts.shards, ctx.out);
           }
         }
       },
@@ -484,8 +467,6 @@ int main(int argc, char** argv) {
     report.Param("repeat", opts.repeat);
     report.Param("events", event_count);
     report.Param("routers", routers);
-    report.Param("engine", engine_name);
-    report.Param("routing", routing_name);
     report.Param("dataplane", dataplane_name);
     report.Param("check", run_check);
     if (!mutate_name.empty()) report.Param("mutate", mutate_name);

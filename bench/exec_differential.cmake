@@ -19,31 +19,19 @@ foreach(var CHAOS_SOAK JOIN_LATENCY WORK_DIR)
 endforeach()
 file(MAKE_DIRECTORY "${WORK_DIR}")
 
-function(run_and_capture out_var exit_var)
-  execute_process(
-    COMMAND ${ARGN}
-    OUTPUT_VARIABLE stdout
-    ERROR_VARIABLE stderr  # discarded: json/exec-report status goes to stderr
-    RESULT_VARIABLE code)
-  set(${out_var} "${stdout}" PARENT_SCOPE)
-  set(${exit_var} "${code}" PARENT_SCOPE)
-endfunction()
+include(${CMAKE_CURRENT_LIST_DIR}/run_and_capture.cmake)
 
-# Compares one bench invocation at --jobs 1 vs --jobs 4: stdout, exit
-# code, and the BENCH json must be byte-identical.
+# Compares one bench invocation at --jobs 1 vs --jobs 4: both must exit
+# 0, and stdout and the BENCH json must be byte-identical.
 function(check_differential name binary)
   set(json1 "${WORK_DIR}/${name}.jobs1.json")
   set(json4 "${WORK_DIR}/${name}.jobs4.json")
-  run_and_capture(out1 code1
+  run_leg(out1 "${name} --jobs 1"
     ${binary} ${ARGN} --jobs 1 --json ${json1}
     --exec-json ${WORK_DIR}/${name}.jobs1.exec.json)
-  run_and_capture(out4 code4
+  run_leg(out4 "${name} --jobs 4"
     ${binary} ${ARGN} --jobs 4 --json ${json4}
     --exec-json ${WORK_DIR}/${name}.jobs4.exec.json)
-  if(NOT code1 STREQUAL code4)
-    message(FATAL_ERROR
-      "${name}: exit ${code1} (--jobs 1) vs ${code4} (--jobs 4)")
-  endif()
   if(NOT out1 STREQUAL out4)
     file(WRITE "${WORK_DIR}/${name}.jobs1.txt" "${out1}")
     file(WRITE "${WORK_DIR}/${name}.jobs4.txt" "${out4}")

@@ -61,16 +61,9 @@ JoinLatency MeasureJoin(netsim::Simulator& sim, core::CbtDomain& domain,
 }  // namespace
 
 int main(int argc, char** argv) {
-  // `--routing lazy|eager` selects the unicast recompute strategy so the
-  // differential cross-check can pin both modes to identical output.
   bench::Options opts("join_latency", "E5: join latency vs distance to core");
-  std::string routing_name = "lazy";
-  opts.Str("routing", &routing_name, "unicast recompute: lazy|eager");
   opts.EnableShards();
   opts.Parse(argc, argv);
-  const auto routing_mode = routing_name == "eager"
-                                ? cbt::routing::RouteManager::Mode::kEager
-                                : cbt::routing::RouteManager::Mode::kLazy;
 
   bench::TraceSession trace(opts.trace_path);
   cbt::exec::Pool pool(opts.jobs);
@@ -96,7 +89,6 @@ int main(int argc, char** argv) {
             // Outlives the domain: timer dtors cancel through the backend.
             std::unique_ptr<cbt::exec::pdes::Runtime> pdes;
             core::CbtDomain domain(sim, topo);
-            domain.routes().set_mode(routing_mode);
             if (opts.shards > 0) {
               pdes = std::make_unique<cbt::exec::pdes::Runtime>(sim,
                                                                 opts.shards);
@@ -157,7 +149,6 @@ int main(int argc, char** argv) {
               // Outlives the domain: timer dtors cancel through the backend.
               std::unique_ptr<cbt::exec::pdes::Runtime> pdes;
               core::CbtDomain domain(sim, topo, config);
-              domain.routes().set_mode(routing_mode);
               if (opts.shards > 0) {
                 pdes = std::make_unique<cbt::exec::pdes::Runtime>(
                     sim, opts.shards);
@@ -211,7 +202,6 @@ int main(int argc, char** argv) {
 
   if (!opts.json_path.empty()) {
     bench::JsonReporter report(opts.bench_name());
-    report.Param("routing", routing_name);
     report.Param("seed", opts.seed);
     report.AddTable("figure1", fig1, "ms");
     report.AddTable("line", line, "ms");

@@ -22,31 +22,19 @@ foreach(var CHAOS_SOAK JOIN_LATENCY WORK_DIR)
 endforeach()
 file(MAKE_DIRECTORY "${WORK_DIR}")
 
-function(run_and_capture out_var exit_var)
-  execute_process(
-    COMMAND ${ARGN}
-    OUTPUT_VARIABLE stdout
-    ERROR_VARIABLE stderr  # discarded: json/exec-report status goes to stderr
-    RESULT_VARIABLE code)
-  set(${out_var} "${stdout}" PARENT_SCOPE)
-  set(${exit_var} "${code}" PARENT_SCOPE)
-endfunction()
+include(${CMAKE_CURRENT_LIST_DIR}/run_and_capture.cmake)
 
-# Compares one bench invocation at --shards 1 vs --shards 4: stdout,
-# exit code, and the BENCH json must be byte-identical.
+# Compares one bench invocation at --shards 1 vs --shards 4: both must
+# exit 0, and stdout and the BENCH json must be byte-identical.
 function(check_differential name binary)
   set(json1 "${WORK_DIR}/${name}.shards1.json")
   set(json4 "${WORK_DIR}/${name}.shards4.json")
-  run_and_capture(out1 code1
+  run_leg(out1 "${name} --shards 1"
     ${binary} ${ARGN} --shards 1 --json ${json1}
     --exec-json ${WORK_DIR}/${name}.shards1.exec.json)
-  run_and_capture(out4 code4
+  run_leg(out4 "${name} --shards 4"
     ${binary} ${ARGN} --shards 4 --json ${json4}
     --exec-json ${WORK_DIR}/${name}.shards4.exec.json)
-  if(NOT code1 STREQUAL code4)
-    message(FATAL_ERROR
-      "${name}: exit ${code1} (--shards 1) vs ${code4} (--shards 4)")
-  endif()
   if(NOT out1 STREQUAL out4)
     file(WRITE "${WORK_DIR}/${name}.shards1.txt" "${out1}")
     file(WRITE "${WORK_DIR}/${name}.shards4.txt" "${out4}")
@@ -74,15 +62,10 @@ endforeach()
 # The causal-path expectation checker must come back clean over a
 # sharded soak: the merged trace ring has to be causally coherent, not
 # just byte-stable.
-run_and_capture(check_out check_code
+run_leg(check_out "chaos_soak --shards 4 --check (checker-clean trace)"
   ${CHAOS_SOAK} --smoke --events 6 --shards 4 --check
   --check-json ${WORK_DIR}/check_sharded.json
   --exec-json ${WORK_DIR}/check_sharded.exec.json)
-if(NOT check_code STREQUAL "0")
-  message(FATAL_ERROR
-    "chaos_soak --shards 4 --check exited ${check_code} (expected 0): "
-    "the sharded trace is not checker-clean")
-endif()
 message(STATUS "chaos_soak --shards 4 --check: clean (exit 0)")
 
 # CLI contract: a sharded simulation already fans out across the cores,

@@ -20,7 +20,7 @@ bool DueLess(const SimTime when_a, const std::uint64_t seq_a,
 
 }  // namespace
 
-EventQueue::EventQueue(Engine engine) : engine_(engine) {
+EventQueue::EventQueue() {
   for (Level& level : levels_) level.head.fill(kNil);
 }
 
@@ -59,21 +59,11 @@ void EventQueue::FreeSlot(std::uint32_t index) {
 EventId EventQueue::ScheduleAt(SimTime when, EventFn fn) {
   guard_.AssertOwned("netsim::EventQueue");
   ++live_;
-  if (engine_ == Engine::kLegacyHeap) {
-    const EventId id = legacy_next_id_++;
-    legacy_heap_.push(LegacyEntry{when, id, std::move(fn)});
-    legacy_pending_.insert(id);
-    return id;
-  }
   return Enqueue(AllocSlot(), when, std::move(fn));
 }
 
 EventId EventQueue::Reschedule(EventId id, SimTime when, EventFn fn) {
   guard_.AssertOwned("netsim::EventQueue");
-  if (engine_ == Engine::kLegacyHeap) {
-    Cancel(id);
-    return ScheduleAt(when, std::move(fn));
-  }
   const std::uint32_t index = PendingIndex(id);
   if (index == kNil) return ScheduleAt(when, std::move(fn));  // nothing to cancel
   // Cancel would free the slot onto the free-list head and ScheduleAt
@@ -100,7 +90,7 @@ EventId EventQueue::Reschedule(EventId id, SimTime when, EventFn fn) {
 }
 
 EventId EventQueue::Enqueue(std::uint32_t index, SimTime when, EventFn&& fn) {
-  assert(when >= 0 && "wheel engine models nonnegative sim time");
+  assert(when >= 0 && "the wheel models nonnegative sim time");
   Event& ev = events_[index];
   ev.when = when;
   ev.seq = ++next_seq_;
@@ -246,13 +236,6 @@ void EventQueue::Detach(std::uint32_t index) {
 
 bool EventQueue::Cancel(EventId id) {
   guard_.AssertOwned("netsim::EventQueue");
-  if (engine_ == Engine::kLegacyHeap) {
-    // The heap entry stays behind and is skipped lazily when it surfaces
-    // (the known tombstone leak the wheel engine fixes).
-    if (legacy_pending_.erase(id) == 0) return false;
-    --live_;
-    return true;
-  }
   const std::uint32_t index = PendingIndex(id);
   if (index == kNil) return false;
   Detach(index);
@@ -366,19 +349,7 @@ bool EventQueue::EnsureDueFront() {
   }
 }
 
-void EventQueue::LegacyDropCancelledHead() {
-  while (!legacy_heap_.empty() &&
-         !legacy_pending_.contains(legacy_heap_.top().id)) {
-    legacy_heap_.pop();
-  }
-}
-
 SimTime EventQueue::NextTime() {
-  if (engine_ == Engine::kLegacyHeap) {
-    LegacyDropCancelledHead();
-    assert(!legacy_heap_.empty());
-    return legacy_heap_.top().when;
-  }
   const bool have = EnsureDueFront();
   assert(have && "NextTime requires a pending event");
   (void)have;
@@ -387,21 +358,6 @@ SimTime EventQueue::NextTime() {
 
 bool EventQueue::RunNext(SimTime& clock) {
   guard_.AssertOwned("netsim::EventQueue");
-  if (engine_ == Engine::kLegacyHeap) {
-    LegacyDropCancelledHead();
-    if (legacy_heap_.empty()) return false;
-    const LegacyEntry& top = legacy_heap_.top();
-    EventFn fn = std::move(top.fn);  // fn is mutable; about to be popped
-    const SimTime when = top.when;
-    const EventId id = top.id;
-    legacy_heap_.pop();
-    legacy_pending_.erase(id);
-    --live_;
-    assert(when >= clock && "events must not be scheduled in the past");
-    clock = when;
-    fn();
-    return true;
-  }
   if (!EnsureDueFront()) return false;
   const DueEntry entry = due_[due_pos_++];
   EventFn fn = std::move(events_[entry.index].fn);
@@ -411,11 +367,6 @@ bool EventQueue::RunNext(SimTime& clock) {
   clock = entry.when;
   fn();
   return true;
-}
-
-std::size_t EventQueue::slot_capacity() const {
-  return engine_ == Engine::kLegacyHeap ? legacy_heap_.size()
-                                        : events_.size();
 }
 
 }  // namespace cbt::netsim

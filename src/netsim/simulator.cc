@@ -20,9 +20,8 @@ constexpr std::size_t kTopologyJournalCap = 256;
 
 }  // namespace
 
-Simulator::Simulator(std::uint64_t seed, EventQueue::Engine engine)
-    : events_(engine),
-      rng_(seed),
+Simulator::Simulator(std::uint64_t seed)
+    : rng_(seed),
       trace_(obs::ProcessTraceBuffer()),
       seed_(seed) {}
 

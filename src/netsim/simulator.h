@@ -235,11 +235,7 @@ class ShardBackend {
 
 class Simulator {
  public:
-  /// `engine` selects the scheduler implementation; kLegacyHeap exists
-  /// only for the differential determinism tests and engine benchmarks.
-  explicit Simulator(
-      std::uint64_t seed = 1,
-      EventQueue::Engine engine = EventQueue::Engine::kTimerWheel);
+  explicit Simulator(std::uint64_t seed = 1);
 
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;

@@ -37,8 +37,6 @@ void RouteManager::SyncTopology() {
     tables_.assign(sim_->node_count(), NodeRoutes{});
     synced_subnet_count_ = sim_->subnet_count();
     ++stats_.full_invalidations;
-  } else if (mode_ == Mode::kEager) {
-    InvalidateAllTables();
   } else if (const auto changes = sim_->ChangesSince(synced_epoch_)) {
     ApplyScopedChanges(*changes);
   } else {
@@ -47,17 +45,6 @@ void RouteManager::SyncTopology() {
   }
   synced_epoch_ = epoch;
   ever_synced_ = true;
-
-  if (mode_ == Mode::kEager) {
-    // Historical behaviour: the first query after a topology change
-    // recomputes every source, so eager runs reproduce the pre-lazy cost
-    // profile exactly (the differential suite pins lazy against this).
-    for (std::size_t i = 0; i < tables_.size(); ++i) {
-      if (!tables_[i].valid) {
-        ComputeFrom(NodeId(static_cast<std::int32_t>(i)));
-      }
-    }
-  }
 }
 
 void RouteManager::InvalidateAllTables() {
@@ -346,8 +333,8 @@ void RouteManager::ComputeFrom(NodeId source) {
 void RouteManager::RebuildLpmIndex() {
   lpm_.buckets.clear();
   // Group by mask, longest (numerically largest) first — the same
-  // preference order the historical linear scan applied via
-  // `mask > best_mask`, with first-wins on exact duplicates.
+  // preference order a linear scan applies via `mask > best_mask`, with
+  // first-wins on exact duplicates.
   std::vector<std::tuple<std::uint32_t, std::uint32_t, std::int32_t>> rows;
   rows.reserve(sim_->subnet_count());
   for (std::size_t si = 0; si < sim_->subnet_count(); ++si) {
@@ -378,23 +365,7 @@ void RouteManager::RebuildLpmIndex() {
   ++stats_.lpm_index_rebuilds;
 }
 
-std::optional<SubnetId> RouteManager::ResolveSubnetLinear(
-    Ipv4Address dest) const {
-  std::optional<SubnetId> best;
-  std::uint32_t best_mask = 0;
-  for (std::size_t si = 0; si < sim_->subnet_count(); ++si) {
-    const SubnetId id(static_cast<std::int32_t>(si));
-    const netsim::SubnetRecord& s = sim_->subnet(id);
-    if (s.address.Contains(dest) && (!best || s.address.mask() > best_mask)) {
-      best = id;
-      best_mask = s.address.mask();
-    }
-  }
-  return best;
-}
-
 std::optional<SubnetId> RouteManager::ResolveSubnet(Ipv4Address dest) {
-  if (lpm_mode_ == LpmMode::kLinearScan) return ResolveSubnetLinear(dest);
   if (lpm_.indexed_subnets != sim_->subnet_count()) RebuildLpmIndex();
 
   static_assert(kLpmCacheSize == 256, "slot hash yields an 8-bit index");

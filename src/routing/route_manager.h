@@ -18,10 +18,11 @@
 // Dijkstra only runs when that source is actually queried. A table whose
 // shortest-path tree provably avoids every changed subnet is kept warm
 // (only its route *to* the changed subnet is patched in place); anything
-// the conservative check cannot rule out is recomputed. The result is
-// bit-for-bit identical to eager full recomputation — proven by the
-// routing differential suite — while a flap touching one region no
-// longer recomputes every router's table.
+// the conservative check cannot rule out is recomputed. Every answer is
+// bit-for-bit what a freshly built manager computes from scratch (the
+// churn test in tests/routing/route_manager_lazy_test.cc checks each
+// query against one), while a flap touching one region no longer
+// recomputes every router's table.
 #pragma once
 
 #include <array>
@@ -52,18 +53,8 @@ struct Route {
 
 class RouteManager {
  public:
-  /// Recompute strategy. kEager reproduces the historical behaviour —
-  /// every epoch bump recomputes every table at the next query — and is
-  /// kept test-only (mirrors EventQueue::Engine::kLegacyHeap) so the
-  /// differential suite can pin old-vs-new behaviour per seed.
-  enum class Mode { kLazy, kEager };
-
-  /// Destination-prefix resolution strategy; kLinearScan is the
-  /// historical per-call scan, kept for benchmarks and differential
-  /// tests of the LPM index.
-  enum class LpmMode { kIndexed, kLinearScan };
-
-  /// Work counters, used by bench_routing and the invalidation tests.
+  /// Work counters, reported by the benchmark driver and used by the
+  /// invalidation tests.
   struct Stats {
     std::uint64_t tables_computed = 0;   // per-source Dijkstra runs
     std::uint64_t tables_dirtied = 0;    // tables invalidated by changes
@@ -74,17 +65,7 @@ class RouteManager {
     std::uint64_t lpm_index_rebuilds = 0;
   };
 
-  explicit RouteManager(netsim::Simulator& sim, Mode mode = Mode::kLazy)
-      : sim_(&sim), mode_(mode) {}
-
-  void set_mode(Mode mode) {
-    mode_ = mode;
-    Invalidate();
-  }
-  Mode mode() const { return mode_; }
-
-  void set_lpm_mode(LpmMode mode) { lpm_mode_ = mode; }
-  LpmMode lpm_mode() const { return lpm_mode_; }
+  explicit RouteManager(netsim::Simulator& sim) : sim_(&sim) {}
 
   /// Next hop from router `from` toward address `dest` (host or router).
   /// nullopt when dest is unreachable or not covered by any known subnet.
@@ -160,8 +141,8 @@ class RouteManager {
   struct LpmIndex {
     struct Bucket {
       std::uint32_t mask;
-      // (network bits, subnet id), sorted; duplicates keep the lowest id
-      // to match the historical first-wins linear scan.
+      // (network bits, subnet id), sorted; duplicates keep the lowest id,
+      // as a first-wins linear scan would.
       std::vector<std::pair<std::uint32_t, std::int32_t>> prefixes;
     };
     std::vector<Bucket> buckets;
@@ -175,8 +156,8 @@ class RouteManager {
   };
 
   /// Brings routing state in sync with the simulator's topology epoch:
-  /// processes the scoped change journal (lazy mode) or invalidates
-  /// everything (eager mode / journal overflow / entity-count change).
+  /// processes the scoped change journal, or invalidates everything on
+  /// journal overflow or an entity-count change.
   void SyncTopology();
 
   /// Ensures `source`'s table is valid, running its Dijkstra if needed.
@@ -199,7 +180,6 @@ class RouteManager {
 
   void InvalidateAllTables();
 
-  std::optional<SubnetId> ResolveSubnetLinear(Ipv4Address dest) const;
   void RebuildLpmIndex();
 
   /// True when a static override's forwarding path is actually usable.
@@ -209,8 +189,6 @@ class RouteManager {
   static constexpr std::size_t kLpmCacheSize = 256;  // direct-mapped
 
   netsim::Simulator* sim_;
-  Mode mode_;
-  LpmMode lpm_mode_ = LpmMode::kIndexed;
   std::uint64_t synced_epoch_ = 0;
   std::size_t synced_subnet_count_ = 0;
   bool ever_synced_ = false;

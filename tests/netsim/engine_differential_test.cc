@@ -1,36 +1,69 @@
-// Differential tests: the timer-wheel engine must be observationally
-// identical to the legacy heap engine — same execution order at the
-// queue level, and byte-identical protocol-level stats when a whole
-// simulation (join latency, chaos soak) is replayed on both engines at
-// the same seed. This is the parity proof that lets the wheel replace
-// the heap without perturbing any seeded experiment.
+// Differential tests: the timer wheel must run events in exactly the
+// order of ReferenceQueue, a plain ordered map keyed by (time, schedule
+// sequence), under random schedule/cancel/re-arm workloads. Whole
+// simulations are pinned end to end by the golden digests
+// (bench/golden_digests.cmake).
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <optional>
-#include <sstream>
-#include <string>
+#include <map>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "analysis/invariant_auditor.h"
-#include "cbt/domain.h"
 #include "common/random.h"
-#include "netsim/chaos.h"
 #include "netsim/event_queue.h"
-#include "netsim/topologies.h"
 
 namespace cbt::netsim {
 namespace {
 
+/// The ordering contract in its plainest form: pending events sorted by
+/// (time, schedule sequence); the id doubles as the sequence number.
+/// Reschedule is literally Cancel followed by ScheduleAt.
+class ReferenceQueue {
+ public:
+  EventId ScheduleAt(SimTime when, EventFn fn) {
+    const EventId id = ++last_id_;
+    pending_.emplace(std::make_pair(when, id), std::move(fn));
+    when_of_.emplace(id, when);
+    return id;
+  }
+
+  bool Cancel(EventId id) {
+    const auto it = when_of_.find(id);
+    if (it == when_of_.end()) return false;
+    pending_.erase(std::make_pair(it->second, id));
+    when_of_.erase(it);
+    return true;
+  }
+
+  EventId Reschedule(EventId id, SimTime when, EventFn fn) {
+    Cancel(id);
+    return ScheduleAt(when, std::move(fn));
+  }
+
+  bool RunNext(SimTime& clock) {
+    if (pending_.empty()) return false;
+    auto node = pending_.extract(pending_.begin());
+    when_of_.erase(node.key().second);
+    clock = node.key().first;
+    node.mapped()();
+    return true;
+  }
+
+ private:
+  std::map<std::pair<SimTime, EventId>, EventFn> pending_;
+  std::unordered_map<EventId, SimTime> when_of_;
+  EventId last_id_ = kInvalidEventId;
+};
+
 // --- Queue-level differential harness --------------------------------------
 
-/// Runs a seeded random schedule/cancel/run workload against one engine
+/// Runs a seeded random schedule/cancel/run workload against one queue
 /// and returns the (time, tag) trace of every fired event.
-std::vector<std::pair<SimTime, int>> QueueTrace(EventQueue::Engine engine,
-                                                std::uint64_t seed) {
+template <typename Queue>
+std::vector<std::pair<SimTime, int>> QueueTrace(std::uint64_t seed) {
   Rng rng(seed);
-  EventQueue q(engine);
+  Queue q;
   std::vector<std::pair<SimTime, int>> trace;
   std::vector<EventId> live;
   SimTime clock = 0;
@@ -59,8 +92,8 @@ std::vector<std::pair<SimTime, int>> QueueTrace(EventQueue::Engine engine,
       live.push_back(q.ScheduleAt(
           when, [&trace, when, t] { trace.emplace_back(when, t); }));
     }
-    // Cancel a random subset (the *same logical* subset on both engines:
-    // the RNG stream and live-list layout are engine independent).
+    // Cancel a random subset (the *same logical* subset on both queues:
+    // the RNG stream and live-list layout are queue independent).
     const int cancels = static_cast<int>(rng.NextBelow(n + 1));
     for (int i = 0; i < cancels && !live.empty(); ++i) {
       const std::size_t pick = rng.NextBelow(live.size());
@@ -84,11 +117,11 @@ INSTANTIATE_TEST_SUITE_P(Seeds, EngineDifferential,
                          ::testing::Values(1, 7, 23, 51, 97));
 
 TEST_P(EngineDifferential, QueueExecutionTracesIdentical) {
-  const auto wheel = QueueTrace(EventQueue::Engine::kTimerWheel, GetParam());
-  const auto legacy = QueueTrace(EventQueue::Engine::kLegacyHeap, GetParam());
-  ASSERT_EQ(wheel.size(), legacy.size());
+  const auto wheel = QueueTrace<EventQueue>(GetParam());
+  const auto reference = QueueTrace<ReferenceQueue>(GetParam());
+  ASSERT_EQ(wheel.size(), reference.size());
   for (std::size_t i = 0; i < wheel.size(); ++i) {
-    ASSERT_EQ(wheel[i], legacy[i]) << "divergence at event " << i;
+    ASSERT_EQ(wheel[i], reference[i]) << "divergence at event " << i;
   }
 }
 
@@ -101,10 +134,10 @@ enum class RearmMode { kReschedule, kCancelThenSchedule };
 /// and from inside running events, so pending entries of every kind move:
 /// wheel-slot lists, the overflow heap, and the due run of the tick being
 /// drained (including re-arms back into that same tick).
+template <typename Queue>
 class RearmHarness {
  public:
-  RearmHarness(EventQueue::Engine engine, RearmMode mode, std::uint64_t seed)
-      : q_(engine), mode_(mode), rng_(seed) {}
+  RearmHarness(RearmMode mode, std::uint64_t seed) : mode_(mode), rng_(seed) {}
 
   void Run() {
     for (int round = 0; round < 150; ++round) {
@@ -175,7 +208,7 @@ class RearmHarness {
     issued_.push_back(id);
   }
 
-  EventQueue q_;
+  Queue q_;
   RearmMode mode_;
   Rng rng_;
   SimTime clock_ = 0;
@@ -186,10 +219,8 @@ class RearmHarness {
 };
 
 TEST_P(EngineDifferential, RescheduleMatchesCancelThenSchedule) {
-  RearmHarness rearm(EventQueue::Engine::kTimerWheel, RearmMode::kReschedule,
-                     GetParam());
-  RearmHarness pair(EventQueue::Engine::kTimerWheel,
-                    RearmMode::kCancelThenSchedule, GetParam());
+  RearmHarness<EventQueue> rearm(RearmMode::kReschedule, GetParam());
+  RearmHarness<EventQueue> pair(RearmMode::kCancelThenSchedule, GetParam());
   rearm.Run();
   pair.Run();
   ASSERT_EQ(rearm.trace().size(), pair.trace().size());
@@ -202,24 +233,25 @@ TEST_P(EngineDifferential, RescheduleMatchesCancelThenSchedule) {
   EXPECT_GT(rearm.issued().size(), 100u);
 }
 
+// In-place re-arm on the wheel fires in the order a plain heap gives
+// (ReferenceQueue, whose Reschedule is Cancel + ScheduleAt).
 TEST_P(EngineDifferential, RescheduleMatchesLegacyHeap) {
-  RearmHarness wheel(EventQueue::Engine::kTimerWheel, RearmMode::kReschedule,
-                     GetParam());
-  RearmHarness legacy(EventQueue::Engine::kLegacyHeap, RearmMode::kReschedule,
-                      GetParam());
+  RearmHarness<EventQueue> wheel(RearmMode::kReschedule, GetParam());
+  RearmHarness<ReferenceQueue> reference(RearmMode::kReschedule, GetParam());
   wheel.Run();
-  legacy.Run();
-  ASSERT_EQ(wheel.trace().size(), legacy.trace().size());
+  reference.Run();
+  ASSERT_EQ(wheel.trace().size(), reference.trace().size());
   for (std::size_t i = 0; i < wheel.trace().size(); ++i) {
-    ASSERT_EQ(wheel.trace()[i], legacy.trace()[i])
+    ASSERT_EQ(wheel.trace()[i], reference.trace()[i])
         << "divergence at event " << i;
   }
 }
 
 /// Hand-placed re-arms of each pending kind, checked against the order a
 /// cancel plus a fresh schedule must give.
-std::vector<int> PlacedRearmOrder(EventQueue::Engine engine, RearmMode mode) {
-  EventQueue q(engine);
+template <typename Queue>
+std::vector<int> PlacedRearmOrder(RearmMode mode) {
+  Queue q;
   std::vector<int> order;
   const auto rec = [&order](int tag) {
     return [&order, tag] { order.push_back(tag); };
@@ -257,166 +289,11 @@ std::vector<int> PlacedRearmOrder(EventQueue::Engine engine, RearmMode mode) {
 
 TEST(EngineDifferential, RescheduleOfEachPendingKindKeepsOrder) {
   const std::vector<int> expected{1, 30, 20, 40, 60, 50};
-  for (const auto engine :
-       {EventQueue::Engine::kTimerWheel, EventQueue::Engine::kLegacyHeap}) {
-    for (const auto mode :
-         {RearmMode::kReschedule, RearmMode::kCancelThenSchedule}) {
-      EXPECT_EQ(PlacedRearmOrder(engine, mode), expected);
-    }
+  for (const auto mode :
+       {RearmMode::kReschedule, RearmMode::kCancelThenSchedule}) {
+    EXPECT_EQ(PlacedRearmOrder<EventQueue>(mode), expected);
+    EXPECT_EQ(PlacedRearmOrder<ReferenceQueue>(mode), expected);
   }
-}
-
-// --- Full-simulation differentials ------------------------------------------
-
-constexpr Ipv4Address kGroup(239, 42, 42, 42);
-
-/// The E2/E5 join-latency experiment in miniature: joins hosts one by one
-/// on a line topology and records every latency plus the control totals.
-std::string JoinLatencyStats(EventQueue::Engine engine) {
-  Simulator sim(1, engine);
-  Topology topo = MakeLine(sim, 8);
-  core::CbtDomain domain(sim, topo);
-  domain.RegisterGroup(kGroup, {topo.routers[0]});
-  domain.Start();
-  sim.RunUntil(kSecond);
-
-  std::ostringstream out;
-  for (std::size_t i = 0; i < topo.router_lans.size(); ++i) {
-    core::HostAgent& host =
-        domain.AddHost(topo.router_lans[i], "h" + std::to_string(i));
-    const SimTime start = sim.Now();
-    host.JoinGroup(kGroup);
-    std::optional<SimTime> confirmed;
-    while (sim.Now() < start + 30 * kSecond) {
-      sim.RunUntil(sim.Now() + kMillisecond);
-      if (host.JoinConfirmed(kGroup)) {
-        confirmed = sim.Now();
-        break;
-      }
-    }
-    out << "join " << i << " latency_us "
-        << (confirmed ? *confirmed - start : -1) << "\n";
-  }
-  out << "control " << domain.TotalControlMessages() << "\n";
-  out << "fib " << domain.TotalFibState() << "\n";
-  return out.str();
-}
-
-TEST(EngineDifferential, JoinLatencyByteIdenticalAcrossEngines) {
-  const std::string wheel = JoinLatencyStats(EventQueue::Engine::kTimerWheel);
-  const std::string legacy = JoinLatencyStats(EventQueue::Engine::kLegacyHeap);
-  EXPECT_EQ(wheel, legacy);
-  EXPECT_NE(wheel.find("control"), std::string::npos);
-}
-
-core::CbtConfig TightConfig() {
-  core::CbtConfig config;
-  config.echo_interval = 5 * kSecond;
-  config.echo_timeout = 15 * kSecond;
-  config.pend_join_interval = 2 * kSecond;
-  config.pend_join_timeout = 8 * kSecond;
-  config.expire_pending_join = 30 * kSecond;
-  config.child_assert_interval = 10 * kSecond;
-  config.child_assert_expire = 25 * kSecond;
-  config.iff_scan_interval = 60 * kSecond;
-  config.reconnect_timeout = 30 * kSecond;
-  config.proxy_refresh_interval = 20 * kSecond;
-  return config;
-}
-
-igmp::IgmpConfig TightIgmp() {
-  igmp::IgmpConfig config;
-  config.query_interval = 15 * kSecond;
-  config.query_response_interval = 4 * kSecond;
-  return config;
-}
-
-/// A compressed chaos soak (grid topology, seeded fault plan, steady
-/// traffic, recovery probes) whose full result — fault classes, recovery
-/// times, delivery and control totals — is serialized for comparison.
-std::string ChaosSoakStats(EventQueue::Engine engine, std::uint64_t seed) {
-  Simulator sim(1, engine);
-  Topology topo = MakeGrid(sim, 4, 4);
-  core::CbtDomain domain(sim, topo, TightConfig(), TightIgmp());
-  domain.RegisterGroup(kGroup, {topo.routers[0], topo.routers[15]});
-  domain.Start();
-  sim.RunUntil(kSecond);
-
-  std::vector<core::HostAgent*> hosts;
-  for (const std::size_t lan : {std::size_t{3}, std::size_t{5},
-                                std::size_t{10}, std::size_t{12}}) {
-    hosts.push_back(
-        &domain.AddHost(topo.router_lans[lan], "m" + std::to_string(lan)));
-    hosts.back()->JoinGroup(kGroup);
-  }
-
-  std::vector<NodeId> crashable(topo.routers.begin() + 1,
-                                topo.routers.end() - 1);
-  std::vector<SubnetId> flappable;
-  for (std::size_t s = 0; s < sim.subnet_count(); ++s) {
-    const SubnetId sid(static_cast<std::int32_t>(s));
-    if (std::find(topo.router_lans.begin(), topo.router_lans.end(), sid) ==
-        topo.router_lans.end()) {
-      flappable.push_back(sid);
-    }
-  }
-
-  ChaosPlanParams params;
-  params.event_count = 12;
-  params.start = 90 * kSecond;
-  params.min_gap = 60 * kSecond;
-  params.max_gap = 120 * kSecond;
-  params.min_down = 5 * kSecond;
-  params.max_down = 20 * kSecond;
-  const ChaosPlan plan = MakeRandomPlan(seed, params, crashable, flappable);
-  ChaosInjector injector(sim, domain.ChaosHooks());
-  injector.Arm(plan);
-
-  const SimTime traffic_end = plan.LastRepairTime() + 120 * kSecond;
-  std::uint64_t sends = 0;
-  for (SimTime t = 30 * kSecond; t < traffic_end; t += 2 * kSecond) {
-    sim.ScheduleAt(t, [&hosts] {
-      hosts[0]->SendToGroup(kGroup, std::vector<std::uint8_t>{0xda});
-    });
-    ++sends;
-  }
-
-  std::ostringstream out;
-  out << plan.Describe();
-  if (!analysis::RunUntilInvariantsHold(domain, params.start - kSecond)) {
-    out << "warmup: FAILED\n";
-  }
-  for (std::size_t i = 0; i < plan.events.size(); ++i) {
-    const ChaosEvent& e = plan.events[i];
-    sim.RunUntil(e.repair_at());
-    SimTime deadline = e.repair_at() + 240 * kSecond;
-    if (i + 1 < plan.events.size()) {
-      deadline = std::min(deadline, plan.events[i + 1].at - kSecond);
-    }
-    const auto clean = analysis::RunUntilInvariantsHold(domain, deadline);
-    out << "event " << i << " " << ChaosEventTypeName(e.type) << " recovery "
-        << (clean ? *clean - e.at : -1) << "\n";
-  }
-  sim.RunUntil(traffic_end);
-  std::uint64_t delivered = 0;
-  for (std::size_t i = 1; i < hosts.size(); ++i) {
-    delivered += hosts[i]->ReceivedCount(kGroup);
-  }
-  out << "sends " << sends << " delivered " << delivered << "\n";
-  out << "control " << domain.TotalControlMessages() << "\n";
-  analysis::InvariantAuditor auditor(domain);
-  out << auditor.Audit().Summary();
-  return out.str();
-}
-
-TEST(EngineDifferential, ChaosSoakByteIdenticalAcrossEngines) {
-  const std::string wheel =
-      ChaosSoakStats(EventQueue::Engine::kTimerWheel, 11);
-  const std::string legacy =
-      ChaosSoakStats(EventQueue::Engine::kLegacyHeap, 11);
-  EXPECT_EQ(wheel, legacy);
-  EXPECT_NE(wheel.find("delivered"), std::string::npos);
-  EXPECT_EQ(wheel.find("FAILED"), std::string::npos);
 }
 
 }  // namespace

@@ -202,16 +202,6 @@ TEST(EventQueue, MillionCancelledTimersKeepMemoryBounded) {
   EXPECT_LE(q.slot_capacity(), static_cast<std::size_t>(kPerWave) + 64);
 }
 
-TEST(EventQueue, LegacyEngineAccumulatesTombstones) {
-  // Documents the leak the wheel fixes (and keeps the shim honest).
-  EventQueue q(EventQueue::Engine::kLegacyHeap);
-  for (int i = 0; i < 10'000; ++i) {
-    q.Cancel(q.ScheduleAt(1000 + i, [] {}));
-  }
-  EXPECT_TRUE(q.Empty());
-  EXPECT_EQ(q.slot_capacity(), 10'000u);  // dead entries linger until popped
-}
-
 TEST(EventQueue, CancelDestroysClosureEagerly) {
   EventQueue q;
   auto sentinel = std::make_shared<int>(42);
@@ -220,21 +210,6 @@ TEST(EventQueue, CancelDestroysClosureEagerly) {
   ASSERT_TRUE(q.Cancel(id));
   // The capture must die at cancel time, not when the slot is popped.
   EXPECT_EQ(sentinel.use_count(), 1);
-}
-
-TEST(EventQueue, LegacyEngineRunsSameApi) {
-  EventQueue q(EventQueue::Engine::kLegacyHeap);
-  std::vector<int> order;
-  q.ScheduleAt(30, [&] { order.push_back(3); });
-  q.ScheduleAt(10, [&] { order.push_back(1); });
-  const EventId id = q.ScheduleAt(20, [&] { order.push_back(2); });
-  EXPECT_TRUE(q.Cancel(id));
-  EXPECT_FALSE(q.Cancel(id));
-  SimTime clock = 0;
-  while (q.RunNext(clock)) {
-  }
-  EXPECT_EQ(order, (std::vector<int>{1, 3}));
-  EXPECT_EQ(clock, 30);
 }
 
 }  // namespace
