@@ -137,7 +137,7 @@ SoakResult RunSoak(const std::string& name, netsim::Simulator& sim,
   std::vector<core::HostAgent*> hosts;
   for (const std::size_t lan : members.member_lans) {
     hosts.push_back(&domain.AddHost(topo.router_lans[lan],
-                                    "m" + std::to_string(lan)));
+                                    netsim::Numbered("m", lan)));
     hosts.back()->JoinGroup(kGroup);
   }
 
@@ -364,7 +364,7 @@ int main(int argc, char** argv) {
             MemberPlan members{{0, n / 3, (2 * n) / 3, n - 1},
                                {topo.routers[0], topo.routers[n - 1]}};
             return RunSoak(
-                "grid-" + std::to_string(side) + "x" + std::to_string(side),
+                netsim::Numbered(netsim::Numbered("grid-", side) + "x", side),
                 sim, topo, members, ctx.seed, event_count, dump_plan,
                 mutation, dataplane, run_check, opts.shards, ctx.out);
           }

@@ -74,11 +74,11 @@ std::uint64_t RunDvmrp(int groups, std::uint64_t* data_transmissions) {
              topo.routers.size(), kMembersPerGroup)) {
       domain
           .AddHost(topo.router_lans[idx],
-                   "m" + std::to_string(g) + "_" + std::to_string(idx))
+                   netsim::Numbered(netsim::Numbered("m", g) + "_", idx))
           .JoinGroupWithCores(group, {}, 0);
     }
     senders.push_back(&domain.AddHost(topo.router_lans[(std::size_t)g % 25],
-                                      "s" + std::to_string(g)));
+                                      netsim::Numbered("s", g)));
     sender_groups.push_back(group);
   }
   sim.RunUntil(10 * kSecond);

@@ -221,7 +221,7 @@ int main(int argc, char** argv) {
           domain.Start();
           live_sim.RunUntil(kSecond);
           for (std::size_t i = 0; i < live_lans.size(); ++i) {
-            domain.AddHost(live_lans[i], "m" + std::to_string(i))
+            domain.AddHost(live_lans[i], netsim::Numbered("m", i))
                 .JoinGroup(kGroup);
           }
           live_sim.RunUntil(live_sim.Now() + 30 * kSecond);

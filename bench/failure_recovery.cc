@@ -188,7 +188,7 @@ int main(int argc, char** argv) {
             std::vector<core::HostAgent*> members;
             for (const std::size_t idx : {3u, 5u, 10u, 12u}) {
               members.push_back(&domain.AddHost(topo.router_lans[idx],
-                                                "m" + std::to_string(idx)));
+                                                netsim::Numbered("m", idx)));
               members.back()->JoinGroup(kGroup);
             }
             sim.RunUntil(30 * kSecond);

@@ -72,7 +72,7 @@ Result RunCbt(int groups, int senders, std::uint64_t seed) {
                                       (std::size_t)senders)) {
       auto& host = domain.AddHost(
           topo.router_lans[idx],
-          "s" + std::to_string(g) + "_" + std::to_string(idx));
+          netsim::Numbered(netsim::Numbered("s", g) + "_", idx));
       sim.RunUntil(sim.Now() + 100 * kMillisecond);
       host.SendToGroup(group, std::vector<std::uint8_t>{1});
     }
@@ -108,7 +108,7 @@ Result RunDvmrp(int groups, int senders, std::uint64_t seed) {
                                       kMembersPerGroup)) {
       domain
           .AddHost(topo.router_lans[idx],
-                   "m" + std::to_string(g) + "_" + std::to_string(idx))
+                   netsim::Numbered(netsim::Numbered("m", g) + "_", idx))
           .JoinGroupWithCores(group, {}, 0);
     }
     for (const std::size_t idx :
@@ -116,7 +116,7 @@ Result RunDvmrp(int groups, int senders, std::uint64_t seed) {
                                       (std::size_t)senders)) {
       auto& host = domain.AddHost(
           topo.router_lans[idx],
-          "s" + std::to_string(g) + "_" + std::to_string(idx));
+          netsim::Numbered(netsim::Numbered("s", g) + "_", idx));
       sim.RunUntil(sim.Now() + 100 * kMillisecond);
       host.SendToGroup(group, std::vector<std::uint8_t>{1});
     }
@@ -152,7 +152,7 @@ Result RunMospf(int groups, int senders, std::uint64_t seed) {
                                       kMembersPerGroup)) {
       domain
           .AddHost(topo.router_lans[idx],
-                   "m" + std::to_string(g) + "_" + std::to_string(idx))
+                   netsim::Numbered(netsim::Numbered("m", g) + "_", idx))
           .JoinGroupWithCores(group, {}, 0);
     }
     for (const std::size_t idx :
@@ -160,7 +160,7 @@ Result RunMospf(int groups, int senders, std::uint64_t seed) {
                                       (std::size_t)senders)) {
       auto& host = domain.AddHost(
           topo.router_lans[idx],
-          "s" + std::to_string(g) + "_" + std::to_string(idx));
+          netsim::Numbered(netsim::Numbered("s", g) + "_", idx));
       sim.RunUntil(sim.Now() + 100 * kMillisecond);
       host.SendToGroup(group, std::vector<std::uint8_t>{1});
     }

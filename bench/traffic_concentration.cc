@@ -165,12 +165,12 @@ int main(int argc, char** argv) {
          rng.SampleWithoutReplacement(topo.routers.size(), 8)) {
       auto& h = scheme == Scheme::kCbt
                     ? cbt->AddHost(topo.router_lans[idx],
-                                   "m" + std::to_string(idx))
+                                   netsim::Numbered("m", idx))
                 : scheme == Scheme::kDvmrp
                     ? dvmrp->AddHost(topo.router_lans[idx],
-                                     "m" + std::to_string(idx))
+                                     netsim::Numbered("m", idx))
                     : rptree->AddHost(topo.router_lans[idx],
-                                      "m" + std::to_string(idx));
+                                      netsim::Numbered("m", idx));
       if (scheme == Scheme::kCbt) {
         h.JoinGroup(group);
       } else {

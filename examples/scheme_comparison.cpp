@@ -44,9 +44,9 @@ Outcome RunWorkload(netsim::Simulator& sim, netsim::Topology& topo,
   for (int g = 0; g < kGroups; ++g) {
     for (const std::size_t idx : rng.SampleWithoutReplacement(
              topo.routers.size(), kMembersPerGroup)) {
-      auto& h = domain.AddHost(topo.router_lans[idx],
-                               "m" + std::to_string(g) + "_" +
-                                   std::to_string(idx));
+      auto& h = domain.AddHost(
+          topo.router_lans[idx],
+          netsim::Numbered(netsim::Numbered("m", g) + "_", idx));
       if (cbt) {
         h.JoinGroup(Group(g));
       } else {
@@ -59,7 +59,7 @@ Outcome RunWorkload(netsim::Simulator& sim, netsim::Topology& topo,
              topo.routers.size(), kSendersPerGroup)) {
       senders[g].push_back(&domain.AddHost(
           topo.router_lans[idx],
-          "s" + std::to_string(g) + "_" + std::to_string(idx)));
+          netsim::Numbered(netsim::Numbered("s", g) + "_", idx)));
     }
   }
   sim.RunUntil(sim.Now() + 20 * kSecond);

@@ -304,8 +304,8 @@ bool Simulator::FanOut(NodeId node_id, VifIndex vif, const Interface& out,
   // (AttachHost mid-run) are not reached — both identical to the
   // per-receiver path. Faulty subnets (per-receiver RNG draws) and shard
   // backends (region-crossing deliveries) always use per-receiver events.
-  if (delivery_mode_ == DeliveryMode::kBatched && backend_ == nullptr &&
-      multi && !faults.Any() && s.attachments.size() > 2) {
+  if (backend_ == nullptr && multi && !faults.Any() &&
+      s.attachments.size() > 2) {
     const SubnetId sid = s.id;
     const auto count = static_cast<std::uint32_t>(s.attachments.size());
     const Ipv4Address link_src = out.address;

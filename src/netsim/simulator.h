@@ -409,19 +409,6 @@ class Simulator {
     return ref;
   }
 
-  /// How multicast fan-outs are delivered on the serial engine.
-  /// kBatched (default) schedules ONE vectored delivery event per subnet
-  /// transmission instead of one event per receiver; the receivers run
-  /// back-to-back inside it, in attachment order. This is observationally
-  /// identical to per-receiver events: the per-receiver closures would
-  /// occupy consecutive (time, sequence) slots that no other event can
-  /// interleave. Batching is bypassed whenever it could matter — faulty
-  /// subnets (per-receiver RNG draws) and shard backends keep the
-  /// per-receiver path. kPerReceiver survives for the differential tests.
-  enum class DeliveryMode : std::uint8_t { kBatched, kPerReceiver };
-  void SetDeliveryMode(DeliveryMode mode) { delivery_mode_ = mode; }
-  DeliveryMode delivery_mode() const { return delivery_mode_; }
-
   void SetFrameObserver(std::function<void(const FrameEvent&)> observer) {
     frame_observer_ = std::move(observer);
   }
@@ -535,7 +522,6 @@ class Simulator {
   int trace_pid_ = 1;
   std::uint64_t seed_ = 1;
   ShardBackend* backend_ = nullptr;
-  DeliveryMode delivery_mode_ = DeliveryMode::kBatched;
 };
 
 /// RAII node-affinity marker for code that acts *on behalf of* a node

@@ -57,14 +57,14 @@ Topology MakeFigure1(Simulator& sim) {
   Topology topo;
 
   // Routers.
-  for (int i = 1; i <= 12; ++i) AddRouter(sim, topo, "R" + std::to_string(i));
-  const auto R = [&](int i) { return topo.node("R" + std::to_string(i)); };
+  for (int i = 1; i <= 12; ++i) AddRouter(sim, topo, Numbered("R", i));
+  const auto R = [&](int i) { return topo.node(Numbered("R", i)); };
 
   // Member LANs S1..S15 (S2 and S8 are transit/stub; addresses 10.k/16).
   for (int k = 1; k <= 15; ++k) {
-    AddLan(sim, topo, "S" + std::to_string(k), k);
+    AddLan(sim, topo, Numbered("S", k), k);
   }
-  const auto S = [&](int k) { return topo.subnet("S" + std::to_string(k)); };
+  const auto S = [&](int k) { return topo.subnet(Numbered("S", k)); };
 
   // --- Router attachments (order fixes addresses; comments note hosts). ---
   // S1: A + R1 (R1 the only CBT router — section 2.5 first join).
@@ -134,8 +134,8 @@ Topology MakeFigure1(Simulator& sim) {
 
 Topology MakeFigure5Loop(Simulator& sim) {
   Topology topo;
-  for (int i = 1; i <= 6; ++i) AddRouter(sim, topo, "R" + std::to_string(i));
-  const auto R = [&](int i) { return topo.node("R" + std::to_string(i)); };
+  for (int i = 1; i <= 6; ++i) AddRouter(sim, topo, Numbered("R", i));
+  const auto R = [&](int i) { return topo.node(Numbered("R", i)); };
 
   topo.subnets["R1-R2"] = sim.Connect(R(1), R(2));
   topo.subnets["R2-R3"] = sim.Connect(R(2), R(3));
@@ -151,7 +151,7 @@ Topology MakeFigure5Loop(Simulator& sim) {
 Topology MakeLine(Simulator& sim, int n, SimDuration link_delay) {
   assert(n >= 1);
   Topology topo;
-  for (int i = 0; i < n; ++i) AddRouter(sim, topo, "R" + std::to_string(i));
+  for (int i = 0; i < n; ++i) AddRouter(sim, topo, Numbered("R", i));
   for (int i = 0; i + 1 < n; ++i) {
     topo.subnets["link" + std::to_string(i)] =
         sim.Connect(topo.routers[(std::size_t)i], topo.routers[(std::size_t)i + 1],
@@ -166,7 +166,7 @@ Topology MakeStar(Simulator& sim, int n, SimDuration link_delay) {
   Topology topo;
   AddRouter(sim, topo, "hub");
   for (int i = 0; i < n; ++i) {
-    const NodeId spoke = AddRouter(sim, topo, "spoke" + std::to_string(i));
+    const NodeId spoke = AddRouter(sim, topo, Numbered("spoke", i));
     topo.subnets["link" + std::to_string(i)] =
         sim.Connect(topo.routers[0], spoke, link_delay);
   }
@@ -180,8 +180,7 @@ Topology MakeGrid(Simulator& sim, int width, int height,
   Topology topo;
   for (int y = 0; y < height; ++y) {
     for (int x = 0; x < width; ++x) {
-      AddRouter(sim, topo,
-                "R" + std::to_string(x) + "_" + std::to_string(y));
+      AddRouter(sim, topo, Numbered(Numbered("R", x) + "_", y));
     }
   }
   const auto at = [&](int x, int y) {
@@ -201,7 +200,7 @@ Topology MakeBinaryTree(Simulator& sim, int depth, SimDuration link_delay) {
   assert(depth >= 1);
   Topology topo;
   const int count = (1 << depth) - 1;
-  for (int i = 0; i < count; ++i) AddRouter(sim, topo, "R" + std::to_string(i));
+  for (int i = 0; i < count; ++i) AddRouter(sim, topo, Numbered("R", i));
   for (int i = 1; i < count; ++i) {
     sim.Connect(topo.routers[static_cast<std::size_t>((i - 1) / 2)],
                 topo.routers[static_cast<std::size_t>(i)], link_delay);
@@ -221,7 +220,7 @@ Topology MakeWaxman(Simulator& sim, const WaxmanParams& params) {
   std::vector<Point> pos(static_cast<std::size_t>(params.n));
   for (auto& p : pos) p = {rng.NextDouble(), rng.NextDouble()};
 
-  for (int i = 0; i < params.n; ++i) AddRouter(sim, topo, "R" + std::to_string(i));
+  for (int i = 0; i < params.n; ++i) AddRouter(sim, topo, Numbered("R", i));
 
   const auto distance = [&](int a, int b) {
     const double dx = pos[(std::size_t)a].x - pos[(std::size_t)b].x;
@@ -279,7 +278,7 @@ Topology MakeTransitStub(Simulator& sim, const TransitStubParams& params) {
   // Transit backbone: ring plus random chords (dense, redundant).
   std::vector<NodeId> transit;
   for (int i = 0; i < params.transit_nodes; ++i) {
-    transit.push_back(AddRouter(sim, topo, "T" + std::to_string(i)));
+    transit.push_back(AddRouter(sim, topo, Numbered("T", i)));
   }
   for (int i = 0; i < params.transit_nodes; ++i) {
     sim.Connect(transit[(std::size_t)i],
@@ -303,7 +302,7 @@ Topology MakeTransitStub(Simulator& sim, const TransitStubParams& params) {
     NodeId previous = attach;
     for (int k = 0; k < params.stub_size; ++k) {
       const NodeId router = AddRouter(
-          sim, topo, "S" + std::to_string(d) + "_" + std::to_string(k));
+          sim, topo, Numbered(Numbered("S", d) + "_", k));
       sim.Connect(previous, router, params.stub_delay);
       previous = router;
     }

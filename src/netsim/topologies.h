@@ -10,6 +10,7 @@
 
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/random.h"
@@ -34,6 +35,16 @@ struct Topology {
 /// Attaches a new host to `lan` and returns its id.
 NodeId AttachHost(Simulator& sim, Topology& topo, SubnetId lan,
                   const std::string& name);
+
+/// `prefix` followed by `n` in decimal ("R" and 7 give "R7"): the names
+/// of numbered routers, LANs and hosts. Appends in place, because GCC 12
+/// reports a false -Wrestrict on `"R" + std::to_string(n)`.
+template <typename Int>
+std::string Numbered(std::string_view prefix, Int n) {
+  std::string name(prefix);
+  name += std::to_string(n);
+  return name;
+}
 
 /// The spec's Figure 1 internetwork.
 ///

@@ -250,7 +250,7 @@ TEST(DvmrpStateScaling, StateGrowsWithSourcesTimesGroups) {
   sim.RunUntil(5 * kSecond);
 
   for (int s = 0; s < 3; ++s) {
-    auto& src = domain.AddHost(topo.router_lans[0], "s" + std::to_string(s));
+    auto& src = domain.AddHost(topo.router_lans[0], netsim::Numbered("s", s));
     src.SendToGroup(g1, kPayload);
     src.SendToGroup(g2, kPayload);
   }

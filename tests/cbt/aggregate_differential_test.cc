@@ -120,7 +120,7 @@ WorldResult RunWorld(bool per_host, std::uint64_t schedule_seed) {
   std::vector<std::unique_ptr<WireTap>> taps;
   for (std::uint32_t i = 0; i < lan_count; ++i) {
     const NodeId id = netsim::AttachHost(sim, topo, topo.router_lans[i],
-                                         "tap" + std::to_string(i));
+                                         netsim::Numbered("tap", i));
     taps.push_back(std::make_unique<WireTap>(sim, i, result.wire));
     sim.SetAgent(id, taps.back().get());
   }
@@ -129,7 +129,7 @@ WorldResult RunWorld(bool per_host, std::uint64_t schedule_seed) {
   if (!per_host) {
     for (std::uint32_t i = 0; i < lan_count; ++i) {
       stations.push_back(&domain.AddAggregate(
-          topo.router_lans[i], "agg" + std::to_string(i),
+          topo.router_lans[i], netsim::Numbered("agg", i),
           igmp::MembershipAggregate::Mode::kExactHostEquivalence));
     }
   }
@@ -157,7 +157,7 @@ WorldResult RunWorld(bool per_host, std::uint64_t schedule_seed) {
         auto& fifo = fifos[{e.lan, e.group}];
         if (e.join) {
           core::HostAgent& host = domain.AddHost(
-              topo.router_lans[e.lan], "h" + std::to_string(next_host++));
+              topo.router_lans[e.lan], netsim::Numbered("h", next_host++));
           host.JoinGroup(group);
           fifo.push_back(&host);
         } else if (!fifo.empty()) {

@@ -270,7 +270,7 @@ TEST(ChaosSoakTest, SeededScheduleOnGridConvergesCleanly) {
   std::vector<HostAgent*> members;
   for (const std::size_t idx : {3u, 5u, 10u, 12u}) {
     members.push_back(
-        &domain.AddHost(topo.router_lans[idx], "m" + std::to_string(idx)));
+        &domain.AddHost(topo.router_lans[idx], netsim::Numbered("m", idx)));
     members.back()->JoinGroup(kGroup);
   }
   sim.RunUntil(30 * kSecond);

@@ -51,7 +51,7 @@ TEST_P(ChurnSoak, SurvivesAndConvergesAfterChurn) {
   std::vector<HostAgent*> hosts;
   for (std::size_t i = 0; i < topo.router_lans.size(); i += 2) {
     hosts.push_back(
-        &domain.AddHost(topo.router_lans[i], "h" + std::to_string(i)));
+        &domain.AddHost(topo.router_lans[i], netsim::Numbered("h", i)));
   }
 
   // 30 simulated minutes of random events every ~10s.

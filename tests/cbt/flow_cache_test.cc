@@ -21,6 +21,7 @@
 namespace cbt::core {
 namespace {
 
+using netsim::FaultProfile;
 using netsim::MakeFigure1;
 using netsim::MakeGrid;
 using netsim::Simulator;
@@ -379,10 +380,21 @@ struct RunOutcome {
 };
 
 RunOutcome RunFigure1Scenario(DataplaneMode mode, std::uint32_t seed,
-                              Simulator::DeliveryMode delivery) {
+                              bool per_receiver = false) {
   Simulator sim{seed};
-  sim.SetDeliveryMode(delivery);
   Topology topo = MakeFigure1(sim);
+  if (per_receiver) {
+    // A fault profile that is "on" (Any()) yet inert: every draw in the
+    // per-receiver fan-out short-circuits on a zero rate or a zero
+    // jitter, so it consumes no RNG and adds no delay. It only steers
+    // each subnet off the batched path.
+    FaultProfile inert;
+    inert.reorder_rate = 1.0;
+    inert.reorder_jitter = 0;
+    for (std::size_t i = 0; i < sim.subnet_count(); ++i) {
+      sim.SetSubnetFaults(SubnetId(static_cast<std::int32_t>(i)), inert);
+    }
+  }
   CbtConfig config;
   config.dataplane = mode;
   CbtDomain domain(sim, topo, config);
@@ -432,10 +444,8 @@ RunOutcome RunFigure1Scenario(DataplaneMode mode, std::uint32_t seed,
 
 TEST(DataplaneDifferential, FastMatchesSlowByteForByteAcrossFiveSeeds) {
   for (std::uint32_t seed = 1; seed <= 5; ++seed) {
-    const RunOutcome fast = RunFigure1Scenario(
-        DataplaneMode::kFast, seed, Simulator::DeliveryMode::kBatched);
-    const RunOutcome slow = RunFigure1Scenario(
-        DataplaneMode::kSlow, seed, Simulator::DeliveryMode::kBatched);
+    const RunOutcome fast = RunFigure1Scenario(DataplaneMode::kFast, seed);
+    const RunOutcome slow = RunFigure1Scenario(DataplaneMode::kSlow, seed);
     ASSERT_FALSE(fast.events.empty()) << "seed " << seed;
     EXPECT_EQ(fast.events, slow.events) << "seed " << seed;
     // Encode-once + zero-copy transit: the fast leg must stage strictly
@@ -446,10 +456,9 @@ TEST(DataplaneDifferential, FastMatchesSlowByteForByteAcrossFiveSeeds) {
 
 TEST(DataplaneDifferential, BatchedDeliveryMatchesPerReceiver) {
   for (std::uint32_t seed = 1; seed <= 3; ++seed) {
-    const RunOutcome batched = RunFigure1Scenario(
-        DataplaneMode::kFast, seed, Simulator::DeliveryMode::kBatched);
-    const RunOutcome per_rx = RunFigure1Scenario(
-        DataplaneMode::kFast, seed, Simulator::DeliveryMode::kPerReceiver);
+    const RunOutcome batched = RunFigure1Scenario(DataplaneMode::kFast, seed);
+    const RunOutcome per_rx =
+        RunFigure1Scenario(DataplaneMode::kFast, seed, /*per_receiver=*/true);
     ASSERT_FALSE(batched.events.empty()) << "seed " << seed;
     EXPECT_EQ(batched.events, per_rx.events) << "seed " << seed;
   }

@@ -52,7 +52,7 @@ TEST_F(HostFixture, ReportSuppressionLimitsResponders) {
   // Many members; on each general query at most a couple of reports
   // should hit the wire thanks to suppression.
   for (int i = 0; i < 8; ++i) {
-    domain->AddHost(lan, "h" + std::to_string(i)).JoinGroup(kGroup);
+    domain->AddHost(lan, netsim::Numbered("h", i)).JoinGroup(kGroup);
   }
   sim.RunUntil(10 * kSecond);
   sim.ResetCounters();

@@ -237,7 +237,7 @@ TEST_F(MultiCoreTreeFixture, LocalityStrategyPartitionJoinsAtKFour) {
   std::vector<HostAgent*> hosts;
   for (std::size_t i = 0; i < member_lans.size(); ++i) {
     hosts.push_back(
-        &domain->AddHost(member_lans[i], "m" + std::to_string(i)));
+        &domain->AddHost(member_lans[i], netsim::Numbered("m", i)));
     hosts.back()->JoinGroup(kGroup);
   }
   sim.RunUntil(sim.Now() + 40 * kSecond);

@@ -58,7 +58,7 @@ struct World {
                topo.routers.size(), (std::size_t)per_group)) {
         auto& h = domain->AddHost(
             topo.router_lans[idx],
-            "h" + std::to_string(g) + "_" + std::to_string(idx));
+            netsim::Numbered(netsim::Numbered("h", g) + "_", idx));
         h.JoinGroup(GroupAddr(g));
         members[g].push_back(&h);
         sim.RunUntil(sim.Now() + 300 * kMillisecond);

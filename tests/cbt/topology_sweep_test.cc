@@ -86,7 +86,7 @@ TEST_P(TopologySweep, AllToAllExactlyOnceDelivery) {
   std::vector<HostAgent*> members;
   for (std::size_t i = 0; i < topo.router_lans.size(); i += 3) {
     members.push_back(
-        &domain.AddHost(topo.router_lans[i], "m" + std::to_string(i)));
+        &domain.AddHost(topo.router_lans[i], netsim::Numbered("m", i)));
     members.back()->JoinGroup(kGroup);
     sim.RunUntil(sim.Now() + 500 * kMillisecond);
   }

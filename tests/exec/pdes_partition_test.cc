@@ -145,7 +145,7 @@ TEST(PdesPartitionTest, DisconnectedComponentsAreAllAssigned) {
   // Two disjoint 3-chains plus an isolated node: still an exact cover.
   std::vector<NodeId> nodes;
   for (int i = 0; i < 7; ++i) {
-    nodes.push_back(sim.AddNode("n" + std::to_string(i), true));
+    nodes.push_back(sim.AddNode(netsim::Numbered("n", i), true));
   }
   sim.Connect(nodes[0], nodes[1], kMillisecond);
   sim.Connect(nodes[1], nodes[2], kMillisecond);
@@ -165,7 +165,7 @@ TEST(PdesPartitionTest, LookaheadIsMinimumCutDelayOnALine) {
   // not guaranteed — but it must be one of the actual link delays.
   std::vector<NodeId> nodes;
   for (int i = 0; i < 8; ++i) {
-    nodes.push_back(sim.AddNode("n" + std::to_string(i), true));
+    nodes.push_back(sim.AddNode(netsim::Numbered("n", i), true));
   }
   std::vector<SimDuration> delays;
   for (int i = 0; i + 1 < 8; ++i) {

@@ -110,7 +110,7 @@ void RunChurn(std::uint64_t seed, int shards, int threads,
   std::vector<HostAgent*> hosts;
   for (std::size_t i = 0; i < topo.router_lans.size(); ++i) {
     hosts.push_back(
-        &domain.AddHost(topo.router_lans[i], "h" + std::to_string(i)));
+        &domain.AddHost(topo.router_lans[i], netsim::Numbered("h", i)));
   }
 
   analysis::InvariantAuditor auditor(domain);

@@ -11,10 +11,10 @@ TEST(Figure1, HasAllNamedEntities) {
   Simulator sim;
   const Topology topo = MakeFigure1(sim);
   for (int i = 1; i <= 12; ++i) {
-    EXPECT_TRUE(topo.nodes.contains("R" + std::to_string(i))) << i;
+    EXPECT_TRUE(topo.nodes.contains(Numbered("R", i))) << i;
   }
   for (int i = 1; i <= 15; ++i) {
-    EXPECT_TRUE(topo.subnets.contains("S" + std::to_string(i))) << i;
+    EXPECT_TRUE(topo.subnets.contains(Numbered("S", i))) << i;
   }
   for (const char* host : {"A", "B", "C", "D", "E", "F", "G", "H", "I", "J",
                            "K", "L"}) {
