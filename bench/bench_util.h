@@ -215,7 +215,15 @@ class Options {
     return nullptr;
   }
 
+  static bool IsDigit(char c) { return c >= '0' && c <= '9'; }
+
+  // std::stoi/stoull skip leading blanks and stoull negates a leading
+  // '-', so a value must start with a digit ('-' too, for ints) to be
+  // accepted: " -1" is no more a uint64 than "-1" is.
   static bool ParseInt(const std::string& text, int* out) {
+    if (text.empty() || !(IsDigit(text.front()) || text.front() == '-')) {
+      return false;
+    }
     try {
       std::size_t pos = 0;
       const int v = std::stoi(text, &pos);
@@ -228,10 +236,11 @@ class Options {
   }
 
   static bool ParseU64(const std::string& text, std::uint64_t* out) {
+    if (text.empty() || !IsDigit(text.front())) return false;
     try {
       std::size_t pos = 0;
       const std::uint64_t v = std::stoull(text, &pos);
-      if (pos != text.size() || text.front() == '-') return false;
+      if (pos != text.size()) return false;
       *out = v;
       return true;
     } catch (...) {

@@ -26,10 +26,6 @@ class DvmrpDomain : public core::ProtocolDomain<DvmrpRouter> {
     return SumOverRouters<std::size_t>(
         [](const DvmrpRouter& r) { return r.StateUnits(); });
   }
-  std::size_t TotalForwardingEntries() const {
-    return SumOverRouters<std::size_t>(
-        [](const DvmrpRouter& r) { return r.ForwardingEntries(); });
-  }
 };
 
 }  // namespace cbt::baselines

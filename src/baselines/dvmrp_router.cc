@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/logging.h"
 
 namespace cbt::baselines {
 

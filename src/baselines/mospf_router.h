@@ -104,7 +104,6 @@ class MospfRouter : public netsim::NetworkAgent {
   /// E1 state metric: LSDB entries (membership knowledge held everywhere)
   /// plus cached (S,G) forwarding entries.
   std::size_t StateUnits() const;
-  std::size_t ForwardingCacheEntries() const { return cache_.size(); }
 
  private:
   using SourceGroup = std::pair<Ipv4Address, Ipv4Address>;

@@ -67,11 +67,6 @@ struct PlacementInput {
 struct Placement {
   std::vector<NodeId> cores;
   std::vector<std::size_t> assignment;
-
-  const NodeId* CoreForMember(std::size_t member_index) const {
-    if (member_index >= assignment.size()) return nullptr;
-    return &cores[assignment[member_index]];
-  }
 };
 
 class Strategy {

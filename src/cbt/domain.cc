@@ -30,7 +30,6 @@ igmp::MembershipAggregate& CbtDomain::AddAggregate(
   sim_->SetAgent(id, station.get());
   igmp::MembershipAggregate& ref = *station;
   aggregates_[id] = std::move(station);
-  aggregate_ids_.push_back(id);
   return ref;
 }
 
@@ -104,11 +103,6 @@ netsim::ChaosInjector::Hooks CbtDomain::ChaosHooks() {
 std::size_t CbtDomain::TotalFibState() const {
   return SumOverRouters<std::size_t>(
       [](const CbtRouter& r) { return r.fib().StateUnits(); });
-}
-
-obs::MetricSet CbtDomain::MetricsSnapshot() const {
-  assert(sim_->metrics() != nullptr && "call BindMetrics first");
-  return sim_->metrics()->Snapshot();
 }
 
 std::vector<NodeId> CbtDomain::OnTreeRouters(Ipv4Address group) const {

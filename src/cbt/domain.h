@@ -81,16 +81,10 @@ class CbtDomain : public ProtocolDomain<CbtRouter> {
   /// CrashRouter/RestartRouter (host nodes just go down/up).
   netsim::ChaosInjector::Hooks ChaosHooks();
 
-  const std::vector<NodeId>& aggregate_ids() const { return aggregate_ids_; }
-
   /// Sum of FIB state units across all routers (experiment E1).
   std::size_t TotalFibState() const;
   /// Routers holding a FIB entry for `group`.
   std::vector<NodeId> OnTreeRouters(Ipv4Address group) const;
-
-  /// Flat point-in-time view of everything bound by BindMetrics (plus
-  /// per-subnet counters). Requires a prior BindMetrics call.
-  obs::MetricSet MetricsSnapshot() const;
 
  private:
   /// Per-region managers created by ShardRoutes; empty when unsharded.
@@ -99,7 +93,6 @@ class CbtDomain : public ProtocolDomain<CbtRouter> {
   CbtConfig config_;
   igmp::IgmpConfig igmp_config_;
   std::map<NodeId, std::unique_ptr<igmp::MembershipAggregate>> aggregates_;
-  std::vector<NodeId> aggregate_ids_;
 };
 
 }  // namespace cbt::core

@@ -1,6 +1,5 @@
 #include "cbt/host.h"
 
-#include "common/logging.h"
 
 namespace cbt::core {
 

@@ -57,7 +57,6 @@ class ProtocolDomain {
   netsim::Topology& topology() { return *topo_; }
 
   const std::vector<NodeId>& router_ids() const { return router_ids_; }
-  const std::vector<NodeId>& host_ids() const { return host_ids_; }
 
   /// Sum of control messages sent across all routers (experiment E6).
   std::uint64_t TotalControlMessages() const {
@@ -127,7 +126,6 @@ class ProtocolDomain {
     sim_->SetAgent(id, host.get());
     HostAgent& ref = *host;
     hosts_[id] = std::move(host);
-    host_ids_.push_back(id);
     return ref;
   }
 
@@ -135,7 +133,6 @@ class ProtocolDomain {
   const GroupDirectory* host_directory_ = nullptr;
   std::map<NodeId, std::unique_ptr<HostAgent>> hosts_;
   std::vector<NodeId> router_ids_;
-  std::vector<NodeId> host_ids_;
 };
 
 }  // namespace cbt::core

@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "common/checksum.h"
-#include "common/logging.h"
 #include "common/small_vec.h"
 
 namespace cbt::core {
@@ -177,9 +176,6 @@ void CbtRouter::HandleControl(VifIndex vif, const packet::Ipv4Header& ip,
 void CbtRouter::HandleJoinRequest(VifIndex vif, const packet::Ipv4Header& ip,
                                   const ControlPacket& pkt) {
   ++stats_.joins_received;
-  CBT_TRACE("[%s %s] rx %s from %s", FormatSimTime(sim_->Now()).c_str(),
-            sim_->node(self_).name.c_str(), pkt.Describe().c_str(),
-            ip.src.ToString().c_str());
   if (pkt.join_subcode() == JoinSubcode::kRejoinNactive) {
     HandleRejoinNactive(vif, ip, pkt);
     return;
@@ -498,9 +494,6 @@ void CbtRouter::AckRequesters(PendingJoin& pending, FibEntry& entry) {
 void CbtRouter::HandleJoinAck(VifIndex vif, const packet::Ipv4Header& ip,
                               const ControlPacket& pkt) {
   ++stats_.acks_received;
-  CBT_TRACE("[%s %s] rx %s from %s", FormatSimTime(sim_->Now()).c_str(),
-            sim_->node(self_).name.c_str(), pkt.Describe().c_str(),
-            ip.src.ToString().c_str());
   if (pkt.ack_subcode() == AckSubcode::kRejoinNactive) {
     // Primary core's direct confirmation of a NACTIVE rejoin we converted;
     // our state was already fixed when we converted, nothing to update.
@@ -849,9 +842,6 @@ void CbtRouter::PendingJoinFailed(Ipv4Address group) {
   const auto it = pending_.find(group);
   if (it == pending_.end()) return;
   PendingJoin& p = *it->second;
-  CBT_TRACE("[%s %s] pending join for %s failed (origin=%d reconnect=%d)",
-            FormatSimTime(sim_->Now()).c_str(), sim_->node(self_).name.c_str(),
-            group.ToString().c_str(), p.locally_originated, p.reconnect);
   if (p.locally_originated) {
     OBS_TRACE(sim_->trace(), .time = sim_->Now(),
               .kind = obs::TraceKind::kFsm, .phase = obs::TracePhase::kEnd,
@@ -1050,8 +1040,6 @@ void CbtRouter::LaunchCoreRejoin(FibEntry& entry) {
 void CbtRouter::HandleQuitRequest(VifIndex vif, const packet::Ipv4Header& ip,
                                   const ControlPacket& pkt) {
   ++stats_.quits_received;
-  CBT_TRACE("[%s %s] rx QUIT from %s", FormatSimTime(sim_->Now()).c_str(),
-            sim_->node(self_).name.c_str(), ip.src.ToString().c_str());
   FibEntry* entry = fib_.Find(pkt.group);
   if (entry != nullptr && entry->RemoveChild(ip.src)) {
     OBS_TRACE(sim_->trace(), .time = sim_->Now(),
@@ -1255,8 +1243,6 @@ void CbtRouter::SendFlushToChildren(FibEntry& entry) {
 void CbtRouter::HandleFlush(VifIndex vif, const packet::Ipv4Header& ip,
                             const ControlPacket& pkt) {
   ++stats_.flushes_received;
-  CBT_TRACE("[%s %s] rx FLUSH from %s", FormatSimTime(sim_->Now()).c_str(),
-            sim_->node(self_).name.c_str(), ip.src.ToString().c_str());
   FibEntry* entry = fib_.Find(pkt.group);
   if (entry == nullptr) return;
   // Only the parent may flush us.
@@ -1399,8 +1385,6 @@ void CbtRouter::OnEchoTick() {
               .kind = obs::TraceKind::kFsm, .name = "parent-lost",
               .node = self_.value(), .group = group,
               .arg_a = parent.bits());
-    CBT_DEBUG("cbt[%s]: parent unreachable for %s, reconnecting",
-              sim_->node(self_).name.c_str(), group.ToString().c_str());
     if (callbacks_.on_parent_lost) callbacks_.on_parent_lost(group);
     StartReconnect(group);
   }
@@ -1497,8 +1481,6 @@ void CbtRouter::OnIffScan() {
 void CbtRouter::StartReconnect(Ipv4Address group) {
   FibEntry* entry = fib_.Find(group);
   if (!alive_ || entry == nullptr || pending_.contains(group)) return;
-  CBT_TRACE("[%s %s] reconnect for %s", FormatSimTime(sim_->Now()).c_str(),
-            sim_->node(self_).name.c_str(), group.ToString().c_str());
 
   entry->parent_address = Ipv4Address{};
   entry->parent_vif = kInvalidVif;

@@ -108,7 +108,6 @@ class CbtRouter : public netsim::NetworkAgent {
   bool IsGdr(Ipv4Address group, VifIndex vif) const;
 
   bool OwnsAddress(Ipv4Address addr) const;
-  Ipv4Address primary_address() const { return primary_address_; }
 
   /// True if this router is the group's DR on the vif's subnet (IGMP
   /// querier D-DR, or proxy-ack G-DR) — the role that forwards data on

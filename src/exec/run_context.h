@@ -3,41 +3,34 @@
 // One RunContext is the *whole world* a simulation replica may mutate
 // outside its own Simulator/domain objects:
 //
-//   * logging      — a private LogConfig (level + sink). The default sink
-//                    buffers formatted lines into `log_out`, so replicas
-//                    can neither interleave stderr lines nor observe each
-//                    other's SetLevel calls;
 //   * stdout       — replicas write human output to `out`, never to
 //                    std::cout; the ordered reducer flushes the buffers
 //                    in replica order, which is what makes `--jobs N`
 //                    byte-identical to `--jobs 1`;
-//   * tracing      — an optional private obs::TraceBuffer ring installed
-//                    as the thread's ProcessTraceBuffer() override (even
-//                    a null one: an untraced replica must not record
-//                    into a traced bench's process buffer);
+//   * tracing      — an optional private obs::TraceBuffer ring, which
+//                    RunSweep installs as the thread's
+//                    ProcessTraceBuffer() override (even a null one: an
+//                    untraced replica must not record into a traced
+//                    bench's process buffer);
 //   * metrics      — a private obs::Registry for the replica's bindings;
 //   * RNG seeding  — the replica's seed, assigned by the sweep.
 //
 // Everything else a replica touches must be shared-immutable. The
 // debug-build ThreadOwnershipGuard on PacketArena/EventQueue enforces
 // the other direction: per-replica structures never leak across threads.
-//
-// ScopedRunContext installs the thread-local bindings for the duration
-// of the replica's execution on whatever worker thread it landed on.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <sstream>
 
-#include "common/logging.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace cbt::exec {
 
 struct RunContext {
-  RunContext();
+  RunContext() = default;
 
   RunContext(const RunContext&) = delete;
   RunContext& operator=(const RunContext&) = delete;
@@ -47,37 +40,13 @@ struct RunContext {
   /// The replica's RNG seed (chaos plans, workload generators...).
   std::uint64_t seed = 0;
 
-  /// Private logging config. Constructed with the creating thread's
-  /// current level and a sink that buffers into `log_out`.
-  LogConfig log;
   /// Replica stdout — flushed to std::cout in replica order.
   std::ostringstream out;
-  /// Replica log/stderr capture — flushed to std::cerr in replica order.
-  std::ostringstream log_out;
 
   /// Private trace ring (null = tracing off for this replica).
   std::unique_ptr<obs::TraceBuffer> trace;
   /// Private metrics registry (never shared across replicas).
   obs::Registry metrics;
-};
-
-/// Installs `ctx`'s logging config and trace buffer as the calling
-/// thread's current ones; restores the previous bindings on destruction.
-/// The sweep wraps every job invocation in one of these.
-class ScopedRunContext {
- public:
-  explicit ScopedRunContext(RunContext& ctx)
-      : previous_log_(Logger::InstallThreadConfig(&ctx.log)),
-        trace_scope_(ctx.trace.get()) {}
-
-  ~ScopedRunContext() { Logger::InstallThreadConfig(previous_log_); }
-
-  ScopedRunContext(const ScopedRunContext&) = delete;
-  ScopedRunContext& operator=(const ScopedRunContext&) = delete;
-
- private:
-  LogConfig* previous_log_;
-  obs::ScopedThreadTraceBuffer trace_scope_;
 };
 
 }  // namespace cbt::exec

@@ -2,16 +2,16 @@
 // reduce in replica order.
 //
 // Contract (see docs/PROTOCOL.md, "Parallel execution & determinism"):
-//   * each replica runs under its own RunContext (logging, stdout
-//     buffer, trace ring, metrics registry, seed) installed thread-
-//     locally for the duration of the job;
+//   * each replica runs under its own RunContext (stdout buffer, trace
+//     ring, metrics registry, seed); its trace ring is installed
+//     thread-locally for the duration of the job;
 //   * replicas share nothing mutable — anything they build (Simulator,
 //     domains, registries) lives inside the job;
 //   * the reducer runs on the calling thread, strictly in index order,
 //     after all replicas finish: replica i's buffered stdout is flushed
-//     to std::cout, its buffered log lines to std::cerr, and then
-//     reduce(ctx, result) is invoked. Wall-clock never influences
-//     ordering, so `--jobs N` output is byte-identical to `--jobs 1`.
+//     to std::cout, then reduce(ctx, result) is invoked. Wall-clock
+//     never influences ordering, so `--jobs N` output is byte-identical
+//     to `--jobs 1`.
 //
 // Timing: RunSweep measures per-replica and whole-sweep wall-clock and
 // returns them (bench::ExecReport turns that into BENCH_exec.json).
@@ -82,7 +82,7 @@ SweepTiming RunSweep(Pool& pool, std::size_t count,
   const auto sweep_start = Clock::now();
   pool.Run(count, [&](std::size_t i) {
     RunContext& ctx = *contexts[i];
-    ScopedRunContext scope(ctx);
+    obs::ScopedThreadTraceBuffer trace_scope(ctx.trace.get());
     const auto start = Clock::now();
     results[i].emplace(job(ctx));
     timing.replica_seconds[i] =
@@ -94,7 +94,6 @@ SweepTiming RunSweep(Pool& pool, std::size_t count,
   for (std::size_t i = 0; i < count; ++i) {
     RunContext& ctx = *contexts[i];
     std::cout << ctx.out.str();
-    std::cerr << ctx.log_out.str();
     reduce(ctx, std::move(*results[i]));
   }
   return timing;

@@ -2,8 +2,6 @@
 
 #include <cassert>
 
-#include "common/logging.h"
-
 namespace cbt::igmp {
 
 using packet::IgmpMessage;
@@ -107,9 +105,6 @@ void RouterIgmp::HandleQuery(VifState& vs, Ipv4Address src,
   const Ipv4Address mine = MyAddress(vs.vif);
   if (src < mine) {
     if (vs.querier) {
-      CBT_DEBUG("igmp[%s vif%d]: yielding querier duty to %s",
-                sim_->node(self_).name.c_str(), vs.vif,
-                src.ToString().c_str());
       OBS_TRACE(sim_->trace(), .time = sim_->Now(),
                 .kind = obs::TraceKind::kIgmp, .name = "querier-deposed",
                 .node = self_.value(),
@@ -186,9 +181,6 @@ void RouterIgmp::RefreshGroup(VifState& vs, Ipv4Address group,
   presence->expiry.Schedule(timeout, [this, &vs, group] {
     vs.groups.erase(group);
     ++state_version_;
-    CBT_DEBUG("igmp[%s vif%d]: group %s expired",
-              sim_->node(self_).name.c_str(), vs.vif,
-              group.ToString().c_str());
     OBS_TRACE(sim_->trace(), .time = sim_->Now(),
               .kind = obs::TraceKind::kIgmp, .name = "member-expired",
               .node = self_.value(), .group = group,

@@ -4,7 +4,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "common/logging.h"
 
 namespace cbt::netsim {
 namespace {

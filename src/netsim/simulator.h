@@ -290,7 +290,6 @@ class Simulator {
   /// only when their owners die — detach before tearing the sim down
   /// if the registry outlives it).
   void SetMetrics(obs::Registry* metrics);
-  obs::Registry* metrics() const { return metrics_; }
 
   /// Trace buffer for this simulation. Defaults to the process-wide
   /// buffer (obs::SetProcessTraceBuffer) captured at construction; null
@@ -303,11 +302,6 @@ class Simulator {
   /// The simulation's own ring regardless of any installed backend — the
   /// merge target a shard backend copies region rings into.
   obs::TraceBuffer* base_trace() const { return trace_; }
-
-  /// Lane label for Chrome-trace export when one process runs several
-  /// topologies (benches bump it per sweep entry).
-  void SetTracePid(int pid) { trace_pid_ = pid; }
-  int trace_pid() const { return trace_pid_; }
 
   std::size_t node_count() const { return nodes_.size(); }
   std::size_t subnet_count() const { return subnets_.size(); }
@@ -519,7 +513,6 @@ class Simulator {
   std::function<void(const FrameEvent&)> frame_observer_;
   obs::Registry* metrics_ = nullptr;
   obs::TraceBuffer* trace_ = nullptr;
-  int trace_pid_ = 1;
   std::uint64_t seed_ = 1;
   ShardBackend* backend_ = nullptr;
 };

@@ -1,27 +1,8 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
-#include <cassert>
 
 namespace cbt::obs {
-
-namespace {
-/// Shared sink for unbound handles: instrumented code can always record,
-/// registered or not, without a branch. Thread-local so concurrent
-/// simulation replicas never write the same scratch slot (the values are
-/// garbage by design; the isolation is for the data-race freedom the
-/// parallel executor's TSan suite enforces).
-thread_local std::uint64_t t_scratch_slot = 0;
-thread_local HistogramData t_scratch_histogram;
-}  // namespace
-
-Counter::Counter() : slot_(&t_scratch_slot) {}
-Gauge::Gauge() : slot_(&t_scratch_slot) {}
-Histogram::Histogram() : data_(&t_scratch_histogram) {
-  if (t_scratch_histogram.counts.empty()) {
-    t_scratch_histogram.counts.resize(1);  // overflow bucket only
-  }
-}
 
 // --- MetricSet -------------------------------------------------------------
 
@@ -86,98 +67,24 @@ void MetricSet::Merge(const MetricSet& other) {
 
 // --- Registry --------------------------------------------------------------
 
-Registry::Entry& Registry::FindOrCreate(const std::string& name,
-                                        Entry::Kind kind) {
-  const auto it = index_.find(name);
-  if (it != index_.end()) return *it->second;
-  entries_.emplace_back();
-  Entry& entry = entries_.back();
-  entry.kind = kind;
-  index_[name] = &entry;
-  return entry;
-}
-
-Counter Registry::RegisterCounter(const std::string& name) {
-  Entry& entry = FindOrCreate(name, Entry::Kind::kOwned);
-  assert(entry.kind != Entry::Kind::kHistogram);
-  return Counter(entry.kind == Entry::Kind::kExternal ? entry.external
-                                                      : &entry.owned);
-}
-
-Gauge Registry::RegisterGauge(const std::string& name) {
-  Entry& entry = FindOrCreate(name, Entry::Kind::kOwned);
-  assert(entry.kind != Entry::Kind::kHistogram);
-  return Gauge(entry.kind == Entry::Kind::kExternal ? entry.external
-                                                    : &entry.owned);
-}
-
-Histogram Registry::RegisterHistogram(const std::string& name,
-                                      std::vector<std::uint64_t> bounds) {
-  Entry& entry = FindOrCreate(name, Entry::Kind::kHistogram);
-  assert(entry.kind == Entry::Kind::kHistogram);
-  if (entry.histogram.counts.empty()) {
-    assert(std::is_sorted(bounds.begin(), bounds.end()));
-    entry.histogram.bounds = std::move(bounds);
-    entry.histogram.counts.resize(entry.histogram.bounds.size() + 1);
-  }
-  return Histogram(&entry.histogram);
-}
-
 void Registry::RegisterExternal(const std::string& name,
                                 std::uint64_t* field) {
-  Entry& entry = FindOrCreate(name, Entry::Kind::kExternal);
-  assert(entry.kind == Entry::Kind::kExternal);
-  entry.external = field;  // re-registration rebinds (see header)
+  fields_[name] = field;  // re-registration rebinds (see header)
 }
 
 bool Registry::Contains(const std::string& name) const {
-  return index_.contains(name);
+  return fields_.contains(name);
 }
 
 MetricSet Registry::Snapshot() const {
   std::vector<Sample> samples;
-  samples.reserve(index_.size());
-  for (const auto& [name, entry] : index_) {
-    switch (entry->kind) {
-      case Entry::Kind::kOwned:
-        samples.push_back({name, entry->owned});
-        break;
-      case Entry::Kind::kExternal:
-        samples.push_back({name, *entry->external});
-        break;
-      case Entry::Kind::kHistogram: {
-        const HistogramData& h = entry->histogram;
-        for (std::size_t i = 0; i < h.bounds.size(); ++i) {
-          samples.push_back(
-              {name + ".le_" + std::to_string(h.bounds[i]), h.counts[i]});
-        }
-        samples.push_back({name + ".le_inf", h.counts.back()});
-        samples.push_back({name + ".count", h.count});
-        samples.push_back({name + ".sum", h.sum});
-        break;
-      }
-    }
-  }
+  samples.reserve(fields_.size());
+  for (const auto& [name, field] : fields_) samples.push_back({name, *field});
   return MetricSet(std::move(samples));
 }
 
 void Registry::Reset() {
-  for (Entry& entry : entries_) {
-    switch (entry.kind) {
-      case Entry::Kind::kOwned:
-        entry.owned = 0;
-        break;
-      case Entry::Kind::kExternal:
-        *entry.external = 0;
-        break;
-      case Entry::Kind::kHistogram:
-        std::fill(entry.histogram.counts.begin(), entry.histogram.counts.end(),
-                  0);
-        entry.histogram.count = 0;
-        entry.histogram.sum = 0;
-        break;
-    }
-  }
+  for (const auto& [name, field] : fields_) *field = 0;
 }
 
 }  // namespace cbt::obs

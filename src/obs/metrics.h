@@ -1,25 +1,17 @@
-// Unified metrics registry: allocation-free Counter/Gauge/Histogram
-// handles registered under hierarchical dotted names
+// Unified metrics registry: the plain uint64 fields of the *Stats
+// structs, bound by pointer under hierarchical dotted names
 // ("cbt.router.3.joins_originated", "netsim.subnet.7.frames_dropped").
 //
 // Design constraints, in order:
-//  * zero-overhead hot path — recording through a handle is one inline
-//    pointer bump; names are hashed exactly once, at registration. An
-//    unbound (default-constructed) handle writes to a process-wide
-//    scratch slot, so instrumented code never branches on "is metrics
-//    enabled?";
-//  * handle stability — registering a name twice returns a handle to the
-//    same slot (slots live in a std::deque, so addresses never move);
-//  * external binding — the legacy *Stats structs keep their plain
-//    uint64 fields as the storage (their increments are already free);
-//    the registry mirrors them by pointer (RegisterExternal / BindStats),
-//    so snapshots see live values without any hot-path change;
+//  * zero-overhead hot path — the structs keep their fields as the
+//    storage, so recording is a plain increment; the registry mirrors
+//    them by pointer (RegisterExternal / BindStats) and snapshots see
+//    live values without any hot-path change;
 //  * deterministic snapshots — MetricSet is sorted by name; the same run
 //    always serializes identically.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <optional>
 #include <string>
@@ -30,67 +22,6 @@
 
 namespace cbt::obs {
 
-class Registry;
-
-/// Monotonic counter handle. Trivially copyable; safe to record through
-/// whether or not it was ever registered.
-class Counter {
- public:
-  Counter();
-  void Increment(std::uint64_t n = 1) { *slot_ += n; }
-  std::uint64_t value() const { return *slot_; }
-
- private:
-  friend class Registry;
-  explicit Counter(std::uint64_t* slot) : slot_(slot) {}
-  std::uint64_t* slot_;
-};
-
-/// Last-value gauge handle (stored as uint64; Set overwrites).
-class Gauge {
- public:
-  Gauge();
-  void Set(std::uint64_t v) { *slot_ = v; }
-  void Add(std::uint64_t n) { *slot_ += n; }
-  std::uint64_t value() const { return *slot_; }
-
- private:
-  friend class Registry;
-  explicit Gauge(std::uint64_t* slot) : slot_(slot) {}
-  std::uint64_t* slot_;
-};
-
-/// Fixed-bound histogram data: counts[i] holds observations with
-/// value <= bounds[i]; counts.back() is the +inf overflow bucket.
-struct HistogramData {
-  std::vector<std::uint64_t> bounds;  // ascending upper bounds
-  std::vector<std::uint64_t> counts;  // bounds.size() + 1 buckets
-  std::uint64_t count = 0;
-  std::uint64_t sum = 0;
-
-  void Observe(std::uint64_t v) {
-    std::size_t i = 0;
-    while (i < bounds.size() && v > bounds[i]) ++i;
-    ++counts[i];
-    ++count;
-    sum += v;
-  }
-};
-
-/// Histogram handle. An unbound handle records into a scratch histogram
-/// with no buckets (count/sum only).
-class Histogram {
- public:
-  Histogram();
-  void Observe(std::uint64_t v) { data_->Observe(v); }
-  const HistogramData& data() const { return *data_; }
-
- private:
-  friend class Registry;
-  explicit Histogram(HistogramData* data) : data_(data) {}
-  HistogramData* data_;
-};
-
 /// One named sample in a snapshot.
 struct Sample {
   std::string name;
@@ -99,8 +30,7 @@ struct Sample {
 
 /// An immutable, name-sorted snapshot of metric values — the unified view
 /// the experiment harness consumes instead of pattern-matching
-/// per-protocol struct fields. Histograms flatten into
-/// `<name>.le_<bound>` / `<name>.le_inf` / `<name>.count` / `<name>.sum`.
+/// per-protocol struct fields.
 class MetricSet {
  public:
   MetricSet() = default;
@@ -135,55 +65,33 @@ class MetricSet {
   std::vector<Sample> samples_;  // sorted by name
 };
 
-/// The registry. Owns slot storage for registered metrics and pointers to
-/// externally-owned (struct-field) counters. Single-threaded, like the
-/// simulator it observes.
+/// The registry: a name -> counter-field map. The fields belong to the
+/// *Stats structs that own them; the registry only reads (and on Reset(),
+/// zeroes) through the pointers. Single-threaded, like the simulator it
+/// observes.
 class Registry {
  public:
   Registry() = default;
   Registry(const Registry&) = delete;
   Registry& operator=(const Registry&) = delete;
 
-  /// Registers (or re-finds) a counter/gauge under `name`. Re-registering
-  /// an existing name returns a handle to the same slot — handles taken
-  /// earlier remain valid and keep counting into it.
-  Counter RegisterCounter(const std::string& name);
-  Gauge RegisterGauge(const std::string& name);
-
-  /// Registers a histogram with ascending `bounds`. Re-registration
-  /// returns the existing histogram (original bounds win).
-  Histogram RegisterHistogram(const std::string& name,
-                              std::vector<std::uint64_t> bounds);
-
-  /// Mirrors an externally-owned counter field. The registry reads (and
-  /// on Reset(), zeroes) through the pointer; the owner keeps
+  /// Mirrors an externally-owned counter field. The owner keeps
   /// incrementing its plain field — the hot path is untouched.
   /// Re-registration rebinds the name to the new address (routers built
   /// in sequential bench runs reuse names).
   void RegisterExternal(const std::string& name, std::uint64_t* field);
 
   bool Contains(const std::string& name) const;
-  std::size_t size() const { return index_.size(); }
+  std::size_t size() const { return fields_.size(); }
 
   /// Name-sorted snapshot of every registered metric.
   MetricSet Snapshot() const;
 
-  /// Zeroes every owned slot, histogram, and bound external field.
+  /// Zeroes every bound field.
   void Reset();
 
  private:
-  struct Entry {
-    enum class Kind : std::uint8_t { kOwned, kExternal, kHistogram };
-    Kind kind = Kind::kOwned;
-    std::uint64_t owned = 0;
-    std::uint64_t* external = nullptr;
-    HistogramData histogram;
-  };
-
-  Entry& FindOrCreate(const std::string& name, Entry::Kind kind);
-
-  std::deque<Entry> entries_;  // deque: slot addresses never move
-  std::map<std::string, Entry*> index_;
+  std::map<std::string, std::uint64_t*> fields_;
 };
 
 /// Registers every field of a reflected stats struct under

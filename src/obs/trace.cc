@@ -74,8 +74,8 @@ void WriteArgs(std::ostream& os, const TraceEvent& e, std::uint64_t seq) {
   os << "}";
 }
 
-/// Ring overflow accounting shared by the JSONL meta line and the Chrome
-/// "otherData" block, minus the surrounding braces.
+/// Ring overflow accounting of one Chrome "otherData" ring entry, minus
+/// the surrounding braces.
 void WriteRingMeta(std::ostream& os, const TraceBuffer& buffer) {
   os << "\"emitted\":" << buffer.emitted()
      << ",\"retained\":" << buffer.size()
@@ -106,31 +106,6 @@ void TraceBuffer::Clear() {
   count_ = 0;
   first_seq_ = next_seq_;
   dropped_ = 0;
-}
-
-void TraceBuffer::ExportJsonl(std::ostream& os) const {
-  os << "{\"meta\":{";
-  WriteRingMeta(os, *this);
-  os << "}}\n";
-  ForEach([&](std::uint64_t seq, const TraceEvent& e) {
-    os << "{\"seq\":" << seq << ",\"t_us\":" << e.time << ",\"cat\":\""
-       << TraceKindName(e.kind) << "\",\"ph\":\"" << PhaseCode(e.phase)
-       << "\",\"name\":";
-    WriteJsonString(os, e.name);
-    os << ",\"node\":" << e.node;
-    if (!e.group.IsUnspecified()) {
-      os << ",\"group\":\"" << e.group.ToString() << "\"";
-    }
-    os << ",\"a\":" << e.arg_a << ",\"b\":" << e.arg_b;
-    if (e.txn != 0) {
-      os << ",\"txn\":" << e.txn;
-    }
-    if (e.detail != nullptr) {
-      os << ",\"detail\":";
-      WriteJsonString(os, e.detail);
-    }
-    os << "}\n";
-  });
 }
 
 namespace {

@@ -1,6 +1,6 @@
 // Deterministic sim-time protocol tracing: a bounded ring buffer of
-// structured events, exportable as JSONL or Chrome trace_event JSON
-// (loadable in Perfetto / chrome://tracing).
+// structured events, exportable as Chrome trace_event JSON (loadable in
+// Perfetto / chrome://tracing).
 //
 // Determinism contract
 // --------------------
@@ -8,15 +8,14 @@
 // pre-sized ring and touches neither the RNG nor the event queue, so a
 // run with tracing enabled at any level is byte-identical — in event
 // order and in every bench/test output — to the same run with tracing
-// off. CI enforces this with a tracing-on vs tracing-off differential
-// over bench_chaos_soak.
+// off. The golden digest table pins this: a bench's `--trace` leg must
+// print its untraced leg's digest.
 //
 // Cost contract
 // -------------
-// Emission is a level check plus a struct store; event names/categories
-// are static strings (no allocation, no formatting until export). The
-// OBS_TRACE* macros compile to nothing when CBT_OBS_COMPILED_TRACE_LEVEL
-// is 0, for builds that want the instrumentation gone entirely.
+// Emission is a null check, a level check and a struct store; event
+// names/categories are static strings (no allocation, no formatting
+// until export).
 #pragma once
 
 #include <cstdint>
@@ -89,7 +88,6 @@ class TraceBuffer {
   TraceBuffer& operator=(const TraceBuffer&) = delete;
 
   TraceLevel level() const { return level_; }
-  void set_level(TraceLevel level) { level_ = level; }
 
   bool enabled(TraceLevel level) const {
     return level_ != TraceLevel::kOff &&
@@ -118,14 +116,12 @@ class TraceBuffer {
     }
   }
 
-  /// One JSON object per line: {"seq":..,"t_us":..,"cat":..,"name":..,...}.
-  /// The first line is a metadata object {"meta":{...}} carrying the
-  /// ring's overflow accounting (emitted/retained/dropped/first_seq), so
-  /// a consumer can distinguish "no event" from "event evicted".
-  void ExportJsonl(std::ostream& os) const;
-
   /// Chrome trace_event JSON object ({"traceEvents":[...]}); `pid` labels
-  /// the process lane (benches use one pid per simulated topology).
+  /// the process lane (benches use one pid per simulated topology). Each
+  /// event's `args` carry seq, group, a, b, txn and detail; "otherData"
+  /// carries the ring's overflow accounting (emitted/retained/dropped/
+  /// first_seq/capacity), so a consumer can distinguish "no event" from
+  /// "event evicted".
   void ExportChromeTrace(std::ostream& os, int pid = 1) const;
 
  private:
@@ -177,26 +173,15 @@ class ScopedThreadTraceBuffer {
 void ExportCombinedChromeTrace(std::ostream& os,
                                const std::vector<const TraceBuffer*>& buffers);
 
-#ifndef CBT_OBS_COMPILED_TRACE_LEVEL
-#define CBT_OBS_COMPILED_TRACE_LEVEL 2
-#endif
-
 // Callsite macros: `buf` is a TraceBuffer* (may be null); the event
 // expression is only evaluated when the buffer accepts the level.
-#if CBT_OBS_COMPILED_TRACE_LEVEL >= 1
-#define OBS_TRACE_AT(buf, lvl, ...)                              \
-  do {                                                           \
-    ::cbt::obs::TraceBuffer* obs_tb_ = (buf);                    \
-    if (obs_tb_ != nullptr && obs_tb_->enabled(lvl) &&           \
-        static_cast<int>(lvl) <= CBT_OBS_COMPILED_TRACE_LEVEL) { \
-      obs_tb_->Emit(::cbt::obs::TraceEvent{__VA_ARGS__});        \
-    }                                                            \
+#define OBS_TRACE_AT(buf, lvl, ...)                       \
+  do {                                                    \
+    ::cbt::obs::TraceBuffer* obs_tb_ = (buf);             \
+    if (obs_tb_ != nullptr && obs_tb_->enabled(lvl)) {    \
+      obs_tb_->Emit(::cbt::obs::TraceEvent{__VA_ARGS__}); \
+    }                                                     \
   } while (false)
-#else
-#define OBS_TRACE_AT(buf, lvl, ...) \
-  do {                              \
-  } while (false)
-#endif
 
 /// Span/transition-level event (TraceLevel::kSpans).
 #define OBS_TRACE(buf, ...) \

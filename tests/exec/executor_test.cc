@@ -1,6 +1,6 @@
 // Tests for the parallel replica executor (src/exec/): pool scheduling,
 // the ordered-reduction determinism contract, per-replica isolation of
-// logging / tracing / metrics, and the debug-build ownership guard.
+// tracing / metrics, and the debug-build ownership guard.
 //
 // The whole suite carries the `exec` ctest label so CI can run it under
 // ThreadSanitizer (-DCBT_TSAN=ON, `ctest -L exec`) — the concurrency
@@ -19,7 +19,6 @@
 #include <gtest/gtest.h>
 
 #include "cbt/domain.h"
-#include "common/logging.h"
 #include "common/thread_guard.h"
 #include "exec/pool.h"
 #include "exec/run_context.h"
@@ -34,7 +33,7 @@ namespace {
 using namespace cbt;  // NOLINT
 
 /// Redirects a std stream into a private buffer for the object's
-/// lifetime (RunSweep flushes replica output to std::cout/std::cerr).
+/// lifetime (RunSweep flushes replica output to std::cout).
 class StreamCapture {
  public:
   explicit StreamCapture(std::ostream& os)
@@ -47,19 +46,6 @@ class StreamCapture {
   std::ostringstream buffer_;
   std::streambuf* old_;
 };
-
-/// Best-effort rendezvous: waits until `arrivals` reaches `expected` or
-/// ~2s pass. Forces real overlap on a big-enough pool without risking a
-/// hang if fewer workers participate.
-void AwaitArrivals(std::atomic<int>& arrivals, int expected) {
-  arrivals.fetch_add(1);
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(2);
-  while (arrivals.load() < expected &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::yield();
-  }
-}
 
 // --- Pool ------------------------------------------------------------------
 
@@ -160,27 +146,21 @@ TEST(SweepTest, ParallelStdoutByteIdenticalToSerial) {
     exec::SweepOptions options;
     options.base_seed = 42;
     StreamCapture out(std::cout);
-    StreamCapture err(std::cerr);
     exec::RunSweep(
         pool, 6, options,
         [](exec::RunContext& ctx) -> int {
           std::this_thread::sleep_for(
               std::chrono::milliseconds(6 - ctx.index));
           ctx.out << "replica " << ctx.index << " seed " << ctx.seed << "\n";
-          Logger::SetLevel(LogLevel::kError);  // private to this replica
-          CBT_ERROR("replica %zu log line", ctx.index);
           return 0;
         },
         [](exec::RunContext&, int) {});
-    return std::make_pair(out.str(), err.str());
+    return out.str();
   };
-  const auto serial = run(1);
-  const auto parallel = run(4);
-  EXPECT_EQ(serial.first, parallel.first);
-  EXPECT_EQ(serial.second, parallel.second);
-  EXPECT_NE(serial.first.find("replica 0 seed 42"), std::string::npos);
-  EXPECT_NE(serial.second.find("[ERROR] replica 5 log line"),
-            std::string::npos);
+  const std::string serial = run(1);
+  EXPECT_EQ(serial, run(4));
+  EXPECT_NE(serial.find("replica 0 seed 42"), std::string::npos);
+  EXPECT_NE(serial.find("replica 5 seed 47"), std::string::npos);
 }
 
 TEST(SweepTest, TimingCoversEveryReplica) {
@@ -193,58 +173,6 @@ TEST(SweepTest, TimingCoversEveryReplica) {
   ASSERT_EQ(timing.replica_seconds.size(), 5u);
   EXPECT_GE(timing.wall_seconds, 0.0);
   for (const double s : timing.replica_seconds) EXPECT_GE(s, 0.0);
-}
-
-// --- Per-replica logging isolation -----------------------------------------
-
-TEST(SweepIsolationTest, ConcurrentRepliasSeeOnlyTheirOwnLogConfig) {
-  constexpr int kReplicas = 4;
-  exec::Pool pool(kReplicas);
-  std::atomic<int> arrivals{0};
-  std::vector<std::string> logs(kReplicas);
-  const LogLevel main_level_before = Logger::level();
-  {
-    StreamCapture err(std::cerr);  // swallow the ordered flush
-    exec::RunSweep(
-        pool, kReplicas, exec::SweepOptions{},
-        [&](exec::RunContext& ctx) -> int {
-          // Hold all replicas in-flight together so SetLevel calls and
-          // sink writes really race if isolation is broken.
-          AwaitArrivals(arrivals, kReplicas);
-          // Even replicas log at Info; odd replicas keep Error, so an
-          // Info line leaking across threads lands in the wrong buffer
-          // *and* violates the odd replica's level.
-          Logger::SetLevel(ctx.index % 2 == 0 ? LogLevel::kInfo
-                                              : LogLevel::kError);
-          CBT_INFO("info from replica %zu", ctx.index);
-          CBT_ERROR("error from replica %zu", ctx.index);
-          EXPECT_EQ(Logger::level(), ctx.index % 2 == 0 ? LogLevel::kInfo
-                                                        : LogLevel::kError);
-          return 0;
-        },
-        [&](exec::RunContext& ctx, int) {
-          logs[ctx.index] = ctx.log_out.str();
-        });
-  }
-  for (int i = 0; i < kReplicas; ++i) {
-    const std::string info = "info from replica " + std::to_string(i);
-    const std::string error = "error from replica " + std::to_string(i);
-    EXPECT_NE(logs[i].find(error), std::string::npos) << logs[i];
-    if (i % 2 == 0) {
-      EXPECT_NE(logs[i].find(info), std::string::npos) << logs[i];
-    } else {
-      EXPECT_EQ(logs[i].find(info), std::string::npos) << logs[i];
-    }
-    // No line from any other replica may appear in this buffer.
-    for (int j = 0; j < kReplicas; ++j) {
-      if (j == i) continue;
-      EXPECT_EQ(logs[i].find("replica " + std::to_string(j)),
-                std::string::npos)
-          << "replica " << j << " leaked into replica " << i;
-    }
-  }
-  // Replica SetLevel calls never touch the launching thread's config.
-  EXPECT_EQ(Logger::level(), main_level_before);
 }
 
 // --- Per-replica obs isolation (metrics + tracing) -------------------------
@@ -266,7 +194,7 @@ struct ReplicaObs {
 ReplicaObs RunReplica(exec::RunContext& ctx) {
   netsim::Simulator sim(ctx.seed);
   // The Simulator picked up ctx.trace through the thread-local
-  // ProcessTraceBuffer override installed by ScopedRunContext.
+  // ProcessTraceBuffer override RunSweep installs.
   EXPECT_EQ(sim.trace(), ctx.trace.get());
   netsim::Topology topo = netsim::MakeFigure1(sim);
   core::CbtDomain domain(sim, topo);
@@ -298,7 +226,6 @@ std::vector<ReplicaObs> RunSweepWithJobs(int jobs, std::size_t replicas) {
   options.trace = true;
   std::vector<ReplicaObs> results(replicas);
   StreamCapture out(std::cout);
-  StreamCapture err(std::cerr);
   exec::RunSweep(pool, replicas, options, RunReplica,
                  [&](exec::RunContext& ctx, ReplicaObs r) {
                    results[ctx.index] = std::move(r);

@@ -1,6 +1,6 @@
-// Unit tests for the obs metrics registry: handle stability across
-// re-registration, snapshot/diff/reset semantics, histogram bucket
-// edges, and the external stats-struct binding path.
+// Unit tests for the obs metrics registry: bindings across
+// re-registration, snapshot/diff/reset semantics, prefix/suffix queries
+// and name order, and the stats-struct binding path.
 #include "obs/metrics.h"
 
 #include <gtest/gtest.h>
@@ -13,85 +13,39 @@ namespace {
 
 TEST(Registry, CounterRoundTrip) {
   Registry registry;
-  Counter joins = registry.RegisterCounter("cbt.router.1.joins_originated");
-  joins.Increment();
-  joins.Increment(4);
-  EXPECT_EQ(joins.value(), 5u);
+  std::uint64_t joins = 0;
+  registry.RegisterExternal("cbt.router.1.joins_originated", &joins);
+  joins += 5;
   EXPECT_TRUE(registry.Contains("cbt.router.1.joins_originated"));
+  EXPECT_FALSE(registry.Contains("cbt.router.1"));
   EXPECT_EQ(registry.Snapshot().ValueOr("cbt.router.1.joins_originated", 0),
             5u);
 }
 
 TEST(Registry, ReRegistrationReturnsSameSlot) {
   Registry registry;
-  Counter first = registry.RegisterCounter("x.count");
-  first.Increment(3);
-  Counter second = registry.RegisterCounter("x.count");
-  second.Increment(2);
-  // Both handles alias one slot; neither invalidates the other.
-  EXPECT_EQ(first.value(), 5u);
-  EXPECT_EQ(second.value(), 5u);
+  std::uint64_t field = 3;
+  registry.RegisterExternal("x.count", &field);
+  registry.RegisterExternal("x.count", &field);
+  field += 2;
+  // One name, one entry: the second registration adds nothing.
   EXPECT_EQ(registry.size(), 1u);
+  EXPECT_EQ(registry.Snapshot().size(), 1u);
+  EXPECT_EQ(registry.Snapshot().ValueOr("x.count", 0), 5u);
 }
 
 TEST(Registry, HandlesSurviveManyRegistrations) {
-  // std::deque storage: growing the registry must not move earlier slots.
+  // Growing the registry must not lose or move earlier bindings.
   Registry registry;
-  Counter early = registry.RegisterCounter("early");
-  early.Increment();
-  for (int i = 0; i < 1000; ++i) {
-    registry.RegisterCounter("filler." + std::to_string(i));
+  std::uint64_t early = 1;
+  registry.RegisterExternal("early", &early);
+  std::vector<std::uint64_t> filler(1000, 0);
+  for (std::size_t i = 0; i < filler.size(); ++i) {
+    registry.RegisterExternal("filler." + std::to_string(i), &filler[i]);
   }
-  early.Increment();
-  EXPECT_EQ(early.value(), 2u);
+  ++early;
+  EXPECT_EQ(registry.size(), 1001u);
   EXPECT_EQ(registry.Snapshot().ValueOr("early", 0), 2u);
-}
-
-TEST(Registry, UnboundHandlesAreSafe) {
-  Counter counter;  // never registered
-  counter.Increment(7);
-  EXPECT_GE(counter.value(), 7u);  // scratch slot is shared, not per-handle
-  Gauge gauge;
-  gauge.Set(3);
-  Histogram histogram;
-  histogram.Observe(10);  // no buckets; count/sum only
-  EXPECT_GE(histogram.data().count, 1u);
-}
-
-TEST(Registry, GaugeSetAndAdd) {
-  Registry registry;
-  Gauge g = registry.RegisterGauge("queue.depth");
-  g.Set(10);
-  g.Add(5);
-  EXPECT_EQ(g.value(), 15u);
-  g.Set(2);
-  EXPECT_EQ(registry.Snapshot().ValueOr("queue.depth", 0), 2u);
-}
-
-TEST(Registry, HistogramBucketEdges) {
-  Registry registry;
-  Histogram h = registry.RegisterHistogram("lat", {10, 100});
-  h.Observe(0);    // <= 10
-  h.Observe(10);   // boundary lands in the le_10 bucket (inclusive)
-  h.Observe(11);   // <= 100
-  h.Observe(100);  // boundary, le_100
-  h.Observe(101);  // overflow
-  const MetricSet snapshot = registry.Snapshot();
-  EXPECT_EQ(snapshot.ValueOr("lat.le_10", 99), 2u);
-  EXPECT_EQ(snapshot.ValueOr("lat.le_100", 99), 2u);
-  EXPECT_EQ(snapshot.ValueOr("lat.le_inf", 99), 1u);
-  EXPECT_EQ(snapshot.ValueOr("lat.count", 0), 5u);
-  EXPECT_EQ(snapshot.ValueOr("lat.sum", 0), 0u + 10 + 11 + 100 + 101);
-}
-
-TEST(Registry, HistogramReRegistrationKeepsOriginalBounds) {
-  Registry registry;
-  Histogram first = registry.RegisterHistogram("h", {5});
-  first.Observe(3);
-  Histogram second = registry.RegisterHistogram("h", {50, 500});
-  second.Observe(4);
-  EXPECT_EQ(second.data().bounds.size(), 1u);  // original bounds win
-  EXPECT_EQ(registry.Snapshot().ValueOr("h.le_5", 0), 2u);
 }
 
 TEST(Registry, ExternalFieldIsMirroredLive) {
@@ -110,38 +64,44 @@ TEST(Registry, ExternalFieldIsMirroredLive) {
 
 TEST(Registry, ResetZeroesOwnedAndExternal) {
   Registry registry;
-  Counter c = registry.RegisterCounter("owned");
-  c.Increment(9);
-  std::uint64_t field = 13;
-  registry.RegisterExternal("external", &field);
-  Histogram h = registry.RegisterHistogram("hist", {1});
-  h.Observe(5);
+  std::uint64_t a = 9;
+  std::uint64_t b = 13;
+  registry.RegisterExternal("a", &a);
+  registry.RegisterExternal("b", &b);
 
   registry.Reset();
-  EXPECT_EQ(c.value(), 0u);
-  EXPECT_EQ(field, 0u);
+  EXPECT_EQ(a, 0u);
+  EXPECT_EQ(b, 0u);
   const MetricSet snapshot = registry.Snapshot();
-  EXPECT_EQ(snapshot.ValueOr("hist.count", 99), 0u);
-  EXPECT_EQ(snapshot.ValueOr("hist.sum", 99), 0u);
+  EXPECT_EQ(snapshot.ValueOr("a", 99), 0u);
+  EXPECT_EQ(snapshot.ValueOr("b", 99), 0u);
+  EXPECT_EQ(registry.size(), 2u);  // bindings survive a reset
 }
 
 TEST(MetricSet, SnapshotDiffWindow) {
   Registry registry;
-  Counter a = registry.RegisterCounter("a");
-  Counter b = registry.RegisterCounter("b");
-  a.Increment(10);
+  std::uint64_t a = 0;
+  std::uint64_t b = 0;
+  registry.RegisterExternal("a", &a);
+  registry.RegisterExternal("b", &b);
+  a += 10;
   const MetricSet before = registry.Snapshot();
-  a.Increment(5);
-  b.Increment(2);
+  a += 5;
+  b += 2;
   const MetricSet delta = registry.Snapshot().Diff(before);
   EXPECT_EQ(delta.ValueOr("a", 99), 5u);
   EXPECT_EQ(delta.ValueOr("b", 99), 2u);
 }
 
 TEST(MetricSet, PrefixAndSuffixQueries) {
-  MetricSet set(std::vector<Sample>{{"cbt.router.1.joins_originated", 3},
-                                    {"cbt.router.2.joins_originated", 4},
-                                    {"netsim.subnet.0.frames_sent", 9}});
+  Registry registry;
+  std::uint64_t joins1 = 3;
+  std::uint64_t joins2 = 4;
+  std::uint64_t frames = 9;
+  registry.RegisterExternal("cbt.router.1.joins_originated", &joins1);
+  registry.RegisterExternal("cbt.router.2.joins_originated", &joins2);
+  registry.RegisterExternal("netsim.subnet.0.frames_sent", &frames);
+  const MetricSet set = registry.Snapshot();
   EXPECT_EQ(set.WithPrefix("cbt.router.").size(), 2u);
   EXPECT_EQ(set.SumWithSuffix(".joins_originated"), 7u);
   EXPECT_FALSE(set.Get("missing").has_value());
@@ -154,6 +114,17 @@ TEST(MetricSet, SnapshotIsNameSorted) {
     EXPECT_LE(previous, sample.name);
     previous = sample.name;
   }
+  // A registry snapshot is name-sorted whatever the registration order.
+  Registry registry;
+  std::uint64_t z = 1;
+  std::uint64_t a = 2;
+  std::uint64_t m = 3;
+  registry.RegisterExternal("zebra", &z);
+  registry.RegisterExternal("apple", &a);
+  registry.RegisterExternal("mid", &m);
+  std::vector<std::string> names;
+  for (const Sample& sample : registry.Snapshot()) names.push_back(sample.name);
+  EXPECT_EQ(names, (std::vector<std::string>{"apple", "mid", "zebra"}));
 }
 
 TEST(BindStats, RouterStatsFieldsAppearAndSum) {

@@ -1,5 +1,5 @@
 // Unit tests for the deterministic trace layer: ring wrap + dropped
-// accounting, level gating, JSONL / Chrome trace_event export goldens,
+// accounting, level gating, Chrome trace_event export goldens,
 // and the determinism contract — a simulation traced at the most verbose
 // level must leave protocol outcomes identical to an untraced run.
 #include "obs/trace.h"
@@ -87,61 +87,27 @@ TEST(TraceBuffer, ClearResetsRetainedNotHistory) {
   EXPECT_EQ(buffer.size(), 0u);
 }
 
-TEST(TraceExport, JsonlGolden) {
-  TraceBuffer buffer(8, TraceLevel::kVerbose);
-  buffer.Emit(TraceEvent{.time = 1500,
-                         .kind = TraceKind::kFsm,
-                         .phase = TracePhase::kBegin,
-                         .name = "join",
-                         .node = 3,
-                         .group = Ipv4Address(239, 1, 2, 3),
-                         .arg_a = 7,
-                         .arg_b = 0,
-                         .txn = 42,
-                         .detail = "test"});
-  std::ostringstream os;
-  buffer.ExportJsonl(os);
-  const std::string text = os.str();
-  // A leading metadata line with the ring accounting, then one line per
-  // event with parseable fields in a stable order.
-  const std::size_t split = text.find('\n');
-  ASSERT_NE(split, std::string::npos);
-  const std::string meta = text.substr(0, split);
-  const std::string line = text.substr(split + 1);
-  EXPECT_NE(meta.find("\"meta\":{"), std::string::npos) << meta;
-  EXPECT_NE(meta.find("\"emitted\":1"), std::string::npos) << meta;
-  EXPECT_NE(meta.find("\"dropped\":0"), std::string::npos) << meta;
-  EXPECT_NE(line.find("\"seq\":0"), std::string::npos) << line;
-  EXPECT_NE(line.find("\"cat\":\"fsm\""), std::string::npos) << line;
-  EXPECT_NE(line.find("\"name\":\"join\""), std::string::npos) << line;
-  EXPECT_NE(line.find("\"node\":3"), std::string::npos) << line;
-  EXPECT_NE(line.find("239.1.2.3"), std::string::npos) << line;
-  EXPECT_NE(line.find("\"txn\":42"), std::string::npos) << line;
-  EXPECT_NE(line.find("\"detail\":\"test\""), std::string::npos) << line;
-  EXPECT_EQ(line.back(), '\n');
-  EXPECT_EQ(std::count(line.begin(), line.end(), '\n'), 1);
-}
-
 TEST(TraceExport, OverflowAccountingInExports) {
-  // 10 events into a 4-slot ring: the exports must say so, so a consumer
+  // 10 events into a 4-slot ring: the export must say so, so a consumer
   // can distinguish "no event" from "event evicted".
   TraceBuffer buffer(4, TraceLevel::kVerbose);
   for (int i = 0; i < 10; ++i) {
     buffer.Emit(Marker(i, "e"));
   }
-  std::ostringstream jsonl;
-  buffer.ExportJsonl(jsonl);
-  const std::string meta = jsonl.str().substr(0, jsonl.str().find('\n'));
+  std::ostringstream chrome;
+  buffer.ExportChromeTrace(chrome, /*pid=*/2);
+  const std::string json = chrome.str();
+  const std::size_t other = json.find("\"otherData\"");
+  ASSERT_NE(other, std::string::npos) << json;
+  const std::string meta = json.substr(other);
+  EXPECT_NE(meta.find("\"pid\":2,"), std::string::npos) << meta;
   EXPECT_NE(meta.find("\"emitted\":10"), std::string::npos) << meta;
   EXPECT_NE(meta.find("\"retained\":4"), std::string::npos) << meta;
   EXPECT_NE(meta.find("\"dropped\":6"), std::string::npos) << meta;
   EXPECT_NE(meta.find("\"first_seq\":6"), std::string::npos) << meta;
-
-  std::ostringstream chrome;
-  buffer.ExportChromeTrace(chrome, /*pid=*/2);
-  const std::string json = chrome.str();
-  EXPECT_NE(json.find("\"otherData\""), std::string::npos) << json;
-  EXPECT_NE(json.find("\"dropped\":6"), std::string::npos) << json;
+  // Only the retained tail is exported, numbered from first_seq.
+  EXPECT_EQ(json.find("\"seq\":5,"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"seq\":6,"), std::string::npos) << json;
   EXPECT_EQ(std::count(json.begin(), json.end(), '{'),
             std::count(json.begin(), json.end(), '}'));
   EXPECT_EQ(std::count(json.begin(), json.end(), '['),
@@ -154,7 +120,12 @@ TEST(TraceExport, ChromeTraceGolden) {
                          .kind = TraceKind::kFsm,
                          .phase = TracePhase::kBegin,
                          .name = "join",
-                         .node = 5});
+                         .node = 5,
+                         .group = Ipv4Address(239, 1, 2, 3),
+                         .arg_a = 7,
+                         .arg_b = 1,
+                         .txn = 42,
+                         .detail = "test"});
   buffer.Emit(TraceEvent{.time = 9000,
                          .kind = TraceKind::kFsm,
                          .phase = TracePhase::kEnd,
@@ -168,8 +139,20 @@ TEST(TraceExport, ChromeTraceGolden) {
   EXPECT_NE(json.find("\"ph\":\"E\""), std::string::npos) << json;
   EXPECT_NE(json.find("\"pid\":1"), std::string::npos) << json;
   EXPECT_NE(json.find("\"tid\":5"), std::string::npos) << json;
-  // Balanced braces/brackets as a cheap well-formedness proxy (the CI
-  // bench-smoke step json.load()s a real exported file).
+  // The begin event carries every optional field in its args, in a
+  // stable order; the end event sets none of them.
+  EXPECT_NE(json.find("{\"name\":\"join\",\"cat\":\"fsm\",\"ph\":\"B\","
+                      "\"ts\":2000,\"pid\":1,\"tid\":5,\"args\":{\"seq\":0,"
+                      "\"group\":\"239.1.2.3\",\"a\":7,\"b\":1,\"txn\":42,"
+                      "\"detail\":\"test\"}}"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"ts\":9000,\"pid\":1,\"tid\":5,\"args\":{\"seq\":1,"
+                      "\"a\":0,\"b\":0}}"),
+            std::string::npos)
+      << json;
+  // Balanced braces/brackets as a cheap well-formedness proxy (the
+  // trace-file rows of the golden digest table parse a real export).
   EXPECT_EQ(std::count(json.begin(), json.end(), '{'),
             std::count(json.begin(), json.end(), '}'));
   EXPECT_EQ(std::count(json.begin(), json.end(), '['),
