@@ -4,8 +4,8 @@
 # A row runs one command in WORK_DIR, requires its exit code (0 unless
 # EXIT says otherwise) and compares the SHA-256 of its stdout with the
 # committed digest of its class in tests/golden/digests.json. A row that
-# names a FILE (the BENCH json the command writes) also compares that
-# file's SHA-256 with the class "<class>.json". Rows that share a class
+# names a FILE (any file the command writes: its BENCH json, a trace)
+# also compares that file's SHA-256 with the class "<class>.json". Rows that share a class
 # are a differential: "--jobs 4 prints what --jobs 1 prints" is "both
 # print the class's digest". The digests pin the simulated results
 # themselves, so a rewrite is checked against the committed bytes rather
@@ -206,9 +206,12 @@ elseif(GROUP STREQUAL "bench_pdes_differential")
   row(chaos_soak_shards_with_jobs ${soak} --smoke --shards 2 --jobs 2 EXIT 2)
 
 elseif(GROUP STREQUAL "bench_trace_differential")
-  # Tracing is record-only: --trace leaves stdout byte-identical.
+  # Tracing is record-only: --trace leaves stdout byte-identical. The
+  # trace files themselves are pinned too, so a change that reorders or
+  # drops a trace event fails here even when stdout does not move.
   row(chaos_soak_smoke_e6 ${soak} --smoke --events 6)
-  row(chaos_soak_smoke_e6 ${soak} --smoke --events 6 --trace soak.trace.json)
+  row(chaos_soak_smoke_e6 ${soak} --smoke --events 6 --trace soak.trace.json
+    FILE soak.trace.json)
   foreach(seed 1 2)
     row(chaos_soak_r9_e6_seed${seed}
       ${soak} --seed ${seed} --events 6 --routers 9 --csv)
@@ -218,7 +221,11 @@ elseif(GROUP STREQUAL "bench_trace_differential")
       FILE soak${seed}.json)
   endforeach()
   row(join_latency_csv ${join})
-  row(join_latency_csv ${join} --trace join.trace.json)
+  row(join_latency_csv ${join} --trace join.trace.json FILE join.trace.json)
+  # The one small run whose trace holds core-demoted and reconciled
+  # core-anchored events (live core migration).
+  row(core_placement_smoke_locality_trace ${placement} --smoke --repeat 2
+    --seed 1 --placement locality --trace cp.trace.json FILE cp.trace.json)
   require_chrome_trace(soak1.trace.json)
   require_chrome_trace(join.trace.json)
 
