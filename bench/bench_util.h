@@ -183,8 +183,6 @@ class Options {
       }
     }
     if (repeat < 1) Fail("--repeat expects a positive count");
-    if (jobs < 0) Fail("--jobs expects a nonnegative thread count");
-    if (shards < 0) Fail("--shards expects a nonnegative region count");
     if (shards > 1 && jobs > 1) {
       Fail("--shards and --jobs cannot both be > 1: a sharded simulation "
            "already fans out across the cores");
@@ -218,12 +216,11 @@ class Options {
   static bool IsDigit(char c) { return c >= '0' && c <= '9'; }
 
   // std::stoi/stoull skip leading blanks and stoull negates a leading
-  // '-', so a value must start with a digit ('-' too, for ints) to be
-  // accepted: " -1" is no more a uint64 than "-1" is.
+  // '-', so a value must start with a digit to be accepted: " -1" is no
+  // more a uint64 than "-1" is. Every Int flag is a count, so ints take
+  // the same rule and a negative count is rejected here.
   static bool ParseInt(const std::string& text, int* out) {
-    if (text.empty() || !(IsDigit(text.front()) || text.front() == '-')) {
-      return false;
-    }
+    if (text.empty() || !IsDigit(text.front())) return false;
     try {
       std::size_t pos = 0;
       const int v = std::stoi(text, &pos);

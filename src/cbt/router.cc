@@ -30,6 +30,13 @@ void PatchTtlBytes(std::span<std::uint8_t> bytes, std::uint8_t ttl) {
   bytes[11] = static_cast<std::uint8_t>(sum);
 }
 
+/// True if the echo `pkt` covers `group`: its own group, or for an
+/// aggregated echo the Figure 9 range (mask 0 covers every group).
+bool EchoCovers(const ControlPacket& pkt, Ipv4Address group) {
+  if (!pkt.aggregate) return group == pkt.group;
+  return (group.bits() & pkt.group_mask) == (pkt.group.bits() & pkt.group_mask);
+}
+
 }  // namespace
 
 CbtRouter::CbtRouter(netsim::Simulator& sim, NodeId self,
@@ -109,22 +116,18 @@ void CbtRouter::OnDatagram(VifIndex vif, Ipv4Address /*link_src*/,
       HandleControl(vif, ip, *control);
       return;
     }
-    case IpProtocol::kCbt: {
-      const std::uint64_t stage = StageClockStart();
-      HandleCbtData(vif, ip, datagram);
-      StageClockStop(stage);
+    case IpProtocol::kCbt:
+      TimeStage([&] { HandleCbtData(vif, ip, datagram); });
       return;
-    }
-    default: {
-      const std::uint64_t stage = StageClockStart();
-      if (ip.dst.IsMulticast()) {
-        if (!ip.dst.IsLinkLocalMulticast()) HandleNativeData(vif, ip, datagram);
-      } else if (!OwnsAddress(ip.dst)) {
-        ForwardUnicast(ip, datagram);
-      }
-      StageClockStop(stage);
+    default:
+      TimeStage([&] {
+        if (!ip.dst.IsMulticast()) {
+          if (!OwnsAddress(ip.dst)) ForwardUnicast(ip, datagram);
+        } else if (!ip.dst.IsLinkLocalMulticast()) {
+          HandleNativeData(vif, ip, datagram);
+        }
+      });
       return;
-    }
   }
 }
 
@@ -177,7 +180,7 @@ void CbtRouter::HandleJoinRequest(VifIndex vif, const packet::Ipv4Header& ip,
                                   const ControlPacket& pkt) {
   ++stats_.joins_received;
   if (pkt.join_subcode() == JoinSubcode::kRejoinNactive) {
-    HandleRejoinNactive(vif, ip, pkt);
+    HandleRejoinNactive(pkt);
     return;
   }
 
@@ -213,28 +216,10 @@ void CbtRouter::HandleJoinRequest(VifIndex vif, const packet::Ipv4Header& ip,
 
   if (anchored) {
     // Already on-tree: terminate the join here (section 2.2).
-    const bool convert =
-        pkt.join_subcode() == JoinSubcode::kRejoinActive && !entry->is_core &&
-        !OwnsAddress(pkt.target_core);
-    TerminateJoin(vif, ip, pkt, *entry);
-    if (convert && entry->HasParent()) {
-      // Section 6.3: first on-tree router converts a REJOIN-ACTIVE to
-      // REJOIN-NACTIVE, keeps the origin, inserts its own address in the
-      // core-address field, and forwards over its parent interface.
-      ++stats_.rejoins_converted;
-      OBS_TRACE(sim_->trace(), .time = sim_->Now(),
-                .kind = obs::TraceKind::kFsm, .name = "rejoin-converted",
-                .node = self_.value(), .group = group);
-      ControlPacket nactive;
-      nactive.type = ControlType::kJoinRequest;
-      nactive.code = static_cast<std::uint8_t>(JoinSubcode::kRejoinNactive);
-      nactive.group = group;
-      nactive.origin = pkt.origin;
-      nactive.target_core = VifAddress(entry->parent_vif);
-      nactive.cores = pkt.cores;
-      ++stats_.joins_forwarded;
-      SendControl(entry->parent_vif, entry->parent_address,
-                  entry->parent_address, nactive);
+    TerminateJoin(requester, pkt, *entry);
+    if (pkt.join_subcode() == JoinSubcode::kRejoinActive &&
+        !OwnsAddress(pkt.target_core)) {
+      SendRejoinNactive(*entry, pkt.origin, pkt.cores);
     }
     return;
   }
@@ -245,19 +230,9 @@ void CbtRouter::HandleJoinRequest(VifIndex vif, const packet::Ipv4Header& ip,
       // directory dropped us from the group (core-list replacement). Do
       // not re-assume the anchor role — nack so the requester re-elects
       // from the current mapping instead of resurrecting the old tree.
-      bool still_listed = false;
-      for (const Ipv4Address& c : directory_->CoresFor(group)) {
-        if (OwnsAddress(c)) still_listed = true;
-      }
-      if (!still_listed) {
-        ControlPacket nack;
-        nack.type = ControlType::kJoinNack;
-        nack.group = group;
-        nack.origin = pkt.origin;
-        nack.target_core = pkt.target_core;
-        nack.cores = directory_->CoresFor(group);
-        ++stats_.nacks_sent;
-        SendControl(vif, ip.src, ip.src, nack);
+      if (OwnedCore(directory_->CoresFor(group)).IsUnspecified()) {
+        SendNackTo(requester, group, pkt.target_core,
+                   directory_->CoresFor(group));
         return;
       }
     }
@@ -265,53 +240,27 @@ void CbtRouter::HandleJoinRequest(VifIndex vif, const packet::Ipv4Header& ip,
     // a JOIN-REQUEST". Install as tree (sub)root.
     FibEntry& core_entry = fib_.Create(group);
     core_entry.cores.assign(pkt.cores.begin(), pkt.cores.end());
-    core_entry.affiliation = pkt.target_core;
-    core_entry.is_core = true;
-    core_entry.is_primary_core =
-        !pkt.cores.empty() && OwnsAddress(pkt.cores.front());
-    core_entry.Touch();
-    OBS_TRACE(sim_->trace(), .time = sim_->Now(),
-              .kind = obs::TraceKind::kFsm, .name = "core-anchored",
-              .node = self_.value(), .group = group,
-              .arg_a = core_entry.is_primary_core ? 1u : 0u);
-    TerminateJoin(vif, ip, pkt, core_entry);
-    if (!core_entry.is_primary_core) {
-      // Non-primary core: ack first, then join the primary (section 2.5).
-      CoreRejoinPrimary(core_entry);
-    }
+    AnchorAsCore(core_entry, pkt.target_core,
+                 !pkt.cores.empty() && OwnsAddress(pkt.cores.front()));
+    TerminateJoin(requester, pkt, core_entry);
+    // Non-primary core: ack first, then join the primary (section 2.5).
+    CoreRejoinPrimary(core_entry);
     return;
   }
 
-  // Off-tree transit router: create transient state and forward.
-  auto p = std::make_unique<PendingJoin>();
-  p->group = group;
-  p->cores.assign(pkt.cores.begin(), pkt.cores.end());
-  p->target_core = pkt.target_core;
-  const auto core_pos =
-      std::find(p->cores.begin(), p->cores.end(), pkt.target_core);
-  p->core_index = core_pos == p->cores.end()
-                      ? 0
-                      : static_cast<std::size_t>(core_pos - p->cores.begin());
-  p->subcode = pkt.join_subcode();
-  p->origin = pkt.origin;
-  p->locally_originated = false;
-  p->started = sim_->Now();
-  p->core_attempt_started = sim_->Now();
-  p->requesters.push_back(requester);
-  p->rtx_timer.BindTo(*sim_);
-  p->expire_timer.BindTo(*sim_);
-  PendingJoin& ref = *p;
-  pending_[group] = std::move(p);
-  ++stats_.joins_forwarded;
+  // Off-tree transit router: create transient state and forward. Only a
+  // locally originated join elects another core, so core_index stays 0.
+  PendingJoin& ref = AddPendingJoin(
+      group, std::vector<Ipv4Address>(pkt.cores.begin(), pkt.cores.end()), 0,
+      pkt.target_core, pkt.join_subcode(), pkt.origin,
+      /*locally_originated=*/false);
+  ref.requesters.push_back(requester);
   if (!ForwardJoin(ref)) {
     PendingJoinFailed(group);
   }
 }
 
-void CbtRouter::HandleRejoinNactive(VifIndex vif, const packet::Ipv4Header& ip,
-                                    const ControlPacket& pkt) {
-  (void)vif;
-  (void)ip;
+void CbtRouter::HandleRejoinNactive(const ControlPacket& pkt) {
   const Ipv4Address group = pkt.group;
 
   if (OwnsAddress(pkt.origin)) {
@@ -327,40 +276,25 @@ void CbtRouter::HandleRejoinNactive(VifIndex vif, const packet::Ipv4Header& ip,
               .kind = obs::TraceKind::kFsm, .name = "loop-detected",
               .node = self_.value(), .group = group,
               .arg_a = entry != nullptr ? 1u : 0u);
-    const auto quit_toward = [&](VifIndex out_vif, Ipv4Address parent) {
-      ControlPacket quit;
-      quit.type = ControlType::kQuitRequest;
-      quit.group = group;
-      quit.origin = primary_address_;
-      quit.target_core = parent;
-      ++stats_.quits_sent;
-      SendControl(out_vif, parent, parent, quit);
-    };
     if (entry != nullptr && entry->HasParent()) {
-      quit_toward(entry->parent_vif, entry->parent_address);
+      SendQuitTo(group, entry->parent_vif, entry->parent_address);
       entry->parent_address = Ipv4Address{};
       entry->parent_vif = kInvalidVif;
       entry->Touch();
     } else if (const auto it = pending_.find(group); it != pending_.end()) {
       // Ack not yet back: cancel the transient join so the late ack is
       // ignored, and tell the upstream hop to drop the branch it built.
-      quit_toward(it->second->upstream_vif, it->second->upstream_next_hop);
+      SendQuitTo(group, it->second->upstream_vif,
+                 it->second->upstream_next_hop);
       if (it->second->locally_originated) {
-        OBS_TRACE(sim_->trace(), .time = sim_->Now(),
-                  .kind = obs::TraceKind::kFsm,
-                  .phase = obs::TracePhase::kEnd, .name = "join",
-                  .node = self_.value(), .group = group,
-                  .txn = it->second->txn, .detail = "loop-abort");
+        EndSpan("join", group, it->second->txn, "loop-abort");
       }
       pending_.erase(it);
     }
     // "It then attempts to re-join again" (-02 section 5.3); retry after a
     // backoff so unicast routing has a chance to reconverge.
-    sim_->Schedule(config_.pend_join_interval, [this, group] {
-      if (fib_.Find(group) != nullptr && !pending_.contains(group)) {
-        StartReconnect(group);
-      }
-    });
+    sim_->Schedule(config_.pend_join_interval,
+                   [this, group] { StartReconnect(group); });
     if (callbacks_.on_loop_detected) callbacks_.on_loop_detected(group);
     return;
   }
@@ -396,23 +330,32 @@ void CbtRouter::HandleRejoinNactive(VifIndex vif, const packet::Ipv4Header& ip,
     return;
   }
 
-  if (entry->HasParent()) {
-    // Loop-detection packet continues up the tree unchanged.
-    ++stats_.joins_forwarded;
-    ControlPacket fwd = pkt;
-    SendControl(entry->parent_vif, entry->parent_address,
-                entry->parent_address, fwd);
-  }
+  // Attached non-primary router: the loop-detection packet continues up
+  // the tree unchanged.
+  ++stats_.joins_forwarded;
+  SendControl(entry->parent_vif, entry->parent_address, entry->parent_address,
+              pkt);
 }
 
-void CbtRouter::TerminateJoin(VifIndex vif, const packet::Ipv4Header& ip,
+void CbtRouter::TerminateJoin(const DownstreamRequester& req,
                               const ControlPacket& pkt, FibEntry& entry) {
   if (entry.cores.empty() && !pkt.cores.empty()) {
     entry.cores.assign(pkt.cores.begin(), pkt.cores.end());
     entry.Touch();
   }
-  SendAckTo(DownstreamRequester{vif, ip.src, pkt.origin, pkt.join_subcode()},
-            entry);
+  SendAckTo(req, entry);
+}
+
+void CbtRouter::AnchorAsCore(FibEntry& entry, Ipv4Address affiliation,
+                             bool primary, const char* detail) {
+  entry.affiliation = affiliation;
+  entry.is_core = true;
+  entry.is_primary_core = primary;
+  entry.Touch();
+  OBS_TRACE(sim_->trace(), .time = sim_->Now(), .kind = obs::TraceKind::kFsm,
+            .name = "core-anchored", .node = self_.value(),
+            .group = entry.group, .arg_a = primary ? 1u : 0u,
+            .detail = detail);
 }
 
 bool CbtRouter::ShouldProxyAck(const DownstreamRequester& req) const {
@@ -460,32 +403,54 @@ void CbtRouter::SendAckTo(const DownstreamRequester& req, FibEntry& entry) {
   SendControl(req.vif, req.from, req.from, ack);
 }
 
+void CbtRouter::SendNackTo(const DownstreamRequester& req, Ipv4Address group,
+                           Ipv4Address target_core,
+                           std::span<const Ipv4Address> cores) {
+  ControlPacket nack;
+  nack.type = ControlType::kJoinNack;
+  nack.group = group;
+  nack.origin = req.origin;
+  nack.target_core = target_core;
+  nack.cores = cores;
+  ++stats_.nacks_sent;
+  SendControl(req.vif, req.from, req.from, nack);
+}
+
+void CbtRouter::SendRejoinNactive(const FibEntry& entry, Ipv4Address origin,
+                                  std::span<const Ipv4Address> cores) {
+  // Section 6.3: the first on-tree router converts a REJOIN-ACTIVE to
+  // REJOIN-NACTIVE, keeps the origin, inserts its own address in the
+  // core-address field, and forwards over its parent interface. A core,
+  // or a router with no parent to forward over, does not convert.
+  if (entry.is_core || !entry.HasParent()) return;
+  ++stats_.rejoins_converted;
+  OBS_TRACE(sim_->trace(), .time = sim_->Now(), .kind = obs::TraceKind::kFsm,
+            .name = "rejoin-converted", .node = self_.value(),
+            .group = entry.group);
+  ControlPacket nactive;
+  nactive.type = ControlType::kJoinRequest;
+  nactive.code = static_cast<std::uint8_t>(JoinSubcode::kRejoinNactive);
+  nactive.group = entry.group;
+  nactive.origin = origin;
+  nactive.target_core = VifAddress(entry.parent_vif);
+  nactive.cores = cores;
+  ++stats_.joins_forwarded;
+  SendControl(entry.parent_vif, entry.parent_address, entry.parent_address,
+              nactive);
+}
+
 void CbtRouter::AckRequesters(PendingJoin& pending, FibEntry& entry) {
   for (const DownstreamRequester& req : pending.requesters) {
     SendAckTo(req, entry);
     if (req.subcode == JoinSubcode::kRejoinActive &&
-        pending.subcode != JoinSubcode::kRejoinActive && !entry.is_core &&
-        entry.HasParent()) {
+        pending.subcode != JoinSubcode::kRejoinActive) {
       // A cached rejoin resolved here while the join we ourselves
       // forwarded was a plain ACTIVE-JOIN: no upstream router saw the
       // rejoin, so the loop-detection conversion must happen here. (When
       // the forwarded join was itself a REJOIN-ACTIVE, the terminating
       // router already converted it — converting again would duplicate
       // the NACTIVE probe.)
-      ++stats_.rejoins_converted;
-      OBS_TRACE(sim_->trace(), .time = sim_->Now(),
-                .kind = obs::TraceKind::kFsm, .name = "rejoin-converted",
-                .node = self_.value(), .group = entry.group);
-      ControlPacket nactive;
-      nactive.type = ControlType::kJoinRequest;
-      nactive.code = static_cast<std::uint8_t>(JoinSubcode::kRejoinNactive);
-      nactive.group = entry.group;
-      nactive.origin = req.origin;
-      nactive.target_core = VifAddress(entry.parent_vif);
-      nactive.cores = entry.cores;
-      ++stats_.joins_forwarded;
-      SendControl(entry.parent_vif, entry.parent_address,
-                  entry.parent_address, nactive);
+      SendRejoinNactive(entry, req.origin, entry.cores);
     }
   }
   pending.requesters.clear();
@@ -507,26 +472,17 @@ void CbtRouter::HandleJoinAck(VifIndex vif, const packet::Ipv4Header& ip,
   if (vif != p.upstream_vif || ip.src != p.upstream_next_hop) {
     return;  // not from the hop we joined through
   }
+  const bool locally = p.locally_originated;
+  const bool was_reconnect = p.reconnect;
+  const std::uint64_t txn = p.txn;
 
   if (pkt.ack_subcode() == AckSubcode::kProxyAck) {
     ++stats_.proxy_acks_received;
     // Section 2.6: cancel all transient state; the sender is now G-DR.
     proxied_groups_[group] = sim_->Now();
     ++dataplane_epoch_;
-    const bool fire = p.locally_originated;
-    const std::uint64_t txn = p.txn;
     pending_.erase(it);
-    if (fire) {
-      OBS_TRACE(sim_->trace(), .time = sim_->Now(),
-                .kind = obs::TraceKind::kFsm,
-                .phase = obs::TracePhase::kEnd, .name = "join",
-                .node = self_.value(), .group = group, .txn = txn,
-                .detail = "proxy-acked");
-      NotifyHostsJoined(group);
-      if (callbacks_.on_group_established) {
-        callbacks_.on_group_established(group);
-      }
-    }
+    if (locally) JoinEstablished(group, txn, "proxy-acked");
     return;
   }
 
@@ -542,21 +498,15 @@ void CbtRouter::HandleJoinAck(VifIndex vif, const packet::Ipv4Header& ip,
   entry.parent_vif = vif;
   entry.Touch();
   entry.last_parent_reply = sim_->Now();
-  for (const Ipv4Address& c : entry.cores) {
-    if (OwnsAddress(c)) entry.is_core = true;
-  }
+  const Ipv4Address owned = OwnedCore(entry.cores);
+  if (!owned.IsUnspecified()) entry.is_core = true;
   entry.is_primary_core =
       !entry.cores.empty() && OwnsAddress(entry.cores.front());
   if (!entry.is_core) {
     // Adopt the upstream's core affiliation; a core keeps its own.
     entry.affiliation = pkt.target_core;
   } else if (entry.affiliation.IsUnspecified()) {
-    for (const Ipv4Address& c : entry.cores) {
-      if (OwnsAddress(c)) {
-        entry.affiliation = c;
-        break;
-      }
-    }
+    entry.affiliation = owned;
   }
   // The attach event proper: every router (transit or originator) that
   // gains a parent via an ack emits one, before any child-added events it
@@ -566,55 +516,42 @@ void CbtRouter::HandleJoinAck(VifIndex vif, const packet::Ipv4Header& ip,
             .name = "branch-up", .node = self_.value(), .group = group,
             .arg_a = ip.src.bits(), .txn = p.txn);
 
-  const bool was_reconnect = p.reconnect;
-  const bool locally = p.locally_originated;
   AckRequesters(p, entry);
   // Re-emit loop probes that were waiting for us to gain a parent.
   const std::vector<ControlPacket> deferred =
       std::move(p.deferred_nactives);
-  const std::uint64_t txn = p.txn;
   pending_.erase(it);
   for (const ControlPacket& probe : deferred) {
-    HandleRejoinNactive(entry.parent_vif, ip, probe);
+    HandleRejoinNactive(probe);
   }
 
   // "Immediately subsequent to a parent/child relationship being
   // established, a child unicasts a CBT-ECHO-REQUEST to its parent."
-  ControlPacket echo;
-  echo.type = ControlType::kEchoRequest;
-  echo.group = group;
-  echo.origin = VifAddress(entry.parent_vif);
-  ++stats_.echo_requests_sent;
-  SendControl(entry.parent_vif, entry.parent_address, entry.parent_address,
-              echo);
+  SendEchoRequest(entry, VifAddress(entry.parent_vif));
 
-  if (locally) {
-    OBS_TRACE(sim_->trace(), .time = sim_->Now(),
-              .kind = obs::TraceKind::kFsm, .phase = obs::TracePhase::kEnd,
-              .name = "join", .node = self_.value(), .group = group,
-              .txn = txn,
-              .detail = was_reconnect ? "reconnected" : "established");
-    if (was_reconnect) {
-      ++stats_.reconnects_succeeded;
-      if (callbacks_.on_reconnected) callbacks_.on_reconnected(group);
-    } else {
-      NotifyHostsJoined(group);
-      if (callbacks_.on_group_established) {
-        callbacks_.on_group_established(group);
-      }
-    }
+  if (!locally) return;
+  if (was_reconnect) {
+    EndSpan("join", group, txn, "reconnected");
+    ++stats_.reconnects_succeeded;
+    if (callbacks_.on_reconnected) callbacks_.on_reconnected(group);
+  } else {
+    JoinEstablished(group, txn, "established");
   }
 }
 
-void CbtRouter::NotifyHostsJoined(Ipv4Address group) {
-  if (!config_.notify_hosts_on_join) return;
+void CbtRouter::JoinEstablished(Ipv4Address group, std::uint64_t txn,
+                                const char* outcome) {
+  EndSpan("join", group, txn, outcome);
   // Section 2.5 (-03) proposal: tell waiting member hosts the tree is up.
-  for (const VifIndex vif : igmp_.MemberVifs(group)) {
-    IgmpMessage note;
-    note.type = packet::IgmpType::kJoinConfirmation;
-    note.group = group;
-    SendIgmp(vif, group, note);
+  if (config_.notify_hosts_on_join) {
+    for (const VifIndex vif : igmp_.MemberVifs(group)) {
+      IgmpMessage note;
+      note.type = packet::IgmpType::kJoinConfirmation;
+      note.group = group;
+      SendIgmp(vif, group, note);
+    }
   }
+  if (callbacks_.on_group_established) callbacks_.on_group_established(group);
 }
 
 void CbtRouter::HandleJoinNack(VifIndex /*vif*/, const packet::Ipv4Header& ip,
@@ -625,16 +562,7 @@ void CbtRouter::HandleJoinNack(VifIndex /*vif*/, const packet::Ipv4Header& ip,
   PendingJoin& p = *it->second;
   if (ip.src != p.upstream_next_hop) return;
 
-  if (p.locally_originated && p.cores.size() > 1) {
-    // Try the remaining candidate cores in order.
-    for (std::size_t attempt = 1; attempt < p.cores.size(); ++attempt) {
-      p.core_index = (p.core_index + 1) % p.cores.size();
-      p.target_core = p.cores[p.core_index];
-      p.core_attempt_started = sim_->Now();
-      if (!OwnsAddress(p.target_core) && ForwardJoin(p)) return;
-    }
-  }
-  PendingJoinFailed(pkt.group);
+  TryOtherCores(p);
 }
 
 // ---------------------------------------------------------------------------
@@ -657,65 +585,81 @@ void CbtRouter::StartJoin(Ipv4Address group, std::vector<Ipv4Address> cores,
     // We are the target core ourselves: instant tree (sub)root.
     FibEntry& entry = fib_.Create(group);
     if (entry.cores.empty()) entry.cores = cores;
-    entry.affiliation = target;
-    entry.is_core = true;
-    entry.is_primary_core = OwnsAddress(cores.front());
-    entry.Touch();
-    OBS_TRACE(sim_->trace(), .time = sim_->Now(),
-              .kind = obs::TraceKind::kFsm, .name = "core-anchored",
-              .node = self_.value(), .group = group,
-              .arg_a = entry.is_primary_core ? 1u : 0u);
-    if (!entry.is_primary_core && !entry.HasParent()) {
-      CoreRejoinPrimary(entry);
-    }
+    AnchorAsCore(entry, target, OwnsAddress(cores.front()));
+    CoreRejoinPrimary(entry);
     if (!reconnect && callbacks_.on_group_established) {
       callbacks_.on_group_established(group);
     }
     return;
   }
 
-  auto p = std::make_unique<PendingJoin>();
-  p->group = group;
-  p->cores = std::move(cores);
-  p->core_index = target_index;
-  p->target_core = target;
-  p->locally_originated = true;
-  p->reconnect = reconnect;
-  p->txn = NextTxn();
-  p->started = sim_->Now();
-  p->core_attempt_started = sim_->Now();
-  p->rtx_timer.BindTo(*sim_);
-  p->expire_timer.BindTo(*sim_);
-
   FibEntry* entry = fib_.Find(group);
-  p->subcode = (entry != nullptr && !entry->children.empty())
-                   ? JoinSubcode::kRejoinActive
-                   : JoinSubcode::kActiveJoin;
+  const JoinSubcode subcode = (entry != nullptr && !entry->children.empty())
+                                  ? JoinSubcode::kRejoinActive
+                                  : JoinSubcode::kActiveJoin;
 
   // Origin address selection: use the member LAN's address when the group
   // has exactly one local member subnet, so that the section 2.6 proxy-ack
   // check fires only when the join's first hop crosses that same LAN.
   const std::vector<VifIndex> member_vifs = igmp_.MemberVifs(group);
-  p->origin = member_vifs.size() == 1 ? VifAddress(member_vifs.front())
-                                      : primary_address_;
+  const Ipv4Address origin = member_vifs.size() == 1
+                                 ? VifAddress(member_vifs.front())
+                                 : primary_address_;
 
+  PendingJoin& ref = AddPendingJoin(group, std::move(cores), target_index,
+                                    target, subcode, origin,
+                                    /*locally_originated=*/true, reconnect);
+  if (!ForwardJoin(ref)) TryOtherCores(ref);
+}
+
+CbtRouter::PendingJoin& CbtRouter::AddPendingJoin(
+    Ipv4Address group, std::vector<Ipv4Address> cores, std::size_t core_index,
+    Ipv4Address target_core, JoinSubcode subcode, Ipv4Address origin,
+    bool locally_originated, bool reconnect, bool core_rejoin) {
+  auto p = std::make_unique<PendingJoin>();
+  p->group = group;
+  p->cores = std::move(cores);
+  p->core_index = core_index;
+  p->target_core = target_core;
+  p->subcode = subcode;
+  p->origin = origin;
+  p->locally_originated = locally_originated;
+  p->reconnect = reconnect;
+  p->core_rejoin = core_rejoin;
+  if (locally_originated) p->txn = NextTxn();
+  p->core_attempt_started = sim_->Now();
+  p->rtx_timer.BindTo(*sim_);
+  p->expire_timer.BindTo(*sim_);
   PendingJoin& ref = *p;
   pending_[group] = std::move(p);
+  if (!locally_originated) {
+    ++stats_.joins_forwarded;
+    return ref;
+  }
   ++stats_.joins_originated;
   OBS_TRACE(sim_->trace(), .time = sim_->Now(), .kind = obs::TraceKind::kFsm,
             .phase = obs::TracePhase::kBegin, .name = "join",
             .node = self_.value(), .group = group,
-            .arg_a = ref.target_core.bits(), .arg_b = reconnect ? 1u : 0u,
-            .txn = ref.txn);
+            .arg_a = ref.target_core.bits(),
+            .arg_b = core_rejoin ? 2u : (reconnect ? 1u : 0u), .txn = ref.txn);
+  return ref;
+}
+
+void CbtRouter::ElectNextCore(PendingJoin& p) {
+  p.core_index = (p.core_index + 1) % p.cores.size();
+  p.target_core = p.cores[p.core_index];
+  p.core_attempt_started = sim_->Now();
+}
+
+void CbtRouter::TryOtherCores(PendingJoin& p) {
   // Section 6.1: if a core is unreachable, "an alternate core is
   // arbitrarily elected from the core list" — cycle until one routes.
-  for (std::size_t attempt = 0; attempt < ref.cores.size(); ++attempt) {
-    if (!OwnsAddress(ref.target_core) && ForwardJoin(ref)) return;
-    ref.core_index = (ref.core_index + 1) % ref.cores.size();
-    ref.target_core = ref.cores[ref.core_index];
-    ref.core_attempt_started = sim_->Now();
+  for (std::size_t attempt = 1;
+       p.locally_originated && attempt < p.cores.size(); ++attempt) {
+    ElectNextCore(p);
+    if (!OwnsAddress(p.target_core) && ForwardJoin(p)) return;
   }
-  PendingJoinFailed(group);
+  PendingJoinFailed(p.group);
 }
 
 std::optional<routing::Route> CbtRouter::ResolveToward(Ipv4Address target) {
@@ -763,37 +707,12 @@ bool CbtRouter::ForwardJoin(PendingJoin& p) {
   // so flushing a child branch to route through it will re-converge.)
   if (FibEntry* entry = fib_.Find(p.group);
       entry != nullptr && entry->FindChild(route->next_hop) != nullptr) {
-    if (config_.mutation != ProtocolMutation::kSuppressFlush) {
-      OBS_TRACE(sim_->trace(), .time = sim_->Now(),
-                .kind = obs::TraceKind::kFsm, .name = "flush-sent",
-                .node = self_.value(), .group = p.group,
-                .arg_a = route->next_hop.bits(),
-                .arg_b = VifAddress(route->vif).bits());
-      ControlPacket flush;
-      flush.type = ControlType::kFlushTree;
-      flush.group = p.group;
-      flush.origin = primary_address_;
-      ++stats_.flushes_sent;
-      SendControl(route->vif, route->next_hop, route->next_hop, flush);
-    }
+    SendFlush(p.group, route->vif, route->next_hop);
     entry->RemoveChild(route->next_hop);
-    OBS_TRACE(sim_->trace(), .time = sim_->Now(),
-              .kind = obs::TraceKind::kFsm, .name = "child-removed",
-              .node = self_.value(), .group = p.group,
-              .arg_a = route->next_hop.bits(), .detail = "reconfigure");
+    TraceChildRemoved(p.group, route->next_hop, "reconfigure");
   }
 
-  p.upstream_vif = route->vif;
-  p.upstream_next_hop = route->next_hop;
-
-  ControlPacket join;
-  join.type = ControlType::kJoinRequest;
-  join.code = static_cast<std::uint8_t>(p.subcode);
-  join.group = p.group;
-  join.origin = p.origin;
-  join.target_core = p.target_core;
-  join.cores = p.cores;
-  SendControl(p.upstream_vif, p.upstream_next_hop, p.upstream_next_hop, join);
+  SendJoin(p, *route);
 
   const Ipv4Address group = p.group;
   p.rtx_timer.Schedule(config_.pend_join_interval,
@@ -805,6 +724,19 @@ bool CbtRouter::ForwardJoin(PendingJoin& p) {
   return true;
 }
 
+void CbtRouter::SendJoin(PendingJoin& p, const routing::Route& route) {
+  p.upstream_vif = route.vif;
+  p.upstream_next_hop = route.next_hop;
+  ControlPacket join;
+  join.type = ControlType::kJoinRequest;
+  join.code = static_cast<std::uint8_t>(p.subcode);
+  join.group = p.group;
+  join.origin = p.origin;
+  join.target_core = p.target_core;
+  join.cores = p.cores;
+  SendControl(p.upstream_vif, p.upstream_next_hop, p.upstream_next_hop, join);
+}
+
 void CbtRouter::RetransmitJoin(Ipv4Address group) {
   const auto it = pending_.find(group);
   if (it == pending_.end()) return;
@@ -814,26 +746,12 @@ void CbtRouter::RetransmitJoin(Ipv4Address group) {
       sim_->Now() - p.core_attempt_started >= config_.pend_join_timeout &&
       p.cores.size() > 1) {
     // PEND-JOIN-TIMEOUT: elect a different core (section 6.1).
-    p.core_index = (p.core_index + 1) % p.cores.size();
-    p.target_core = p.cores[p.core_index];
-    p.core_attempt_started = sim_->Now();
+    ElectNextCore(p);
   }
 
   ++stats_.join_retransmits;
-  ControlPacket join;
-  join.type = ControlType::kJoinRequest;
-  join.code = static_cast<std::uint8_t>(p.subcode);
-  join.group = p.group;
-  join.origin = p.origin;
-  join.target_core = p.target_core;
-  join.cores = p.cores;
   const auto route = ResolveToward(p.target_core);
-  if (route && route->vif != kInvalidVif) {
-    p.upstream_vif = route->vif;
-    p.upstream_next_hop = route->next_hop;
-    SendControl(p.upstream_vif, p.upstream_next_hop, p.upstream_next_hop,
-                join);
-  }
+  if (route && route->vif != kInvalidVif) SendJoin(p, *route);
   p.rtx_timer.Schedule(config_.pend_join_interval,
                        [this, group] { RetransmitJoin(group); });
 }
@@ -842,23 +760,11 @@ void CbtRouter::PendingJoinFailed(Ipv4Address group) {
   const auto it = pending_.find(group);
   if (it == pending_.end()) return;
   PendingJoin& p = *it->second;
-  if (p.locally_originated) {
-    OBS_TRACE(sim_->trace(), .time = sim_->Now(),
-              .kind = obs::TraceKind::kFsm, .phase = obs::TracePhase::kEnd,
-              .name = "join", .node = self_.value(), .group = group,
-              .txn = p.txn, .detail = "failed");
-  }
+  if (p.locally_originated) EndSpan("join", group, p.txn, "failed");
 
   // Propagate failure downstream so cached requesters stop waiting.
   for (const DownstreamRequester& req : p.requesters) {
-    ControlPacket nack;
-    nack.type = ControlType::kJoinNack;
-    nack.group = group;
-    nack.origin = req.origin;
-    nack.target_core = p.target_core;
-    nack.cores = p.cores;
-    ++stats_.nacks_sent;
-    SendControl(req.vif, req.from, req.from, nack);
+    SendNackTo(req, group, p.target_core, p.cores);
   }
 
   const bool was_reconnect = p.reconnect && p.locally_originated;
@@ -870,11 +776,7 @@ void CbtRouter::PendingJoinFailed(Ipv4Address group) {
     // anchoring the group and retry (ping-first) after a long backoff —
     // "the core tree is built on-demand".
     sim_->Schedule(config_.reconnect_timeout, [this, group] {
-      FibEntry* entry = fib_.Find(group);
-      if (entry != nullptr && entry->is_core && !entry->is_primary_core &&
-          !entry->HasParent() && !pending_.contains(group)) {
-        CoreRejoinPrimary(*entry);
-      }
+      if (FibEntry* entry = fib_.Find(group)) CoreRejoinPrimary(*entry);
     });
     return;
   }
@@ -883,14 +785,7 @@ void CbtRouter::PendingJoinFailed(Ipv4Address group) {
     ++stats_.reconnects_failed;
     // RECONNECT-TIMEOUT elapsed: give up, flush the subordinate branch so
     // downstream routers re-attach on their own (section 6.1 fallout).
-    if (FibEntry* entry = fib_.Find(group)) {
-      OBS_TRACE(sim_->trace(), .time = sim_->Now(),
-                .kind = obs::TraceKind::kFsm, .name = "teardown",
-                .node = self_.value(), .group = group,
-                .arg_b = entry->children.size(), .detail = "reconnect-failed");
-      SendFlushToChildren(*entry);
-    }
-    RemoveGroupState(group);
+    TearDown(group, "reconnect-failed");
   }
 }
 
@@ -934,8 +829,9 @@ void CbtRouter::Restart() {
 }
 
 void CbtRouter::CoreRejoinPrimary(FibEntry& entry) {
-  if (!alive_ || entry.cores.empty() || pending_.contains(entry.group) ||
-      core_pings_.contains(entry.group)) {
+  if (!alive_ || !entry.is_core || entry.is_primary_core ||
+      entry.HasParent() || entry.cores.empty() ||
+      pending_.contains(entry.group) || core_pings_.contains(entry.group)) {
     return;
   }
   // Probe first: the rejoin may have to flush a child branch to route
@@ -999,37 +895,17 @@ void CbtRouter::HandlePingReply(const ControlPacket& pkt) {
   if (it == core_pings_.end()) return;
   core_pings_.erase(it);
   FibEntry* entry = fib_.Find(pkt.group);
-  if (entry != nullptr && entry->is_core && !entry->is_primary_core &&
-      !entry->HasParent() && !pending_.contains(pkt.group)) {
-    LaunchCoreRejoin(*entry);
+  if (entry == nullptr || !entry->is_core || entry->is_primary_core ||
+      entry->HasParent() || pending_.contains(pkt.group)) {
+    return;
   }
-}
-
-void CbtRouter::LaunchCoreRejoin(FibEntry& entry) {
-  auto p = std::make_unique<PendingJoin>();
-  p->group = entry.group;
-  p->cores = entry.cores;
-  p->core_index = 0;
-  p->target_core = entry.cores.front();  // the primary core
-  p->subcode = JoinSubcode::kRejoinActive;
-  p->origin = primary_address_;
-  p->locally_originated = true;
-  p->core_rejoin = true;
-  p->txn = NextTxn();
-  p->started = sim_->Now();
-  p->core_attempt_started = sim_->Now();
-  p->rtx_timer.BindTo(*sim_);
-  p->expire_timer.BindTo(*sim_);
-  PendingJoin& ref = *p;
-  pending_[entry.group] = std::move(p);
-  ++stats_.joins_originated;
-  OBS_TRACE(sim_->trace(), .time = sim_->Now(), .kind = obs::TraceKind::kFsm,
-            .phase = obs::TracePhase::kBegin, .name = "join",
-            .node = self_.value(), .group = entry.group,
-            .arg_a = ref.target_core.bits(), .arg_b = 2 /*core rejoin*/,
-            .txn = ref.txn);
+  // The primary answered: the actual rejoin join-request toward it.
+  PendingJoin& ref = AddPendingJoin(
+      entry->group, entry->cores, 0, entry->cores.front(),  // the primary
+      JoinSubcode::kRejoinActive, primary_address_,
+      /*locally_originated=*/true, /*reconnect=*/false, /*core_rejoin=*/true);
   if (!ForwardJoin(ref)) {
-    PendingJoinFailed(entry.group);
+    PendingJoinFailed(pkt.group);
   }
 }
 
@@ -1042,10 +918,7 @@ void CbtRouter::HandleQuitRequest(VifIndex vif, const packet::Ipv4Header& ip,
   ++stats_.quits_received;
   FibEntry* entry = fib_.Find(pkt.group);
   if (entry != nullptr && entry->RemoveChild(ip.src)) {
-    OBS_TRACE(sim_->trace(), .time = sim_->Now(),
-              .kind = obs::TraceKind::kFsm, .name = "child-removed",
-              .node = self_.value(), .group = pkt.group,
-              .arg_a = ip.src.bits(), .detail = "quit");
+    TraceChildRemoved(pkt.group, ip.src, "quit");
   }
 
   ControlPacket ack;
@@ -1065,10 +938,7 @@ void CbtRouter::HandleQuitAck(const ControlPacket& pkt) {
   if (it == quitting_.end()) return;
   const std::uint64_t txn = it->second->txn;
   quitting_.erase(it);
-  OBS_TRACE(sim_->trace(), .time = sim_->Now(), .kind = obs::TraceKind::kFsm,
-            .phase = obs::TracePhase::kEnd, .name = "quit",
-            .node = self_.value(), .group = pkt.group, .txn = txn,
-            .detail = "acked");
+  EndSpan("quit", pkt.group, txn, "acked");
   RemoveGroupState(pkt.group);
 }
 
@@ -1087,13 +957,7 @@ void CbtRouter::ReconcileCoreRole(Ipv4Address group) {
   if (entry == nullptr || !directory_->Knows(group)) return;
   const std::vector<Ipv4Address> current = directory_->CoresFor(group);
   if (current.empty()) return;
-  Ipv4Address owned;
-  for (const Ipv4Address& c : current) {
-    if (OwnsAddress(c)) {
-      owned = c;
-      break;
-    }
-  }
+  const Ipv4Address owned = OwnedCore(current);
   const bool should_be_core = !owned.IsUnspecified();
   const bool should_be_primary = should_be_core && OwnsAddress(current.front());
   if (entry->is_core == should_be_core &&
@@ -1118,24 +982,8 @@ void CbtRouter::ReconcileCoreRole(Ipv4Address group) {
               .node = self_.value(), .group = group);
     if (!entry->HasParent()) {
       const bool rejoin = igmp_.AnyMembers(group);
-      OBS_TRACE(sim_->trace(), .time = sim_->Now(),
-                .kind = obs::TraceKind::kFsm, .name = "teardown",
-                .node = self_.value(), .group = group,
-                .arg_b = entry->children.size(), .detail = "core-demoted");
-      SendFlushToChildren(*entry);
-      RemoveGroupState(group);
-      if (rejoin) {
-        sim_->Schedule(config_.flush_rejoin_delay, [this, group] {
-          if (!IsOnTree(group) && !IsPending(group)) {
-            std::vector<Ipv4Address> cores = directory_->CoresFor(group);
-            if (!cores.empty()) {
-              StartJoin(group, std::move(cores),
-                        AssignedCoreIndex(group).value_or(0),
-                        /*reconnect=*/false);
-            }
-          }
-        });
-      }
+      TearDown(group, "core-demoted");
+      if (rejoin) ScheduleFlushRejoin(group, /*cores=*/std::nullopt);
     }
     return;
   }
@@ -1143,17 +991,9 @@ void CbtRouter::ReconcileCoreRole(Ipv4Address group) {
   // Promoted, or only the primary flag flipped. Keep any existing parent:
   // a newly-listed core already on the old tree stays attached until the
   // old anchor drains — the make-before-break window of a live migration.
-  entry->is_core = true;
-  entry->is_primary_core = should_be_primary;
   entry->cores = current;
-  entry->affiliation = owned;
-  entry->Touch();
-  OBS_TRACE(sim_->trace(), .time = sim_->Now(), .kind = obs::TraceKind::kFsm,
-            .name = "core-anchored", .node = self_.value(), .group = group,
-            .arg_a = should_be_primary ? 1u : 0u, .detail = "reconciled");
-  if (!should_be_primary && !entry->HasParent()) {
-    CoreRejoinPrimary(*entry);
-  }
+  AnchorAsCore(*entry, owned, should_be_primary, "reconciled");
+  CoreRejoinPrimary(*entry);
 }
 
 void CbtRouter::QuitCheck(Ipv4Address group) {
@@ -1201,21 +1041,12 @@ void CbtRouter::SendQuit(Ipv4Address group) {
     if (q.attempts >= config_.quit_retries) {
       const std::uint64_t txn = q.txn;
       quitting_.erase(it);
-      OBS_TRACE(sim_->trace(), .time = sim_->Now(),
-                .kind = obs::TraceKind::kFsm, .phase = obs::TracePhase::kEnd,
-                .name = "quit", .node = self_.value(), .group = group,
-                .txn = txn, .detail = "gave-up");
+      EndSpan("quit", group, txn, "gave-up");
       RemoveGroupState(group);
       return;
     }
     ++q.attempts;
-    ControlPacket quit;
-    quit.type = ControlType::kQuitRequest;
-    quit.group = group;
-    quit.origin = primary_address_;
-    quit.target_core = q.parent;
-    ++stats_.quits_sent;
-    SendControl(q.vif, q.parent, q.parent, quit);
+    SendQuitTo(group, q.vif, q.parent);
     q.timer.Schedule(config_.pend_join_interval,
                      [this, self_fn]() { self_fn(self_fn); });
   };
@@ -1223,21 +1054,57 @@ void CbtRouter::SendQuit(Ipv4Address group) {
   send(send);
 }
 
-void CbtRouter::SendFlushToChildren(FibEntry& entry) {
+void CbtRouter::SendQuitTo(Ipv4Address group, VifIndex vif,
+                           Ipv4Address parent) {
+  ControlPacket quit;
+  quit.type = ControlType::kQuitRequest;
+  quit.group = group;
+  quit.origin = primary_address_;
+  quit.target_core = parent;
+  ++stats_.quits_sent;
+  SendControl(vif, parent, parent, quit);
+}
+
+void CbtRouter::SendFlush(Ipv4Address group, VifIndex vif, Ipv4Address child) {
   if (config_.mutation == ProtocolMutation::kSuppressFlush) return;
-  for (const ChildEntry& child : entry.children) {
+  OBS_TRACE(sim_->trace(), .time = sim_->Now(), .kind = obs::TraceKind::kFsm,
+            .name = "flush-sent", .node = self_.value(), .group = group,
+            .arg_a = child.bits(), .arg_b = VifAddress(vif).bits());
+  ControlPacket flush;
+  flush.type = ControlType::kFlushTree;
+  flush.group = group;
+  flush.origin = primary_address_;
+  ++stats_.flushes_sent;
+  SendControl(vif, child, child, flush);
+}
+
+void CbtRouter::TearDown(Ipv4Address group, const char* detail,
+                         Ipv4Address parent) {
+  // Emitted before the downstream flushes so the flush-sent events read
+  // as consequences of this one (same timestamp, later sequence).
+  if (FibEntry* entry = fib_.Find(group)) {
     OBS_TRACE(sim_->trace(), .time = sim_->Now(),
-              .kind = obs::TraceKind::kFsm, .name = "flush-sent",
-              .node = self_.value(), .group = entry.group,
-              .arg_a = child.address.bits(),
-              .arg_b = VifAddress(child.vif).bits());
-    ControlPacket flush;
-    flush.type = ControlType::kFlushTree;
-    flush.group = entry.group;
-    flush.origin = primary_address_;
-    ++stats_.flushes_sent;
-    SendControl(child.vif, child.address, child.address, flush);
+              .kind = obs::TraceKind::kFsm,
+              .name = parent.IsUnspecified() ? "teardown" : "flushed",
+              .node = self_.value(), .group = group, .arg_a = parent.bits(),
+              .arg_b = entry->children.size(), .detail = detail);
+    for (const ChildEntry& child : entry->children) {
+      SendFlush(group, child.vif, child.address);
+    }
   }
+  RemoveGroupState(group);
+}
+
+void CbtRouter::ScheduleFlushRejoin(
+    Ipv4Address group, std::optional<std::vector<Ipv4Address>> cores) {
+  sim_->Schedule(config_.flush_rejoin_delay, [this, group,
+                                              cores = std::move(cores)] {
+    if (IsOnTree(group) || IsPending(group)) return;
+    // Section 6.1 under a k-core partition: rejoin toward this LAN's
+    // assigned core, not blindly toward the primary.
+    StartJoin(group, cores.has_value() ? *cores : directory_->CoresFor(group),
+              AssignedCoreIndex(group).value_or(0), /*reconnect=*/false);
+  });
 }
 
 void CbtRouter::HandleFlush(VifIndex vif, const packet::Ipv4Header& ip,
@@ -1260,32 +1127,12 @@ void CbtRouter::HandleFlush(VifIndex vif, const packet::Ipv4Header& ip,
     if (!current.empty()) cores = std::move(current);
   }
   const bool will_rejoin = had_members && !cores.empty();
-  // Emitted before the downstream flushes so the flush-sent events read
-  // as consequences of this one (same timestamp, later sequence).
-  OBS_TRACE(sim_->trace(), .time = sim_->Now(), .kind = obs::TraceKind::kFsm,
-            .name = "flushed", .node = self_.value(), .group = pkt.group,
-            .arg_a = ip.src.bits(), .arg_b = entry->children.size(),
-            .detail = will_rejoin ? "rejoin-scheduled" : "no-rejoin");
-  SendFlushToChildren(*entry);
-  RemoveGroupState(pkt.group);
+  TearDown(pkt.group, will_rejoin ? "rejoin-scheduled" : "no-rejoin", ip.src);
 
-  if (will_rejoin) {
-    // "Routers that have received a flush message will re-establish
-    // themselves on the delivery tree if they have directly connected
-    // subnets with group presence."
-    const Ipv4Address group = pkt.group;
-    sim_->Schedule(config_.flush_rejoin_delay,
-                   [this, group, cores = std::move(cores)] {
-                     if (!IsOnTree(group) && !IsPending(group)) {
-                       // Section 6.1 under a k-core partition: rejoin
-                       // toward this LAN's assigned core, not blindly
-                       // toward the primary.
-                       StartJoin(group, cores,
-                                 AssignedCoreIndex(group).value_or(0),
-                                 /*reconnect=*/false);
-                     }
-                   });
-  }
+  // "Routers that have received a flush message will re-establish
+  // themselves on the delivery tree if they have directly connected
+  // subnets with group presence."
+  if (will_rejoin) ScheduleFlushRejoin(pkt.group, std::move(cores));
 }
 
 void CbtRouter::RemoveGroupState(Ipv4Address group) {
@@ -1295,16 +1142,10 @@ void CbtRouter::RemoveGroupState(Ipv4Address group) {
   // a terminal rather than report a lost transaction.
   if (const auto it = pending_.find(group);
       it != pending_.end() && it->second->locally_originated) {
-    OBS_TRACE(sim_->trace(), .time = sim_->Now(),
-              .kind = obs::TraceKind::kFsm, .phase = obs::TracePhase::kEnd,
-              .name = "join", .node = self_.value(), .group = group,
-              .txn = it->second->txn, .detail = "superseded");
+    EndSpan("join", group, it->second->txn, "superseded");
   }
   if (const auto it = quitting_.find(group); it != quitting_.end()) {
-    OBS_TRACE(sim_->trace(), .time = sim_->Now(),
-              .kind = obs::TraceKind::kFsm, .phase = obs::TracePhase::kEnd,
-              .name = "quit", .node = self_.value(), .group = group,
-              .txn = it->second->txn, .detail = "superseded");
+    EndSpan("quit", group, it->second->txn, "superseded");
   }
   fib_.Remove(group);
   pending_.erase(group);
@@ -1360,13 +1201,7 @@ void CbtRouter::OnEchoTick() {
     }
   } else {
     for (const auto& [group, entry] : fib_) {
-      if (!entry.HasParent()) continue;
-      ControlPacket echo;
-      echo.type = ControlType::kEchoRequest;
-      echo.group = group;
-      ++stats_.echo_requests_sent;
-      SendControl(entry.parent_vif, entry.parent_address,
-                  entry.parent_address, echo);
+      if (entry.HasParent()) SendEchoRequest(entry, Ipv4Address{});
     }
   }
 
@@ -1392,6 +1227,16 @@ void CbtRouter::OnEchoTick() {
   echo_timer_.Schedule(config_.echo_interval, [this] { OnEchoTick(); });
 }
 
+void CbtRouter::SendEchoRequest(const FibEntry& entry, Ipv4Address origin) {
+  ControlPacket echo;
+  echo.type = ControlType::kEchoRequest;
+  echo.group = entry.group;
+  echo.origin = origin;
+  ++stats_.echo_requests_sent;
+  SendControl(entry.parent_vif, entry.parent_address, entry.parent_address,
+              echo);
+}
+
 void CbtRouter::HandleEchoRequest(VifIndex vif, const packet::Ipv4Header& ip,
                                   const ControlPacket& pkt) {
   ++stats_.echo_requests_received;
@@ -1399,15 +1244,9 @@ void CbtRouter::HandleEchoRequest(VifIndex vif, const packet::Ipv4Header& ip,
   // parent state for the sender: a restarted / stateless router must stay
   // silent so the child's CBT-ECHO-TIMEOUT fires and it re-joins
   // (section 6.2 non-core restart depends on this).
-  const auto covered = [&](Ipv4Address group) {
-    if (!pkt.aggregate) return group == pkt.group;
-    // Figure 9 range match; mask 0 covers every group via this neighbour.
-    return (group.bits() & pkt.group_mask) ==
-           (pkt.group.bits() & pkt.group_mask);
-  };
   bool known_child = false;
   for (auto& [group, entry] : fib_) {
-    if (!covered(group)) continue;
+    if (!EchoCovers(pkt, group)) continue;
     if (ChildEntry* child = entry.FindChild(ip.src);
         child != nullptr && child->vif == vif) {
       child->last_heard = sim_->Now();
@@ -1428,12 +1267,7 @@ void CbtRouter::HandleEchoReply(VifIndex vif, const packet::Ipv4Header& ip,
                                 const ControlPacket& pkt) {
   ++stats_.echo_replies_received;
   for (auto& [group, entry] : fib_) {
-    if (!pkt.aggregate) {
-      if (group != pkt.group) continue;
-    } else if ((group.bits() & pkt.group_mask) !=
-               (pkt.group.bits() & pkt.group_mask)) {
-      continue;
-    }
+    if (!EchoCovers(pkt, group)) continue;
     if (entry.HasParent() && entry.parent_vif == vif &&
         entry.parent_address == ip.src) {
       entry.last_parent_reply = sim_->Now();
@@ -1453,11 +1287,7 @@ void CbtRouter::OnChildScan() {
     if (removed > 0) {
       stats_.children_expired += static_cast<std::uint64_t>(removed);
       for (const ChildEntry& c : entry.children) {
-        if (!stale(c)) continue;
-        OBS_TRACE(sim_->trace(), .time = sim_->Now(),
-                  .kind = obs::TraceKind::kFsm, .name = "child-removed",
-                  .node = self_.value(), .group = group,
-                  .arg_a = c.address.bits(), .detail = "expired");
+        if (stale(c)) TraceChildRemoved(group, c.address, "expired");
       }
       entry.children.erase(
           std::remove_if(entry.children.begin(), entry.children.end(), stale),
@@ -1489,12 +1319,7 @@ void CbtRouter::StartReconnect(Ipv4Address group) {
   std::vector<Ipv4Address> cores = entry->cores;
   if (cores.empty()) cores = directory_->CoresFor(group);
   if (cores.empty()) {
-    OBS_TRACE(sim_->trace(), .time = sim_->Now(),
-              .kind = obs::TraceKind::kFsm, .name = "teardown",
-              .node = self_.value(), .group = group,
-              .arg_b = entry->children.size(), .detail = "no-route");
-    SendFlushToChildren(*entry);
-    RemoveGroupState(group);
+    TearDown(group, "no-route");
     return;
   }
   // "arbitrarily choosing an alternate core from its list of cores" —
@@ -1610,25 +1435,10 @@ void CbtRouter::HandleNativeData(VifIndex vif, const packet::Ipv4Header& ip,
   }
 
   if (config_.dataplane == DataplaneMode::kFast) {
-    if (ip.ttl <= 1) {
-      ++stats_.data_dropped_ttl;
-      return;
+    netsim::PacketRef staged;
+    if (const netsim::PacketRef* out = DecrementTtlFast(ip, datagram, staged)) {
+      ForwardAlongTree(vif, ip.src, *entry, ip, out->bytes(), nullptr, out);
     }
-    const auto ttl = static_cast<std::uint8_t>(ip.ttl - 1);
-    // Zero-copy transit: when the delivery closure is the arriving
-    // buffer's sole owner (always true on point-to-point hops), patch
-    // the TTL in place and fan out the very buffer that carried the
-    // packet in. Otherwise fall back to the one-copy hop decrement —
-    // one arena staging instead of WithDecrementedTtl's vector round
-    // trip that the arena would copy again.
-    if (const netsim::PacketRef* arrival =
-            sim_->PatchableDeliveryRef(datagram)) {
-      PatchTtlBytes(sim_->MutablePacket(*arrival), ttl);
-      ForwardAlongTree(vif, ip.src, *entry, ip, datagram, nullptr, arrival);
-      return;
-    }
-    const netsim::PacketRef ref = MakeTtlPatchedPacket(datagram, ttl);
-    ForwardAlongTree(vif, ip.src, *entry, ip, ref.bytes(), nullptr, &ref);
     return;
   }
   const auto forwarded = packet::WithDecrementedTtl(datagram);
@@ -1871,6 +1681,29 @@ netsim::PacketRef CbtRouter::MakeTtlPatchedPacket(
   return ref;
 }
 
+const netsim::PacketRef* CbtRouter::DecrementTtlFast(
+    const packet::Ipv4Header& ip, std::span<const std::uint8_t> datagram,
+    netsim::PacketRef& staged) {
+  if (ip.ttl <= 1) {
+    ++stats_.data_dropped_ttl;
+    return nullptr;
+  }
+  const auto ttl = static_cast<std::uint8_t>(ip.ttl - 1);
+  // Zero-copy transit: when the delivery closure is the arriving buffer's
+  // sole owner (always true on point-to-point hops), patch the TTL in
+  // place and send on the very buffer that carried the packet in.
+  // Otherwise fall back to the one-copy hop decrement — one arena staging
+  // instead of WithDecrementedTtl's vector round trip that the arena
+  // would copy again.
+  if (const netsim::PacketRef* arrival =
+          sim_->PatchableDeliveryRef(datagram)) {
+    PatchTtlBytes(sim_->MutablePacket(*arrival), ttl);
+    return arrival;
+  }
+  staged = MakeTtlPatchedPacket(datagram, ttl);
+  return &staged;
+}
+
 bool CbtRouter::FlowCacheCoherent() const {
   bool coherent = true;
   const std::uint64_t epoch = DataplaneEpoch();
@@ -1989,19 +1822,10 @@ void CbtRouter::ForwardUnicast(const packet::Ipv4Header& ip,
   if (config_.dataplane == DataplaneMode::kFast) {
     // Relay transit hops are on the data path too: same zero-copy (or
     // at worst one-copy) TTL decrement as HandleNativeData.
-    if (ip.ttl <= 1) {
-      ++stats_.data_dropped_ttl;
-      return;
+    netsim::PacketRef staged;
+    if (const netsim::PacketRef* out = DecrementTtlFast(ip, datagram, staged)) {
+      sim_->SendDatagramRef(self_, route->vif, link_dst, *out);
     }
-    const auto ttl = static_cast<std::uint8_t>(ip.ttl - 1);
-    if (const netsim::PacketRef* arrival =
-            sim_->PatchableDeliveryRef(datagram)) {
-      PatchTtlBytes(sim_->MutablePacket(*arrival), ttl);
-      sim_->SendDatagramRef(self_, route->vif, link_dst, *arrival);
-      return;
-    }
-    const netsim::PacketRef ref = MakeTtlPatchedPacket(datagram, ttl);
-    sim_->SendDatagramRef(self_, route->vif, link_dst, ref);
     return;
   }
   const auto forwarded = packet::WithDecrementedTtl(datagram);
@@ -2022,6 +1846,21 @@ void CbtRouter::SendControl(VifIndex vif, Ipv4Address link_dst,
       packet::BuildControlDatagram(VifAddress(vif), ip_dst, pkt);
   stats_.control_bytes_sent += bytes.size();
   sim_->SendDatagram(self_, vif, link_dst, bytes);
+}
+
+void CbtRouter::EndSpan(const char* name, Ipv4Address group,
+                        std::uint64_t txn, const char* outcome) {
+  OBS_TRACE(sim_->trace(), .time = sim_->Now(), .kind = obs::TraceKind::kFsm,
+            .phase = obs::TracePhase::kEnd, .name = name,
+            .node = self_.value(), .group = group, .txn = txn,
+            .detail = outcome);
+}
+
+void CbtRouter::TraceChildRemoved(Ipv4Address group, Ipv4Address child,
+                                  const char* reason) {
+  OBS_TRACE(sim_->trace(), .time = sim_->Now(), .kind = obs::TraceKind::kFsm,
+            .name = "child-removed", .node = self_.value(), .group = group,
+            .arg_a = child.bits(), .detail = reason);
 }
 
 void CbtRouter::SendIgmp(VifIndex vif, Ipv4Address dst,
@@ -2045,6 +1884,13 @@ bool CbtRouter::OwnsAddress(Ipv4Address addr) const {
     if (iface.address == addr) return true;
   }
   return false;
+}
+
+Ipv4Address CbtRouter::OwnedCore(std::span<const Ipv4Address> cores) const {
+  for (const Ipv4Address& c : cores) {
+    if (OwnsAddress(c)) return c;
+  }
+  return Ipv4Address{};
 }
 
 Ipv4Address CbtRouter::VifAddress(VifIndex vif) const {

@@ -211,7 +211,6 @@ class CbtRouter : public netsim::NetworkAgent {
     /// Trace correlation id (NextTxn()) threading this join attempt's
     /// begin/end/outcome events; 0 for transit joins (no local span).
     std::uint64_t txn = 0;
-    SimTime started = 0;
     SimTime core_attempt_started = 0;
     std::vector<DownstreamRequester> requesters;
     /// REJOIN-NACTIVE probes that reached us while we had no parent to
@@ -244,8 +243,7 @@ class CbtRouter : public netsim::NetworkAgent {
                      const packet::ControlPacket& pkt);
   void HandleJoinRequest(VifIndex vif, const packet::Ipv4Header& ip,
                          const packet::ControlPacket& pkt);
-  void HandleRejoinNactive(VifIndex vif, const packet::Ipv4Header& ip,
-                           const packet::ControlPacket& pkt);
+  void HandleRejoinNactive(const packet::ControlPacket& pkt);
   void HandleJoinAck(VifIndex vif, const packet::Ipv4Header& ip,
                      const packet::ControlPacket& pkt);
   void HandleJoinNack(VifIndex vif, const packet::Ipv4Header& ip,
@@ -264,30 +262,58 @@ class CbtRouter : public netsim::NetworkAgent {
   /// D-DR origination (section 2.5) or reconnection (section 6.1).
   void StartJoin(Ipv4Address group, std::vector<Ipv4Address> cores,
                  std::size_t target_index, bool reconnect);
-  /// Creates transient state + forwards a join one hop toward its core.
-  /// Returns false (and sends NACK downstream) when unroutable.
+  /// Installs transient state for a join toward `target_core`. A transit
+  /// join keeps txn 0 and counts as forwarded; a locally originated one
+  /// takes NextTxn(), counts as originated and opens its "join" span.
+  PendingJoin& AddPendingJoin(Ipv4Address group, std::vector<Ipv4Address> cores,
+                              std::size_t core_index, Ipv4Address target_core,
+                              packet::JoinSubcode subcode, Ipv4Address origin,
+                              bool locally_originated, bool reconnect = false,
+                              bool core_rejoin = false);
+  /// Moves a pending join on to the next core of its list (section 6.1).
+  void ElectNextCore(PendingJoin& pending);
+  /// A local join elects its other cores in turn until one routes; a join
+  /// that cannot (a transit join, or none routes) fails.
+  void TryOtherCores(PendingJoin& pending);
+  /// Forwards a pending join one hop toward its core and arms its timers.
+  /// Returns false when unroutable (the caller fails or re-targets it).
   bool ForwardJoin(PendingJoin& pending);
+  /// Sends the JOIN-REQUEST over `route`, which becomes its upstream hop.
+  void SendJoin(PendingJoin& pending, const routing::Route& route);
   void RetransmitJoin(Ipv4Address group);
   void PendingJoinFailed(Ipv4Address group);
+  /// Ends a local join's span with `outcome`, multicasts the section 2.5
+  /// (-03) IGMP join-confirmation onto the member LANs (when enabled) and
+  /// fires on_group_established.
+  void JoinEstablished(Ipv4Address group, std::uint64_t txn,
+                       const char* outcome);
   /// Terminates a join here: ack the sender and adopt it as child.
-  void TerminateJoin(VifIndex vif, const packet::Ipv4Header& ip,
+  void TerminateJoin(const DownstreamRequester& req,
                      const packet::ControlPacket& pkt, FibEntry& entry);
+  /// Makes this router the entry's tree (sub)root (section 6.2) and
+  /// emits core-anchored; the caller has set the entry's core list.
+  void AnchorAsCore(FibEntry& entry, Ipv4Address affiliation, bool primary,
+                    const char* detail = nullptr);
   /// Acks every requester cached on a pending join once it resolves.
   void AckRequesters(PendingJoin& pending, FibEntry& entry);
   /// Sends a JOIN-ACK (deciding normal vs proxy per section 2.6).
   void SendAckTo(const DownstreamRequester& req, FibEntry& entry);
+  void SendNackTo(const DownstreamRequester& req, Ipv4Address group,
+                  Ipv4Address target_core, std::span<const Ipv4Address> cores);
+  /// Section 6.3 conversion; a no-op on a core or a detached router.
+  void SendRejoinNactive(const FibEntry& entry, Ipv4Address origin,
+                         std::span<const Ipv4Address> cores);
   /// True when acking `req` must use PROXY-ACK (section 2.6).
   bool ShouldProxyAck(const DownstreamRequester& req) const;
   /// Non-primary core joins the primary after learning core status.
   /// Probes reachability with CBT-CORE-PING first; the destructive
-  /// (child-flushing) rejoin only starts once the primary answers.
+  /// (child-flushing) rejoin only starts once the primary answers. A
+  /// no-op unless `entry` is a detached non-primary core.
   void CoreRejoinPrimary(FibEntry& entry);
   void SendCorePing(Ipv4Address group);
   void HandleCorePing(const packet::Ipv4Header& ip,
                       const packet::ControlPacket& pkt);
   void HandlePingReply(const packet::ControlPacket& pkt);
-  /// The actual rejoin join-request (after a successful ping).
-  void LaunchCoreRejoin(FibEntry& entry);
 
   // --- Teardown / maintenance. ---
   void QuitCheck(Ipv4Address group);
@@ -301,9 +327,21 @@ class CbtRouter : public netsim::NetworkAgent {
   /// least one member LAN.
   std::optional<std::size_t> AssignedCoreIndex(Ipv4Address group);
   void SendQuit(Ipv4Address group);
-  void SendFlushToChildren(FibEntry& entry);
+  void SendQuitTo(Ipv4Address group, VifIndex vif, Ipv4Address parent);
+  /// FLUSH-TREE to one child (suppressed under kSuppressFlush).
+  void SendFlush(Ipv4Address group, VifIndex vif, Ipv4Address child);
+  /// Flushes the group's children and drops all its state, first emitting
+  /// "flushed" (by `parent`) or, with no `parent`, "teardown".
+  void TearDown(Ipv4Address group, const char* detail,
+                Ipv4Address parent = {});
+  /// Section 2.7: re-joins after FLUSH-REJOIN-DELAY unless back on the
+  /// tree by then. `cores` nullopt reads the directory when it fires.
+  void ScheduleFlushRejoin(Ipv4Address group,
+                           std::optional<std::vector<Ipv4Address>> cores);
   void RemoveGroupState(Ipv4Address group);
   void StartReconnect(Ipv4Address group);
+  /// Per-group CBT-ECHO-REQUEST to the entry's parent.
+  void SendEchoRequest(const FibEntry& entry, Ipv4Address origin);
   void OnEchoTick();
   void OnChildScan();
   void OnIffScan();
@@ -312,9 +350,6 @@ class CbtRouter : public netsim::NetworkAgent {
                       bool newly_present);
   void OnCoreReport(VifIndex vif, const packet::IgmpMessage& msg);
   void OnGroupExpired(VifIndex vif, Ipv4Address group);
-  /// Section 2.5 (-03) proposal: multicast an IGMP join-confirmation onto
-  /// the member LANs once the tree is joined.
-  void NotifyHostsJoined(Ipv4Address group);
 
   // --- Data plane. ---
   void HandleNativeData(VifIndex vif, const packet::Ipv4Header& ip,
@@ -329,8 +364,8 @@ class CbtRouter : public netsim::NetworkAgent {
   /// copy across outputs; the slow path recomputes it per packet and
   /// builds one copy per output. Both emit identical bytes.
   /// `prebuilt`, when non-null, is an arena packet already holding
-  /// exactly `inner_datagram`'s bytes (the caller's one-copy hop
-  /// decrement); the fast path fans it out without another copy.
+  /// exactly `inner_datagram`'s bytes (the caller's DecrementTtlFast
+  /// result); the fast path fans it out without another copy.
   void ForwardAlongTree(VifIndex arrival_vif, Ipv4Address arrival_src,
                         const FibEntry& entry,
                         const packet::Ipv4Header& inner_ip,
@@ -360,6 +395,12 @@ class CbtRouter : public netsim::NetworkAgent {
   /// minus the intermediate vector).
   netsim::PacketRef MakeTtlPatchedPacket(
       std::span<const std::uint8_t> datagram, std::uint8_t ttl);
+  /// Fast-path hop decrement: patches the arriving buffer in place when
+  /// this hop is its sole owner, else stages one patched copy in `staged`.
+  /// Returns the packet to send, or nullptr (a TTL drop) when TTL ran out.
+  const netsim::PacketRef* DecrementTtlFast(
+      const packet::Ipv4Header& ip, std::span<const std::uint8_t> datagram,
+      netsim::PacketRef& staged);
   /// Combined flow-cache epoch: the sum of every monotonic counter
   /// covering non-FIB decision inputs (DR/proxy role, IGMP membership
   /// and querier state, tunnel modes). Sums of monotonic counters are
@@ -367,12 +408,12 @@ class CbtRouter : public netsim::NetworkAgent {
   std::uint64_t DataplaneEpoch() const {
     return dataplane_epoch_ + igmp_.state_version() + tunnels_.version();
   }
-  /// Stage-timing brackets around the data-plane handlers (see
-  /// CbtConfig::time_dataplane). A branch-predicted compare when off.
-  std::uint64_t StageClockStart() const {
-    return config_.time_dataplane ? CycleNow() : 0;
-  }
-  void StageClockStop(std::uint64_t started) {
+  /// Runs a data-plane handler, stage-timed when CbtConfig::time_dataplane
+  /// is on. A branch-predicted compare when off.
+  template <typename Stage>
+  void TimeStage(Stage&& stage) {
+    const std::uint64_t started = config_.time_dataplane ? CycleNow() : 0;
+    stage();
     if (config_.time_dataplane) {
       stats_.dataplane_stage_cycles += CycleNow() - started;
       ++stats_.dataplane_stage_calls;
@@ -406,10 +447,17 @@ class CbtRouter : public netsim::NetworkAgent {
   }
   void SendControl(VifIndex vif, Ipv4Address link_dst, Ipv4Address ip_dst,
                    const packet::ControlPacket& pkt);
+  /// Ends a "join" or "quit" span with its outcome.
+  void EndSpan(const char* name, Ipv4Address group, std::uint64_t txn,
+               const char* outcome);
+  void TraceChildRemoved(Ipv4Address group, Ipv4Address child,
+                         const char* reason);
   void SendIgmp(VifIndex vif, Ipv4Address dst, const packet::IgmpMessage& msg);
   Ipv4Address VifAddress(VifIndex vif) const;
   SubnetId VifSubnet(VifIndex vif) const;
   bool SubnetContains(VifIndex vif, Ipv4Address addr) const;
+  /// The first of `cores` that is one of our addresses; unspecified if none.
+  Ipv4Address OwnedCore(std::span<const Ipv4Address> cores) const;
 
   netsim::Simulator* sim_;
   NodeId self_;

@@ -190,10 +190,10 @@ std::vector<Expectation> CbtExpectationSuite(const CbtSuiteOptions& options) {
                     "retry budget"));
 
   // --- Teardown notifies the children it strands. --------------------------
-  // SendFlushToChildren runs in the same event as the teardown/flush
-  // decision, so the evidence shares the trigger's timestamp. This pair
-  // is the seeded-mutation detector: --mutate suppress-flush kills
-  // exactly these flush-sent events.
+  // CbtRouter::TearDown flushes the children in the same event as the
+  // teardown/flush decision, so the evidence shares the trigger's
+  // timestamp. This pair is the seeded-mutation detector: --mutate
+  // suppress-flush kills exactly these flush-sent events.
   suite.push_back(
       Expectation::Eventually("teardown-notifies-children",
                               Fsm("teardown").ArgBNonZero(), 0)

@@ -1,7 +1,5 @@
 #include "packet/cbt_control.h"
 
-#include <cstdio>
-
 #include "common/buffer.h"
 #include "common/checksum.h"
 
@@ -115,14 +113,6 @@ const char* ControlTypeName(ControlType type) {
     case ControlType::kPingReply: return "CBT-PING-REPLY";
   }
   return "?";
-}
-
-std::string ControlPacket::Describe() const {
-  char buf[160];
-  std::snprintf(buf, sizeof(buf), "%s code=%u grp=%s origin=%s core=%s",
-                ControlTypeName(type), code, group.ToString().c_str(),
-                origin.ToString().c_str(), target_core.ToString().c_str());
-  return buf;
 }
 
 }  // namespace cbt::packet

@@ -15,7 +15,6 @@
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "common/buffer.h"
@@ -96,9 +95,6 @@ struct ControlPacket {
   void EncodeTo(std::span<std::uint8_t> out) const;
   std::vector<std::uint8_t> Encode() const;
   static std::optional<ControlPacket> Decode(std::span<const std::uint8_t> bytes);
-
-  /// "JOIN-REQUEST type=1 sub=ACTIVE grp=... core=..." for traces.
-  std::string Describe() const;
 };
 
 const char* ControlTypeName(ControlType type);

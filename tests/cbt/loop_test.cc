@@ -167,5 +167,32 @@ TEST_F(LoopFixture, NactiveRejoinReachingPrimaryGetsDirectAck) {
   EXPECT_GE(domain.router("R4").stats().rejoins_converted, 1u);
 }
 
+TEST_F(LoopFixture, CachedRejoinIsConvertedWhenThePendingJoinResolves) {
+  // Section 6.3 when the first router a rejoin meets is itself joining:
+  // R6 is pending on its own ACTIVE-JOIN (via R5) when R3's REJOIN-ACTIVE
+  // reaches it, so it caches the rejoin. No upstream router sees that
+  // rejoin, so R6 must convert it once its own ack arrives; the
+  // REJOIN-NACTIVE then climbs R5 -> R4 -> R3, which finds the loop.
+  auto& routes = domain.routes();
+  const SubnetId core_subnet = CoreSubnet();
+  routes.SetStaticNextHop(
+      topo.node("R3"), core_subnet, VifToward("R3", "R6"),
+      AddressOn("R6", sim.interface(topo.node("R3"), VifToward("R3", "R6"))
+                          .subnet));
+  routes.SetStaticNextHop(
+      topo.node("R6"), core_subnet, VifToward("R6", "R5"),
+      AddressOn("R5", sim.interface(topo.node("R6"), VifToward("R6", "R5"))
+                          .subnet));
+
+  domain.router("R6").InitiateJoin(kGroup,
+                                   {sim.PrimaryAddress(topo.node("R1"))});
+  domain.router("R3").TriggerReconnect(kGroup);
+  sim.RunUntil(sim.Now() + kSecond);
+
+  EXPECT_EQ(domain.router("R6").stats().joins_cached, 1u);
+  EXPECT_EQ(domain.router("R6").stats().rejoins_converted, 1u);
+  EXPECT_EQ(domain.router("R3").stats().loops_detected, 1u);
+}
+
 }  // namespace
 }  // namespace cbt::core

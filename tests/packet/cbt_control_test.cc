@@ -113,9 +113,7 @@ TEST(ControlPacket, CorePingTypesRoundTrip) {
     EXPECT_EQ(decoded->target_core, Ipv4Address(10, 99, 0, 1));
     EXPECT_FALSE(decoded->IsEcho());
   }
-  ControlPacket ping;
-  ping.type = ControlType::kCorePing;
-  EXPECT_NE(ping.Describe().find("CBT-CORE-PING"), std::string::npos);
+  EXPECT_STREQ(ControlTypeName(ControlType::kCorePing), "CBT-CORE-PING");
 }
 
 TEST(ControlPacket, ChecksumCorruptionRejected) {
@@ -140,11 +138,10 @@ TEST(ControlPacket, UnknownTypeRejected) {
   EXPECT_FALSE(ControlPacket::Decode(bytes).has_value());
 }
 
-TEST(ControlPacket, DescribeNamesType) {
-  EXPECT_NE(SampleJoin().Describe().find("JOIN-REQUEST"), std::string::npos);
-  ControlPacket quit;
-  quit.type = ControlType::kQuitRequest;
-  EXPECT_NE(quit.Describe().find("QUIT-REQUEST"), std::string::npos);
+TEST(ControlPacket, ControlTypeNameNamesType) {
+  // The router's trace event names for control packets.
+  EXPECT_STREQ(ControlTypeName(SampleJoin().type), "JOIN-REQUEST");
+  EXPECT_STREQ(ControlTypeName(ControlType::kQuitRequest), "QUIT-REQUEST");
 }
 
 }  // namespace
