@@ -8,7 +8,7 @@
 //   --repeat N      repeat the measured sweep with seeds seed..seed+N-1
 //   --json FILE     write a structured report (bench::JsonReporter)
 //   --trace FILE    record an obs trace and export Chrome trace_event
-//                   JSON on exit (bench::TraceSession)
+//                   JSON at the end of the run
 //   --jobs N        worker threads for independent simulation replicas
 //                   (exec::Pool). 0 = hardware concurrency; 1 = the
 //                   exact serial legacy path. Output is byte-identical
@@ -28,6 +28,18 @@
 // error: usage goes to stderr and the bench exits 2, so typos no longer
 // silently run the default workload.
 //
+// A bench main parses its Options, builds one bench::Harness (trace,
+// replica pool, exec report and JSON report), runs its sweeps through
+// it and returns Harness::Finish(rc). Exit codes shared by every bench:
+//
+//   0  success
+//   1  a failed check: dirty invariant audit, expectation violations
+//   2  usage error
+//   3  a failed gate: --min-* bounds, fast/slow divergence, a migration
+//      that was not hitless
+//   4  a requested file (--json, --exec-json, --trace, --check-json)
+//      could not be written (kWriteFailed; an earlier nonzero code wins)
+//
 // All BENCH_*.json files share one schema (schema_version 1):
 //
 //   { "bench": "<name>", "schema_version": 1,
@@ -36,9 +48,11 @@
 //                   "points": [ { "label": "...", "value": ... } ] } ] }
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <memory>
 #include <sstream>
@@ -47,6 +61,8 @@
 #include <vector>
 
 #include "analysis/table.h"
+#include "cbt/domain.h"
+#include "exec/pdes/runtime.h"
 #include "exec/pool.h"
 #include "exec/run_context.h"
 #include "exec/sweep.h"
@@ -102,6 +118,7 @@ class Options {
   int repeat = 1;
   int jobs = 0;
   int shards = 0;
+  bool check = false;
   std::string json_path;
   std::string placement;
   std::string trace_path;
@@ -124,6 +141,15 @@ class Options {
         "PDES regions sharding each simulation across cores "
         "(0 = classic serial engine; N >= 1 = shard runtime, "
         "byte-identical output for every N)");
+  }
+
+  /// Opt-in registration of --check: the Harness gives every replica a
+  /// trace ring, which the bench replays through the causal-path
+  /// expectation suite (src/check/).
+  void EnableCheck() {
+    Flag("check", &check,
+         "validate every failure-recovery path with the causal-path "
+         "expectation suite (exit 1 on violations)");
   }
 
   /// Registers a bench-specific boolean flag (present => true).
@@ -378,19 +404,6 @@ class JsonReporter {
     os << (series_.empty() ? "" : "\n  ") << "]\n}\n";
   }
 
-  /// Writes to `path`; reports to stderr so bench stdout stays
-  /// byte-comparable across runs. Returns false on I/O failure.
-  bool WriteFile(const std::string& path) const {
-    std::ofstream os(path);
-    if (!os) {
-      std::cerr << "bench_" << bench_ << ": cannot write " << path << "\n";
-      return false;
-    }
-    Write(os);
-    std::cerr << "wrote " << path << "\n";
-    return os.good();
-  }
-
  private:
   static std::string Quote(const std::string& text) {
     std::string out = "\"";
@@ -529,169 +542,215 @@ inline void ReportMemory(JsonReporter& report, const std::string& label,
 }
 
 // ---------------------------------------------------------------------
-// TraceSession
+// Harness
 // ---------------------------------------------------------------------
 
-/// RAII tracing for bench mains. Constructed with the --trace path
-/// (empty => inert) BEFORE any Simulator is built: it installs the
-/// process-default TraceBuffer that every Simulator picks up at
-/// construction, and on destruction exports Chrome trace_event JSON.
-/// All status output goes to stderr — bench stdout must stay
-/// byte-identical whether or not tracing is on.
-///
-/// Replica sweeps record into per-replica rings instead (the process
-/// buffer is masked inside each exec::RunContext); the reducer hands
-/// those rings to Adopt(), and the export merges them as one process
-/// lane per replica (pid 2, 3, ... in replica order — pid 1 is the main
-/// thread), so the exported trace is deterministic for every --jobs N.
-class TraceSession {
+/// Exit code of a run whose requested report could not be written.
+inline constexpr int kWriteFailed = 4;
+
+/// A CbtDomain, on the --shards PDES runtime when `pdes` is set. `pdes`
+/// is the first member so it is destroyed after the domain: router and
+/// host timer destructors cancel PDES-encoded event ids through the
+/// installed backend.
+struct ShardedDomain {
+  std::unique_ptr<exec::pdes::Runtime> pdes;
+  std::unique_ptr<core::CbtDomain> domain;
+};
+
+/// The `seed` of each spec, in order: per-replica seeds for
+/// Harness::Sweep.
+template <typename Specs>
+std::vector<std::uint64_t> SeedsOf(const Specs& specs) {
+  std::vector<std::uint64_t> seeds;
+  for (const auto& spec : specs) seeds.push_back(spec.seed);
+  return seeds;
+}
+
+/// What every bench main shares, built from the parsed Options before
+/// any Simulator exists:
+///  * with --trace, the process-default TraceBuffer that every Simulator
+///    picks up at construction, plus each replica's ring, adopted in
+///    reduce order; Finish exports them as one process lane per replica
+///    (pid 2, 3, ... in replica order; pid 1 is the main thread), so the
+///    trace is deterministic for every --jobs N;
+///  * the --jobs replica pool and the exec report: per-replica and
+///    per-sweep wall-clock, written to --exec-json. It is deliberately a
+///    separate file from the bench's own report: wall-clock is the one
+///    thing that legitimately varies across --jobs values;
+///  * the bench's own JSON report, written to --json.
+/// Status lines go to stderr, so stdout stays byte-identical whether or
+/// not tracing and reports are on.
+class Harness {
  public:
-  explicit TraceSession(const std::string& path,
-                        obs::TraceLevel level = obs::TraceLevel::kVerbose,
-                        std::size_t capacity = std::size_t{1} << 18)
-      : path_(path) {
-    if (path_.empty()) return;
-    buffer_ = std::make_unique<obs::TraceBuffer>(capacity, level);
-    obs::SetProcessTraceBuffer(buffer_.get());
+  explicit Harness(const Options& opts)
+      : opts_(opts), pool_(opts.jobs), report_(opts.bench_name()) {
+    if (opts.trace_path.empty()) return;
+    trace_ = std::make_unique<obs::TraceBuffer>(std::size_t{1} << 18,
+                                                obs::TraceLevel::kVerbose);
+    obs::SetProcessTraceBuffer(trace_.get());
+  }
+  ~Harness() {
+    if (trace_ != nullptr) obs::SetProcessTraceBuffer(nullptr);
   }
 
-  TraceSession(const TraceSession&) = delete;
-  TraceSession& operator=(const TraceSession&) = delete;
+  Harness(const Harness&) = delete;
+  Harness& operator=(const Harness&) = delete;
 
-  ~TraceSession() {
-    if (buffer_ == nullptr) return;
-    obs::SetProcessTraceBuffer(nullptr);
-    std::ofstream os(path_);
+  /// The bench's report; Finish writes it when --json names a file.
+  JsonReporter& report() { return report_; }
+
+  /// Runs `job(ctx)` for `count` replicas on the pool and feeds the
+  /// results to `reduce(ctx, result)` in replica order (exec::RunSweep),
+  /// adopting each replica's trace ring and recording the sweep's
+  /// wall-clock under `name`. Replica i's seed is seeds[i] when given,
+  /// else --seed + i. Under --check without --trace, each replica gets a
+  /// span-level ring for the expectation suite that is not exported.
+  template <typename Job, typename Reduce>
+  void Sweep(const std::string& name, std::size_t count, Job&& job,
+             Reduce&& reduce, std::vector<std::uint64_t> seeds = {}) {
+    exec::SweepOptions options;
+    options.base_seed = opts_.seed;
+    options.seeds = std::move(seeds);
+    options.trace = trace_ != nullptr || opts_.check;
+    if (trace_ == nullptr) options.trace_level = obs::TraceLevel::kSpans;
+    const exec::SweepTiming timing = exec::RunSweep(
+        pool_, count, options, std::forward<Job>(job),
+        [&](exec::RunContext& ctx, auto result) {
+          reduce(ctx, std::move(result));
+          if (trace_ != nullptr) lanes_.push_back(std::move(ctx.trace));
+        });
+    sweeps_.push_back({name, timing});
+  }
+
+  /// The --repeat loop, as the sweep "repeat": `body(ctx)` runs once per
+  /// replica and returns its exit code; Repeat returns the largest.
+  template <typename Body>
+  int Repeat(Body&& body) {
+    int rc = 0;
+    Sweep("repeat", static_cast<std::size_t>(opts_.repeat),
+          std::forward<Body>(body),
+          [&rc](exec::RunContext&, int code) { rc = std::max(rc, code); });
+    return rc;
+  }
+
+  /// Builds a CbtDomain over `sim` (the remaining arguments are the
+  /// domain constructor's) and, with --shards N >= 1, runs it on an
+  /// N-region PDES runtime with one route manager per region. Replica
+  /// jobs call this concurrently: it only reads the options.
+  template <typename... Args>
+  ShardedDomain Domain(netsim::Simulator& sim, Args&&... args) const {
+    ShardedDomain out;
+    out.domain =
+        std::make_unique<core::CbtDomain>(sim, std::forward<Args>(args)...);
+    if (opts_.shards > 0) {
+      out.pdes = std::make_unique<exec::pdes::Runtime>(sim, opts_.shards);
+      exec::pdes::Runtime& pdes = *out.pdes;
+      pdes.Install();
+      out.domain->ShardRoutes(pdes.region_count(),
+                              [&pdes](NodeId id) { return pdes.RegionOf(id); });
+    }
+    return out;
+  }
+
+  /// Writes `path` through `write` and reports it on stderr. A file that
+  /// cannot be written makes Finish return kWriteFailed.
+  bool Write(const std::string& path,
+             const std::function<void(std::ostream&)>& write) {
+    std::ofstream os(path);
+    if (os) {
+      write(os);
+      os.close();
+    }
     if (!os) {
-      std::cerr << "trace: cannot write " << path_ << "\n";
-      return;
+      std::cerr << "bench_" << opts_.bench_name() << ": cannot write " << path
+                << "\n";
+      write_failed_ = true;
+      return false;
     }
-    std::size_t events = buffer_->size();
-    std::size_t dropped = buffer_->dropped();
-    if (adopted_.empty()) {
-      buffer_->ExportChromeTrace(os);
-    } else {
-      std::vector<const obs::TraceBuffer*> lanes;
-      lanes.push_back(buffer_.get());
-      for (const auto& ring : adopted_) {
-        lanes.push_back(ring.get());
-        events += ring->size();
-        dropped += ring->dropped();
-      }
-      obs::ExportCombinedChromeTrace(os, lanes);
-    }
-    std::cerr << "wrote trace " << path_ << " (" << events
-              << " events retained, " << dropped << " dropped)\n";
+    std::cerr << "wrote " << path << "\n";
+    return true;
   }
 
-  bool active() const { return buffer_ != nullptr; }
-  obs::TraceBuffer* buffer() { return buffer_.get(); }
-
-  /// Takes ownership of a replica's trace ring (call from the RunSweep
-  /// reducer — reduction order is replica order, so lane numbering is
-  /// deterministic). No-op when the session is inert or the replica
-  /// recorded nothing.
-  void Adopt(std::unique_ptr<obs::TraceBuffer> ring) {
-    if (buffer_ == nullptr || ring == nullptr) return;
-    adopted_.push_back(std::move(ring));
+  /// Writes the JSON report (--json), the exec report (--exec-json, once
+  /// a sweep ran) and the trace (--trace), and returns the bench's exit
+  /// code: `rc`, or kWriteFailed if rc is 0 and a file could not be
+  /// written.
+  int Finish(int rc) {
+    if (!opts_.json_path.empty()) {
+      Write(opts_.json_path, [this](std::ostream& os) { report_.Write(os); });
+    }
+    if (!opts_.exec_json_path.empty() && !sweeps_.empty()) {
+      const JsonReporter exec = ExecReport();
+      Write(opts_.exec_json_path,
+            [&exec](std::ostream& os) { exec.Write(os); });
+    }
+    if (trace_ != nullptr) WriteTrace();
+    return rc == 0 && write_failed_ ? kWriteFailed : rc;
   }
 
  private:
-  std::string path_;
-  std::unique_ptr<obs::TraceBuffer> buffer_;
-  std::vector<std::unique_ptr<obs::TraceBuffer>> adopted_;
-};
+  struct SweepRecord {
+    std::string name;
+    exec::SweepTiming timing;
+  };
 
-// ---------------------------------------------------------------------
-// ExecReport
-// ---------------------------------------------------------------------
-
-/// Collects exec::SweepTiming from every sweep a bench runs and writes
-/// BENCH_exec.json (per-replica wall-clock, per-sweep wall-clock, and
-/// aggregates). This is deliberately a SEPARATE file from the bench's
-/// own BENCH_*.json: wall-clock is the one thing that legitimately
-/// varies across --jobs values, and keeping it out of the bench report
-/// preserves the byte-identical `--jobs 1` vs `--jobs N` contract.
-class ExecReport {
- public:
-  explicit ExecReport(std::string bench) : bench_(std::move(bench)) {}
-
-  void Add(const std::string& sweep, const exec::SweepTiming& timing) {
-    entries_.push_back({sweep, timing});
-  }
-
-  /// Writes to opts.exec_json_path ("" disables). Call once at the end
-  /// of main, after every sweep has been Add()ed.
-  void WriteIfRequested(const Options& opts) const {
-    if (opts.exec_json_path.empty() || entries_.empty()) return;
+  JsonReporter ExecReport() const {
     JsonReporter report("exec");
-    report.Param("source_bench", bench_);
-    report.Param("jobs", entries_.front().timing.jobs);
+    report.Param("source_bench", opts_.bench_name());
+    report.Param("jobs", sweeps_.front().timing.jobs);
     report.Param("hardware_concurrency", exec::Pool::HardwareConcurrency());
     auto& replica = report.AddSeries("replica_wall_seconds", "s");
     auto& sweeps = report.AddSeries("sweep_wall_seconds", "s");
     double total_wall = 0;
     double total_replica = 0;
     std::size_t replicas = 0;
-    for (const auto& entry : entries_) {
-      for (std::size_t i = 0; i < entry.timing.replica_seconds.size(); ++i) {
-        replica.Add(entry.sweep + "/r" + std::to_string(i),
-                    entry.timing.replica_seconds[i]);
-        total_replica += entry.timing.replica_seconds[i];
+    for (const SweepRecord& sweep : sweeps_) {
+      const exec::SweepTiming& timing = sweep.timing;
+      for (std::size_t i = 0; i < timing.replica_seconds.size(); ++i) {
+        replica.Add(sweep.name + "/r" + std::to_string(i),
+                    timing.replica_seconds[i]);
+        total_replica += timing.replica_seconds[i];
         ++replicas;
       }
-      sweeps.Add(entry.sweep, entry.timing.wall_seconds);
-      total_wall += entry.timing.wall_seconds;
+      sweeps.Add(sweep.name, timing.wall_seconds);
+      total_wall += timing.wall_seconds;
     }
     auto& aggregate = report.AddSeries("aggregate", "s");
     aggregate.Add("total_wall_seconds", total_wall);
     aggregate.Add("total_replica_seconds", total_replica);
     aggregate.Add("replica_count", static_cast<std::uint64_t>(replicas));
-    report.WriteFile(opts.exec_json_path);
+    return report;
   }
 
- private:
-  struct Entry {
-    std::string sweep;
-    exec::SweepTiming timing;
-  };
-  std::string bench_;
-  std::vector<Entry> entries_;
+  void WriteTrace() {
+    std::vector<const obs::TraceBuffer*> lanes = {trace_.get()};
+    std::size_t events = trace_->size();
+    std::size_t dropped = trace_->dropped();
+    for (const auto& ring : lanes_) {
+      lanes.push_back(ring.get());
+      events += ring->size();
+      dropped += ring->dropped();
+    }
+    const bool wrote = Write(opts_.trace_path, [&](std::ostream& os) {
+      if (lanes_.empty()) {
+        trace_->ExportChromeTrace(os);
+      } else {
+        obs::ExportCombinedChromeTrace(os, lanes);
+      }
+    });
+    if (wrote) {
+      std::cerr << "trace: " << events << " events retained, " << dropped
+                << " dropped\n";
+    }
+  }
+
+  const Options& opts_;
+  std::unique_ptr<obs::TraceBuffer> trace_;
+  std::vector<std::unique_ptr<obs::TraceBuffer>> lanes_;
+  exec::Pool pool_;
+  std::vector<SweepRecord> sweeps_;
+  JsonReporter report_;
+  bool write_failed_ = false;
 };
-
-// ---------------------------------------------------------------------
-// Sweep helpers
-// ---------------------------------------------------------------------
-
-/// Sweep options derived from the shared flags: replica i gets seed
-/// opts.seed + i, and per-replica trace rings iff --trace is on.
-inline exec::SweepOptions MakeSweepOptions(const Options& opts,
-                                           const TraceSession& trace) {
-  exec::SweepOptions sweep;
-  sweep.base_seed = opts.seed;
-  sweep.trace = trace.active();
-  return sweep;
-}
-
-/// Runs `body(ctx)` once per --repeat replica on `pool`, flushing each
-/// replica's buffered output in replica order (so output order — and
-/// bytes — match the legacy `for (rep)` loop exactly). `body` returns
-/// the replica's exit code; RunRepeated returns the maximum. This is
-/// the adoption path for single-loop benches; multi-sweep benches call
-/// exec::RunSweep directly.
-template <typename Body>
-int RunRepeated(exec::Pool& pool, const Options& opts, TraceSession& trace,
-                ExecReport& report, Body&& body) {
-  int rc = 0;
-  const exec::SweepTiming timing = exec::RunSweep(
-      pool, static_cast<std::size_t>(opts.repeat), MakeSweepOptions(opts, trace),
-      [&](exec::RunContext& ctx) { return body(ctx); },
-      [&](exec::RunContext& ctx, int code) {
-        if (code > rc) rc = code;
-        trace.Adopt(std::move(ctx.trace));
-      });
-  report.Add("repeat", timing);
-  return rc;
-}
 
 }  // namespace cbt::bench

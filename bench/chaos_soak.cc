@@ -18,9 +18,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -28,7 +26,6 @@
 #include "analysis/table.h"
 #include "bench_util.h"
 #include "cbt/domain.h"
-#include "exec/pdes/runtime.h"
 #include "check/cbt_expectations.h"
 #include "check/expectation.h"
 #include "check/trace_view.h"
@@ -111,25 +108,16 @@ SoakResult RunSoak(const std::string& name, netsim::Simulator& sim,
                    std::uint64_t seed, int event_count, bool dump_plan,
                    core::ProtocolMutation mutation,
                    core::DataplaneMode dataplane, bool run_check,
-                   int shards, std::ostream& out) {
+                   const bench::Harness& harness, std::ostream& out) {
   SoakResult result;
   result.topology = name;
-
-  // Declared before the domain so it is destroyed after it: router/host
-  // timer destructors cancel PDES-encoded event ids, which must still
-  // route through the installed backend.
-  std::unique_ptr<exec::pdes::Runtime> pdes;
 
   core::CbtConfig cbt_config = SoakCbtConfig();
   cbt_config.mutation = mutation;
   cbt_config.dataplane = dataplane;
-  core::CbtDomain domain(sim, topo, cbt_config, SoakIgmpConfig());
-  if (shards > 0) {
-    pdes = std::make_unique<exec::pdes::Runtime>(sim, shards);
-    pdes->Install();
-    domain.ShardRoutes(pdes->region_count(),
-                       [&pdes](NodeId id) { return pdes->RegionOf(id); });
-  }
+  const bench::ShardedDomain sharded =
+      harness.Domain(sim, topo, cbt_config, SoakIgmpConfig());
+  core::CbtDomain& domain = *sharded.domain;
   domain.RegisterGroup(kGroup, members.cores);
   domain.Start();
   sim.RunUntil(kSecond);
@@ -253,16 +241,13 @@ int main(int argc, char** argv) {
   bool dump_plan = false;
   int event_count = 100;
   int routers = 0;  // 0 = default three-topology sweep
-  bool run_check = false;
   std::string check_json;
   std::string mutate_name;
   opts.Flag("plan", &dump_plan, "dump the generated chaos schedule");
   opts.Int("events", &event_count, "fault events per topology");
   opts.Int("routers", &routers,
            "scaling mode: one ~N-router grid instead of the sweep");
-  opts.Flag("check", &run_check,
-            "validate every failure-recovery path with the causal-path "
-            "expectation suite (exit 1 on violations)");
+  opts.EnableCheck();
   opts.Str("check-json", &check_json,
            "write the merged expectation report to FILE (implies --check)");
   opts.Str("mutate", &mutate_name,
@@ -273,7 +258,7 @@ int main(int argc, char** argv) {
   opts.EnableShards();
   opts.Parse(argc, argv);
   if (opts.smoke) event_count = std::min(event_count, 10);
-  if (!check_json.empty()) run_check = true;
+  if (!check_json.empty()) opts.check = true;
   core::ProtocolMutation mutation = core::ProtocolMutation::kNone;
   if (mutate_name == "suppress-flush") {
     mutation = core::ProtocolMutation::kSuppressFlush;
@@ -292,7 +277,7 @@ int main(int argc, char** argv) {
   }
 
   // Before any Simulator exists, so every sim in the sweep records.
-  bench::TraceSession trace(opts.trace_path);
+  bench::Harness harness(opts);
 
   const bool csv = opts.csv;
   const std::uint64_t seed = opts.seed;
@@ -332,21 +317,9 @@ int main(int argc, char** argv) {
     }
   }
 
-  exec::Pool pool(opts.jobs);
-  bench::ExecReport exec_report(opts.bench_name());
-  exec::SweepOptions sweep = bench::MakeSweepOptions(opts, trace);
-  if (run_check && !sweep.trace) {
-    // The checker needs a ring even when no --trace export was asked
-    // for; span-level events are all the suite matches on.
-    sweep.trace = true;
-    sweep.trace_level = obs::TraceLevel::kSpans;
-  }
-  sweep.seeds.reserve(specs.size());
-  for (const ReplicaSpec& spec : specs) sweep.seeds.push_back(spec.seed);
-
   std::vector<SoakResult> results;
-  const exec::SweepTiming timing = exec::RunSweep(
-      pool, specs.size(), sweep,
+  harness.Sweep(
+      "soak", specs.size(),
       [&](exec::RunContext& ctx) -> SoakResult {
         const ReplicaSpec& spec = specs[ctx.index];
         switch (spec.topo) {
@@ -366,7 +339,7 @@ int main(int argc, char** argv) {
             return RunSoak(
                 netsim::Numbered(netsim::Numbered("grid-", side) + "x", side),
                 sim, topo, members, ctx.seed, event_count, dump_plan,
-                mutation, dataplane, run_check, opts.shards, ctx.out);
+                mutation, dataplane, opts.check, harness, ctx.out);
           }
           case Topo::kGrid4x4: {
             netsim::Simulator sim(1);
@@ -375,7 +348,7 @@ int main(int argc, char** argv) {
                                {topo.routers[0], topo.routers[15]}};
             return RunSoak("grid-4x4", sim, topo, members, ctx.seed,
                            event_count, dump_plan, mutation, dataplane,
-                           run_check, opts.shards, ctx.out);
+                           opts.check, harness, ctx.out);
           }
           case Topo::kWaxman20: {
             netsim::Simulator sim(1);
@@ -387,7 +360,7 @@ int main(int argc, char** argv) {
                                {topo.routers[0], topo.routers[13]}};
             return RunSoak("waxman-20", sim, topo, members, ctx.seed,
                            event_count, dump_plan, mutation, dataplane,
-                           run_check, opts.shards, ctx.out);
+                           opts.check, harness, ctx.out);
           }
           case Topo::kTransitStub:
           default: {
@@ -401,16 +374,14 @@ int main(int argc, char** argv) {
                                {topo.routers[0], topo.routers[1]}};
             return RunSoak("transit-stub", sim, topo, members, ctx.seed,
                            event_count, dump_plan, mutation, dataplane,
-                           run_check, opts.shards, ctx.out);
+                           opts.check, harness, ctx.out);
           }
         }
       },
-      [&](exec::RunContext& ctx, SoakResult result) {
+      [&](exec::RunContext&, SoakResult result) {
         results.push_back(std::move(result));
-        trace.Adopt(std::move(ctx.trace));
-      });
-  exec_report.Add("soak", timing);
-  exec_report.WriteIfRequested(opts);
+      },
+      bench::SeedsOf(specs));
 
   bool failed = false;
   for (const SoakResult& r : results) {
@@ -418,7 +389,7 @@ int main(int argc, char** argv) {
     std::cerr << r.topology << ": " << r.error << "\n";
     failed = true;
   }
-  if (failed) return 1;
+  if (failed) return harness.Finish(1);
 
   for (const SoakResult& r : results) {
     for (const auto& [type, stats] : r.by_class) {
@@ -444,46 +415,38 @@ int main(int argc, char** argv) {
   bench::Emit(totals, csv, "totals");
 
   check::CheckReport check_report;
-  if (run_check) {
+  if (opts.check) {
     for (const SoakResult& r : results) {
       if (r.check_ran) check_report.Merge(r.check_report);
     }
     std::cout << "\n";
     check_report.Print(std::cout);
     if (!check_json.empty()) {
-      std::ofstream os(check_json);
-      if (os) {
-        check_report.WriteJson(os);
-        std::cerr << "wrote " << check_json << "\n";
-      } else {
-        std::cerr << "bench_chaos_soak: cannot write " << check_json << "\n";
-      }
+      harness.Write(check_json,
+                    [&](std::ostream& os) { check_report.WriteJson(os); });
     }
   }
 
-  if (!opts.json_path.empty()) {
-    bench::JsonReporter report(opts.bench_name());
-    report.Param("seed", seed);
-    report.Param("repeat", opts.repeat);
-    report.Param("events", event_count);
-    report.Param("routers", routers);
-    report.Param("dataplane", dataplane_name);
-    report.Param("check", run_check);
-    if (!mutate_name.empty()) report.Param("mutate", mutate_name);
-    if (run_check) {
-      report.Param("check_checked", check_report.checked());
-      report.Param("check_violations", check_report.violations());
-      report.Param("check_truncations", check_report.truncations());
-      report.Param("check_waived", check_report.waived());
-    }
-    report.AddTable("recovery", recovery, "s");
-    report.AddTable("totals", totals);
-    report.WriteFile(opts.json_path);
+  auto& report = harness.report();
+  report.Param("seed", seed);
+  report.Param("repeat", opts.repeat);
+  report.Param("events", event_count);
+  report.Param("routers", routers);
+  report.Param("dataplane", dataplane_name);
+  report.Param("check", opts.check);
+  if (!mutate_name.empty()) report.Param("mutate", mutate_name);
+  if (opts.check) {
+    report.Param("check_checked", check_report.checked());
+    report.Param("check_violations", check_report.violations());
+    report.Param("check_truncations", check_report.truncations());
+    report.Param("check_waived", check_report.waived());
   }
+  report.AddTable("recovery", recovery, "s");
+  report.AddTable("totals", totals);
 
   bool all_clean = true;
   for (const SoakResult& r : results) all_clean &= r.final_clean;
-  if (run_check && !check_report.clean()) all_clean = false;
+  if (opts.check && !check_report.clean()) all_clean = false;
   if (!csv) {
     std::cout << "\nExpected shape: crash recovery ~= echo timeout + rejoin "
                  "RTT (+ child-assert expiry for the stale child entry); "
@@ -491,5 +454,5 @@ int main(int argc, char** argv) {
                  "tree cannot heal while the fault is outstanding. Same "
                  "seed => byte-identical output.\n";
   }
-  return all_clean ? 0 : 1;
+  return harness.Finish(all_clean ? 0 : 1);
 }

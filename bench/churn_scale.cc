@@ -12,7 +12,7 @@
 //
 //  * scale — aggregate-only rows sweeping routers x members x churn
 //    rate up to the 10k-router / 1M-member zipf workload that is
-//    infeasible per-host. Members concentrate on --member-lans stub
+//    infeasible per-host. Members concentrate on kMemberLans stub
 //    LANs (zipf group popularity; Poisson arrivals; exponential
 //    holding), with optional flash-crowd / leave-storm profiles.
 //
@@ -48,7 +48,6 @@
 #include "bench_util.h"
 #include "cbt/churn.h"
 #include "cbt/domain.h"
-#include "exec/pdes/runtime.h"
 #include "igmp/membership_aggregate.h"
 #include "netsim/topologies.h"
 
@@ -61,6 +60,11 @@ Ipv4Address GroupAddress(std::uint32_t g) {
   return Ipv4Address(239, 10, static_cast<std::uint8_t>((g >> 8) & 0xff),
                      static_cast<std::uint8_t>(g & 0xff));
 }
+
+/// Zipf-ranked multicast groups, and the stub LANs hosting members in
+/// each scale row (the smoke row uses 32, calibration every LAN).
+constexpr int kGroups = 8;
+constexpr int kMemberLans = 256;
 
 /// Soak-style timers so query/report machinery cycles several times
 /// inside a short simulated window.
@@ -147,14 +151,11 @@ class PerHostDriver {
 };
 
 RowResult RunRow(const RowSpec& spec, const scenario::ChurnParams& params,
-                 int shards, int data_rate, core::DataplaneMode dataplane) {
+                 const bench::Harness& harness, int data_rate,
+                 core::DataplaneMode dataplane) {
   const auto wall_start = std::chrono::steady_clock::now();
   RowResult result;
   result.label = spec.label;
-
-  // Destroyed after the domain: timer destructors must still route
-  // through the installed PDES backend (same pattern as bench_chaos_soak).
-  std::unique_ptr<exec::pdes::Runtime> pdes;
 
   netsim::Simulator sim(1);
   netsim::Topology topo = netsim::MakeGrid(sim, spec.side, spec.side);
@@ -162,13 +163,9 @@ RowResult RunRow(const RowSpec& spec, const scenario::ChurnParams& params,
 
   core::CbtConfig cbt_config;
   cbt_config.dataplane = dataplane;
-  core::CbtDomain domain(sim, topo, cbt_config, ChurnIgmpConfig());
-  if (shards > 0) {
-    pdes = std::make_unique<exec::pdes::Runtime>(sim, shards);
-    pdes->Install();
-    domain.ShardRoutes(pdes->region_count(),
-                       [&pdes](NodeId id) { return pdes->RegionOf(id); });
-  }
+  const bench::ShardedDomain sharded =
+      harness.Domain(sim, topo, cbt_config, ChurnIgmpConfig());
+  core::CbtDomain& domain = *sharded.domain;
 
   // Members concentrate on a contiguous block of stub LANs; cores sit
   // inside the block so join paths stay local (the other routers still
@@ -323,22 +320,14 @@ int main(int argc, char** argv) {
                       "aggregate host model vs per-host under heavy churn");
   opts.json_path = "BENCH_churn_scale.json";
   std::string profile = "zipf";
-  int groups = 8;
-  int duration_s = 120;
-  int member_lans = 256;
   int routers = 0;          // >0: replace the scale sweep with one row
   std::uint64_t members = 0;  // with --routers: members for that row
-  double churn = 1.0;
   int data_rate = 0;
   std::string dataplane_name = "fast";
   bool deterministic = false;
   bool skip_calibration = false;
   opts.Str("profile", &profile,
            "churn profile: zipf | flash (crowd joins) | storm (mass leave)");
-  opts.Int("groups", &groups, "multicast groups (zipf-ranked)");
-  opts.Int("duration", &duration_s, "simulated seconds per row");
-  opts.Int("member-lans", &member_lans,
-           "stub LANs hosting members per row (0 = every router LAN)");
   opts.Int("routers", &routers,
            "custom scale row: one ~N-router grid instead of the sweep");
   opts.U64("members", &members, "custom scale row: warm-start members");
@@ -354,10 +343,6 @@ int main(int argc, char** argv) {
             "scale rows only (skip the per-host reference comparison)");
   opts.EnableShards();
   opts.Parse(argc, argv);
-  if (groups < 1 || duration_s < 1) {
-    std::cerr << "bench_churn_scale: --groups and --duration must be >= 1\n";
-    return 2;
-  }
   if (profile != "zipf" && profile != "flash" && profile != "storm") {
     std::cerr << "bench_churn_scale: unknown --profile '" << profile
               << "' (known: zipf flash storm)\n";
@@ -371,10 +356,10 @@ int main(int argc, char** argv) {
   const core::DataplaneMode dataplane = dataplane_name == "slow"
                                             ? core::DataplaneMode::kSlow
                                             : core::DataplaneMode::kFast;
-  if (opts.smoke) duration_s = std::min(duration_s, 60);
+  const int duration_s = opts.smoke ? 60 : 120;
   const SimDuration duration = duration_s * kSecond;
 
-  bench::TraceSession trace(opts.trace_path);
+  bench::Harness harness(opts);
 
   // Row plan: calibration pair (aggregate first, so its RSS sample is
   // not polluted by the per-host allocations) then the scale rows.
@@ -390,29 +375,31 @@ int main(int argc, char** argv) {
       specs.push_back({"cal-perhost" + tag, 4, cal_members, 1.0, 0, true,
                        seed});
     }
-    const auto lans = static_cast<std::uint32_t>(std::max(0, member_lans));
     if (routers > 0) {
       const int side = std::max(
           2, static_cast<int>(
                  std::ceil(std::sqrt(static_cast<double>(routers)))));
       const std::uint64_t m = members > 0 ? members : 10000;
       specs.push_back({"scale-" + std::to_string(side * side) + "r" + tag,
-                       side, m, churn, lans, false, seed});
+                       side, m, 1.0, kMemberLans, false, seed});
     } else if (opts.smoke) {
       specs.push_back({"scale-64r-5k" + tag, 8, 5000, 1.0, 32, false, seed});
     } else {
       specs.push_back(
-          {"scale-1024r-100k" + tag, 32, 100000, 1.0, lans, false, seed});
+          {"scale-1024r-100k" + tag, 32, 100000, 1.0, kMemberLans, false,
+           seed});
       specs.push_back(
-          {"scale-1024r-100k-hot" + tag, 32, 100000, 4.0, lans, false, seed});
+          {"scale-1024r-100k-hot" + tag, 32, 100000, 4.0, kMemberLans, false,
+           seed});
       specs.push_back(
-          {"scale-10000r-1m" + tag, 100, 1000000, 1.0, lans, false, seed});
+          {"scale-10000r-1m" + tag, 100, 1000000, 1.0, kMemberLans, false,
+           seed});
     }
   }
 
   const auto params_for = [&](const RowSpec& spec) {
     scenario::ChurnParams params;
-    params.groups = static_cast<std::uint32_t>(groups);
+    params.groups = kGroups;
     params.zipf_s = 1.0;
     params.initial_members = spec.members;
     params.mean_holding = 60 * kSecond;
@@ -439,26 +426,17 @@ int main(int argc, char** argv) {
     return params;
   };
 
-  exec::Pool pool(opts.jobs);
-  bench::ExecReport exec_report(opts.bench_name());
-  exec::SweepOptions sweep = bench::MakeSweepOptions(opts, trace);
-  sweep.seeds.reserve(specs.size());
-  for (const RowSpec& spec : specs) sweep.seeds.push_back(spec.seed);
-
   std::vector<RowResult> results;
-  const exec::SweepTiming timing = exec::RunSweep(
-      pool, specs.size(), sweep,
+  harness.Sweep(
+      "churn", specs.size(),
       [&](exec::RunContext& ctx) {
         const RowSpec& spec = specs[ctx.index];
-        return RunRow(spec, params_for(spec), opts.shards, data_rate,
-                      dataplane);
+        return RunRow(spec, params_for(spec), harness, data_rate, dataplane);
       },
-      [&](exec::RunContext& ctx, RowResult result) {
+      [&](exec::RunContext&, RowResult result) {
         results.push_back(std::move(result));
-        trace.Adopt(std::move(ctx.trace));
-      });
-  exec_report.Add("churn", timing);
-  exec_report.WriteIfRequested(opts);
+      },
+      bench::SeedsOf(specs));
 
   analysis::Table rows({"row", "routers", "lans", "events", "joins", "leaves",
                         "peak", "final", "ctl msgs", "host msgs",
@@ -493,7 +471,7 @@ int main(int argc, char** argv) {
 
   if (!opts.csv) {
     std::cout << "Churn scale: profile=" << profile << ", seed=" << opts.seed
-              << ", " << duration_s << " s simulated per row, " << groups
+              << ", " << duration_s << " s simulated per row, " << kGroups
               << " zipf-ranked groups\n\n";
   }
   bench::Emit(rows, opts.csv, "rows");
@@ -532,51 +510,48 @@ int main(int argc, char** argv) {
               << "x)\n";
   }
 
-  if (!opts.json_path.empty()) {
-    bench::JsonReporter report(opts.bench_name());
-    report.Param("seed", opts.seed);
-    report.Param("repeat", opts.repeat);
-    report.Param("profile", profile);
-    report.Param("groups", groups);
-    report.Param("duration_s", duration_s);
-    report.Param("member_lans", member_lans);
-    report.Param("deterministic", deterministic);
-    report.AddTable("rows", rows);
-    report.AddTable("quality", quality);
-    if (data_rate > 0) {
-      report.Param("data_rate", data_rate);
-      report.Param("dataplane", dataplane_name);
-      report.AddTable("data", data);
-    }
-    if (node_reduction > 0) {
-      report.Param("calibration_node_reduction", node_reduction);
+  auto& report = harness.report();
+  report.Param("seed", opts.seed);
+  report.Param("repeat", opts.repeat);
+  report.Param("profile", profile);
+  report.Param("groups", kGroups);
+  report.Param("duration_s", duration_s);
+  report.Param("member_lans", kMemberLans);
+  report.Param("deterministic", deterministic);
+  report.AddTable("rows", rows);
+  report.AddTable("quality", quality);
+  if (data_rate > 0) {
+    report.Param("data_rate", data_rate);
+    report.Param("dataplane", dataplane_name);
+    report.AddTable("data", data);
+  }
+  if (node_reduction > 0) {
+    report.Param("calibration_node_reduction", node_reduction);
+  }
+  for (const RowResult& r : results) {
+    report.SeriesNamed("model.sim_nodes", "nodes")
+        .Add(r.label, r.sim_nodes);
+  }
+  if (!deterministic) {
+    if (speedup > 0) report.Param("calibration_speedup", speedup);
+    if (cal_agg != nullptr && cal_host != nullptr &&
+        cal_agg->memory.peak_rss_bytes > 0) {
+      report.Param("calibration_peak_rss_ratio",
+                   static_cast<double>(cal_host->memory.peak_rss_bytes) /
+                       static_cast<double>(cal_agg->memory.peak_rss_bytes));
     }
     for (const RowResult& r : results) {
-      report.SeriesNamed("model.sim_nodes", "nodes")
-          .Add(r.label, r.sim_nodes);
+      report.SeriesNamed("perf.wall_seconds", "s").Add(r.label, r.wall_s);
+      bench::ReportMemory(report, r.label, r.memory);
     }
-    if (!deterministic) {
-      if (speedup > 0) report.Param("calibration_speedup", speedup);
-      if (cal_agg != nullptr && cal_host != nullptr &&
-          cal_agg->memory.peak_rss_bytes > 0) {
-        report.Param("calibration_peak_rss_ratio",
-                     static_cast<double>(cal_host->memory.peak_rss_bytes) /
-                         static_cast<double>(cal_agg->memory.peak_rss_bytes));
-      }
-      for (const RowResult& r : results) {
-        report.SeriesNamed("perf.wall_seconds", "s").Add(r.label, r.wall_s);
-        bench::ReportMemory(report, r.label, r.memory);
-      }
-    }
-    report.WriteFile(opts.json_path);
   }
 
   for (const RowResult& r : results) {
     if (!r.audit_clean) {
       std::cerr << "bench_churn_scale: " << r.label
                 << " ended with invariant violations\n";
-      return 1;
+      return harness.Finish(1);
     }
   }
-  return 0;
+  return harness.Finish(0);
 }

@@ -172,6 +172,7 @@ int main(int argc, char** argv) {
   std::string filter;
   opts.Str("filter", &filter, "run only benchmarks matching this regex");
   opts.Parse(argc, argv);
+  cbt::bench::Harness harness(opts);
 
   // Re-assemble an argv for google-benchmark from the shared dialect:
   // --smoke shrinks min_time to a correctness-only pass, --filter maps
@@ -190,30 +191,27 @@ int main(int argc, char** argv) {
   CollectingReporter reporter;
   const std::size_t ran = benchmark::RunSpecifiedBenchmarks(&reporter);
 
-  if (!opts.json_path.empty()) {
-    cbt::bench::JsonReporter report(opts.bench_name());
-    report.Param("engine", "google-benchmark");
-    report.Param("mode", opts.smoke ? "smoke" : "full");
-    report.Param("benchmarks", static_cast<std::uint64_t>(ran));
-    auto& real_series = report.AddSeries("real_time", "ns");
-    auto& cpu_series = report.AddSeries("cpu_time", "ns");
-    auto& iter_series = report.AddSeries("iterations", "iterations");
-    auto& bytes_series = report.AddSeries("bytes_per_second", "B/s");
-    for (const auto& run : reporter.collected) {
-      if (run.run_type != benchmark::BenchmarkReporter::Run::RT_Iteration) {
-        continue;
-      }
-      const std::string label = run.benchmark_name();
-      real_series.Add(label, run.GetAdjustedRealTime());
-      cpu_series.Add(label, run.GetAdjustedCPUTime());
-      iter_series.Add(label, static_cast<std::uint64_t>(run.iterations));
-      const auto bytes = run.counters.find("bytes_per_second");
-      if (bytes != run.counters.end()) {
-        bytes_series.Add(label, static_cast<double>(bytes->second));
-      }
+  auto& report = harness.report();
+  report.Param("engine", "google-benchmark");
+  report.Param("mode", opts.smoke ? "smoke" : "full");
+  report.Param("benchmarks", static_cast<std::uint64_t>(ran));
+  auto& real_series = report.AddSeries("real_time", "ns");
+  auto& cpu_series = report.AddSeries("cpu_time", "ns");
+  auto& iter_series = report.AddSeries("iterations", "iterations");
+  auto& bytes_series = report.AddSeries("bytes_per_second", "B/s");
+  for (const auto& run : reporter.collected) {
+    if (run.run_type != benchmark::BenchmarkReporter::Run::RT_Iteration) {
+      continue;
     }
-    report.WriteFile(opts.json_path);
+    const std::string label = run.benchmark_name();
+    real_series.Add(label, run.GetAdjustedRealTime());
+    cpu_series.Add(label, run.GetAdjustedCPUTime());
+    iter_series.Add(label, static_cast<std::uint64_t>(run.iterations));
+    const auto bytes = run.counters.find("bytes_per_second");
+    if (bytes != run.counters.end()) {
+      bytes_series.Add(label, static_cast<double>(bytes->second));
+    }
   }
   benchmark::Shutdown();
-  return 0;
+  return harness.Finish(0);
 }

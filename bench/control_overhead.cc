@@ -113,14 +113,11 @@ int main(int argc, char** argv) {
   cbt::bench::Options opts("control_overhead",
                            "E6: steady-state control overhead vs DVMRP");
   opts.Parse(argc, argv);
-  cbt::bench::TraceSession trace(opts.trace_path);
-  cbt::exec::Pool pool(opts.jobs);
-  cbt::bench::ExecReport exec_report(opts.bench_name());
+  cbt::bench::Harness harness(opts);
   const bool csv = opts.csv;
 
   analysis::Table first_table({""});
-  const int rc = cbt::bench::RunRepeated(
-      pool, opts, trace, exec_report, [&](cbt::exec::RunContext& ctx) -> int {
+  const int rc = harness.Repeat([&](cbt::exec::RunContext& ctx) -> int {
   std::ostream& out = ctx.out;
   out << "E6: steady-state control overhead — 5x5 grid, "
             << kMembersPerGroup << " member routers/group, 10 minutes\n"
@@ -147,13 +144,8 @@ int main(int argc, char** argv) {
   if (ctx.index == 0) first_table = table;
   return 0;
       });
-  if (!opts.json_path.empty()) {
-    analysis::Table& table = first_table;
-    cbt::bench::JsonReporter report(opts.bench_name());
-    report.Param("members_per_group", kMembersPerGroup);
-    report.AddTable("control_overhead", table, "msgs");
-    report.WriteFile(opts.json_path);
-  }
-  exec_report.WriteIfRequested(opts);
-  return rc;
+  auto& report = harness.report();
+  report.Param("members_per_group", kMembersPerGroup);
+  report.AddTable("control_overhead", first_table, "msgs");
+  return harness.Finish(rc);
 }

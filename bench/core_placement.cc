@@ -97,9 +97,6 @@ int main(int argc, char** argv) {
       "E11: multi-core placement quality and live core migration");
   opts.EnablePlacement();
   opts.Parse(argc, argv);
-  cbt::bench::TraceSession trace(opts.trace_path);
-  cbt::exec::Pool pool(opts.jobs);
-  cbt::bench::ExecReport exec_report(opts.bench_name());
   const bool csv = opts.csv;
 
   const int routers = opts.smoke ? 64 : 256;
@@ -120,10 +117,10 @@ int main(int argc, char** argv) {
     return 2;
   }
 
+  cbt::bench::Harness harness(opts);
   analysis::Table first_forest({""});
   analysis::Table first_migration({""});
-  const int rc = cbt::bench::RunRepeated(
-      pool, opts, trace, exec_report, [&](cbt::exec::RunContext& ctx) -> int {
+  const int rc = harness.Repeat([&](cbt::exec::RunContext& ctx) -> int {
         std::ostream& out = ctx.out;
         out << "E11: multi-core placement — Waxman n=" << routers << ", "
             << members_n << " members, k in {1,2,4}, seed " << ctx.seed
@@ -272,26 +269,22 @@ int main(int argc, char** argv) {
         return all_hitless ? 0 : 3;
       });
 
-  if (!opts.json_path.empty()) {
-    cbt::bench::JsonReporter report(opts.bench_name());
-    report.Param("routers", routers);
-    report.Param("members", members_n);
-    report.Param("live_routers", live_routers);
-    report.Param("live_members", live_members);
-    report.Param("smoke", opts.smoke);
-    report.Param("placement", opts.placement.empty() ? "all" : opts.placement);
-    // Forest rows are keyed "strategy/k" so the JSON is self-labelling.
-    analysis::Table keyed({"placement", "mean ratio", "max ratio",
-                           "variation_ms", "peak_link_load", "tree_cost"});
-    for (const auto& row : first_forest.rows()) {
-      if (row.size() < 7) continue;
-      keyed.AddRow({row[0] + "/k" + row[1], row[2], row[3], row[4], row[5],
-                    row[6]});
-    }
-    report.AddTable("forest", keyed);
-    report.AddTable("migration", first_migration);
-    report.WriteFile(opts.json_path);
+  auto& report = harness.report();
+  report.Param("routers", routers);
+  report.Param("members", members_n);
+  report.Param("live_routers", live_routers);
+  report.Param("live_members", live_members);
+  report.Param("smoke", opts.smoke);
+  report.Param("placement", opts.placement.empty() ? "all" : opts.placement);
+  // Forest rows are keyed "strategy/k" so the JSON is self-labelling.
+  analysis::Table keyed({"placement", "mean ratio", "max ratio",
+                         "variation_ms", "peak_link_load", "tree_cost"});
+  for (const auto& row : first_forest.rows()) {
+    if (row.size() < 7) continue;
+    keyed.AddRow({row[0] + "/k" + row[1], row[2], row[3], row[4], row[5],
+                  row[6]});
   }
-  exec_report.WriteIfRequested(opts);
-  return rc;
+  report.AddTable("forest", keyed);
+  report.AddTable("migration", first_migration);
+  return harness.Finish(rc);
 }

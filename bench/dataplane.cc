@@ -56,7 +56,6 @@
 #include "bench_util.h"
 #include "cbt/domain.h"
 #include "common/cycle_clock.h"
-#include "exec/pdes/runtime.h"
 #include "netsim/topologies.h"
 
 namespace {
@@ -130,12 +129,8 @@ void FnvMix(std::uint64_t& h, std::uint64_t v) {
 }
 
 LegResult RunLeg(const RowSpec& spec, core::DataplaneMode dataplane,
-                 int shards) {
+                 const bench::Harness& harness) {
   LegResult leg;
-
-  // Destroyed after the domain: timer destructors must still route
-  // through the installed PDES backend (same pattern as bench_chaos_soak).
-  std::unique_ptr<exec::pdes::Runtime> pdes;
 
   netsim::Simulator sim(spec.seed);
   netsim::Topology topo = netsim::MakeGrid(sim, spec.side, spec.side);
@@ -145,13 +140,9 @@ LegResult RunLeg(const RowSpec& spec, core::DataplaneMode dataplane,
   // Both legs pay the same two-rdtsc bracket per hop, so the stage ratio
   // is conservative (the constant overhead shrinks it, never grows it).
   cbt_config.time_dataplane = true;
-  core::CbtDomain domain(sim, topo, cbt_config, DataplaneIgmpConfig());
-  if (shards > 0) {
-    pdes = std::make_unique<exec::pdes::Runtime>(sim, shards);
-    pdes->Install();
-    domain.ShardRoutes(pdes->region_count(),
-                       [&pdes](NodeId id) { return pdes->RegionOf(id); });
-  }
+  const bench::ShardedDomain sharded =
+      harness.Domain(sim, topo, cbt_config, DataplaneIgmpConfig());
+  core::CbtDomain& domain = *sharded.domain;
 
   const auto lan_count = static_cast<std::uint32_t>(topo.router_lans.size());
   for (std::uint32_t g = 0; g < spec.groups; ++g) {
@@ -292,8 +283,6 @@ int main(int argc, char** argv) {
   int routers = 0;       // >0: replace the sweep with one ~N-router row
   int packets = 0;       // >0: override packets per stream
   int payload_bytes = 0; // >0: override application payload size
-  int groups = 0;        // >0: override groups per row
-  int senders = 0;       // >0: override sender hosts per row
   int members = 0;       // >0: override member hosts per group
   int min_speedup = 0;   // >0: require best-row speedup >= N (exit 3)
   int min_stage_speedup = 0;  // >0: same gate on the forwarding stage
@@ -305,8 +294,6 @@ int main(int argc, char** argv) {
            "custom row: one ~N-router grid instead of the sweep");
   opts.Int("packets", &packets, "packets per (sender, group) stream");
   opts.Int("bytes", &payload_bytes, "application payload bytes per packet");
-  opts.Int("groups", &groups, "multicast groups per row");
-  opts.Int("senders", &senders, "non-member sender hosts per row");
   opts.Int("members", &members, "member hosts per group");
   opts.Int("min-speedup", &min_speedup,
            "fail (exit 3) unless the largest row's fast-over-slow "
@@ -340,7 +327,7 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  bench::TraceSession trace(opts.trace_path);
+  bench::Harness harness(opts);
 
   // Row plan; --repeat replays it with seeds seed, seed+1, ...
   std::vector<RowSpec> specs;
@@ -365,42 +352,32 @@ int main(int argc, char** argv) {
       if (payload_bytes > 0) {
         spec.payload_bytes = static_cast<std::uint32_t>(payload_bytes);
       }
-      if (groups > 0) spec.groups = static_cast<std::uint32_t>(groups);
-      if (senders > 0) spec.senders = static_cast<std::uint32_t>(senders);
       if (members > 0) spec.members = static_cast<std::uint32_t>(members);
     }
   }
 
-  exec::Pool pool(opts.jobs);
-  bench::ExecReport exec_report(opts.bench_name());
-  exec::SweepOptions sweep = bench::MakeSweepOptions(opts, trace);
-  sweep.seeds.reserve(specs.size());
-  for (const RowSpec& spec : specs) sweep.seeds.push_back(spec.seed);
-
   std::vector<RowResult> results;
-  const exec::SweepTiming timing = exec::RunSweep(
-      pool, specs.size(), sweep,
+  harness.Sweep(
+      "dataplane", specs.size(),
       [&](exec::RunContext& ctx) {
         RowResult row;
         row.spec = specs[ctx.index];
         // Slow leg first so the fast leg's wall clock benefits from a
         // warm allocator — biasing against, not toward, the speedup.
         if (run_slow) {
-          row.slow = RunLeg(row.spec, core::DataplaneMode::kSlow, opts.shards);
+          row.slow = RunLeg(row.spec, core::DataplaneMode::kSlow, harness);
           row.ran_slow = true;
         }
         if (run_fast) {
-          row.fast = RunLeg(row.spec, core::DataplaneMode::kFast, opts.shards);
+          row.fast = RunLeg(row.spec, core::DataplaneMode::kFast, harness);
           row.ran_fast = true;
         }
         return row;
       },
-      [&](exec::RunContext& ctx, RowResult row) {
+      [&](exec::RunContext&, RowResult row) {
         results.push_back(std::move(row));
-        trace.Adopt(std::move(ctx.trace));
-      });
-  exec_report.Add("dataplane", timing);
-  exec_report.WriteIfRequested(opts);
+      },
+      bench::SeedsOf(specs));
 
   analysis::Table rows({"row", "path", "routers", "groups", "senders",
                         "members", "sent", "hops", "delivered", "digest",
@@ -498,97 +475,94 @@ int main(int argc, char** argv) {
               << "x fewer arena buffers than slow (worst row)\n";
   }
 
-  if (!opts.json_path.empty()) {
-    bench::JsonReporter report(opts.bench_name());
-    report.Param("seed", opts.seed);
-    report.Param("repeat", opts.repeat);
-    report.Param("dataplane", dataplane_name);
-    report.Param("deterministic", deterministic);
-    report.Param("delivery_match", delivery_match);
-    report.AddTable("rows", rows);
+  auto& report = harness.report();
+  report.Param("seed", opts.seed);
+  report.Param("repeat", opts.repeat);
+  report.Param("dataplane", dataplane_name);
+  report.Param("deterministic", deterministic);
+  report.Param("delivery_match", delivery_match);
+  report.AddTable("rows", rows);
+  for (const RowResult& r : results) {
+    if (r.ran_fast) {
+      report.SeriesNamed("cache.hit_rate", "ratio")
+          .Add(r.spec.label,
+               r.fast.cache_hits + r.fast.cache_misses +
+                           r.fast.cache_invalidates >
+                       0
+                   ? static_cast<double>(r.fast.cache_hits) /
+                         static_cast<double>(r.fast.cache_hits +
+                                             r.fast.cache_misses +
+                                             r.fast.cache_invalidates)
+                   : 0);
+      report.SeriesNamed("cache.occupancy", "entries")
+          .Add(r.spec.label, static_cast<double>(r.fast.cache_occupancy));
+    }
+    if (r.ran_fast && r.ran_slow && r.fast.arena_makes > 0) {
+      // Deterministic even under --jobs: buffer stagings are a
+      // structural property of the forwarding paths, not a timing.
+      report.SeriesNamed("perf.copy_reduction", "x")
+          .Add(r.spec.label, static_cast<double>(r.slow.arena_makes) /
+                                 static_cast<double>(r.fast.arena_makes));
+    }
+  }
+  if (!deterministic) {
     for (const RowResult& r : results) {
-      if (r.ran_fast) {
-        report.SeriesNamed("cache.hit_rate", "ratio")
+      if (r.ran_fast && r.fast.wall_s > 0 && r.fast.hops > 0) {
+        report.SeriesNamed("perf.ns_per_hop.fast", "ns")
+            .Add(r.spec.label, r.fast.wall_s * 1e9 / r.fast.hops);
+        report.SeriesNamed("perf.packets_per_second.fast", "pkt/s")
+            .Add(r.spec.label, r.fast.sent / r.fast.wall_s);
+      }
+      if (r.ran_slow && r.slow.wall_s > 0 && r.slow.hops > 0) {
+        report.SeriesNamed("perf.ns_per_hop.slow", "ns")
+            .Add(r.spec.label, r.slow.wall_s * 1e9 / r.slow.hops);
+      }
+      if (r.ran_fast && r.ran_slow && r.fast.wall_s > 0 &&
+          r.slow.wall_s > 0 && r.fast.hops > 0 && r.slow.hops > 0) {
+        const double fast_ns = r.fast.wall_s * 1e9 / r.fast.hops;
+        const double slow_ns = r.slow.wall_s * 1e9 / r.slow.hops;
+        report.SeriesNamed("perf.speedup", "x")
+            .Add(r.spec.label, fast_ns > 0 ? slow_ns / fast_ns : 0);
+      }
+      if (r.ran_fast && r.fast.stage_cycles > 0 && r.fast.hops > 0) {
+        report.SeriesNamed("perf.stage_ns_per_hop.fast", "ns")
             .Add(r.spec.label,
-                 r.fast.cache_hits + r.fast.cache_misses +
-                             r.fast.cache_invalidates >
-                         0
-                     ? static_cast<double>(r.fast.cache_hits) /
-                           static_cast<double>(r.fast.cache_hits +
-                                               r.fast.cache_misses +
-                                               r.fast.cache_invalidates)
-                     : 0);
-        report.SeriesNamed("cache.occupancy", "entries")
-            .Add(r.spec.label, static_cast<double>(r.fast.cache_occupancy));
+                 r.fast.stage_cycles / cycles_per_s * 1e9 / r.fast.hops);
       }
-      if (r.ran_fast && r.ran_slow && r.fast.arena_makes > 0) {
-        // Deterministic even under --jobs: buffer stagings are a
-        // structural property of the forwarding paths, not a timing.
-        report.SeriesNamed("perf.copy_reduction", "x")
-            .Add(r.spec.label, static_cast<double>(r.slow.arena_makes) /
-                                   static_cast<double>(r.fast.arena_makes));
+      if (r.ran_slow && r.slow.stage_cycles > 0 && r.slow.hops > 0) {
+        report.SeriesNamed("perf.stage_ns_per_hop.slow", "ns")
+            .Add(r.spec.label,
+                 r.slow.stage_cycles / cycles_per_s * 1e9 / r.slow.hops);
       }
-    }
-    if (!deterministic) {
-      for (const RowResult& r : results) {
-        if (r.ran_fast && r.fast.wall_s > 0 && r.fast.hops > 0) {
-          report.SeriesNamed("perf.ns_per_hop.fast", "ns")
-              .Add(r.spec.label, r.fast.wall_s * 1e9 / r.fast.hops);
-          report.SeriesNamed("perf.packets_per_second.fast", "pkt/s")
-              .Add(r.spec.label, r.fast.sent / r.fast.wall_s);
-        }
-        if (r.ran_slow && r.slow.wall_s > 0 && r.slow.hops > 0) {
-          report.SeriesNamed("perf.ns_per_hop.slow", "ns")
-              .Add(r.spec.label, r.slow.wall_s * 1e9 / r.slow.hops);
-        }
-        if (r.ran_fast && r.ran_slow && r.fast.wall_s > 0 &&
-            r.slow.wall_s > 0 && r.fast.hops > 0 && r.slow.hops > 0) {
-          const double fast_ns = r.fast.wall_s * 1e9 / r.fast.hops;
-          const double slow_ns = r.slow.wall_s * 1e9 / r.slow.hops;
-          report.SeriesNamed("perf.speedup", "x")
-              .Add(r.spec.label, fast_ns > 0 ? slow_ns / fast_ns : 0);
-        }
-        if (r.ran_fast && r.fast.stage_cycles > 0 && r.fast.hops > 0) {
-          report.SeriesNamed("perf.stage_ns_per_hop.fast", "ns")
-              .Add(r.spec.label,
-                   r.fast.stage_cycles / cycles_per_s * 1e9 / r.fast.hops);
-        }
-        if (r.ran_slow && r.slow.stage_cycles > 0 && r.slow.hops > 0) {
-          report.SeriesNamed("perf.stage_ns_per_hop.slow", "ns")
-              .Add(r.spec.label,
-                   r.slow.stage_cycles / cycles_per_s * 1e9 / r.slow.hops);
-        }
-        if (r.ran_fast && r.ran_slow && r.fast.stage_cycles > 0 &&
-            r.slow.stage_cycles > 0 && r.fast.hops > 0 && r.slow.hops > 0) {
-          const double fast_stage =
-              static_cast<double>(r.fast.stage_cycles) / r.fast.hops;
-          const double slow_stage =
-              static_cast<double>(r.slow.stage_cycles) / r.slow.hops;
-          report.SeriesNamed("perf.stage_speedup", "x")
-              .Add(r.spec.label,
-                   fast_stage > 0 ? slow_stage / fast_stage : 0);
-        }
+      if (r.ran_fast && r.ran_slow && r.fast.stage_cycles > 0 &&
+          r.slow.stage_cycles > 0 && r.fast.hops > 0 && r.slow.hops > 0) {
+        const double fast_stage =
+            static_cast<double>(r.fast.stage_cycles) / r.fast.hops;
+        const double slow_stage =
+            static_cast<double>(r.slow.stage_cycles) / r.slow.hops;
+        report.SeriesNamed("perf.stage_speedup", "x")
+            .Add(r.spec.label,
+                 fast_stage > 0 ? slow_stage / fast_stage : 0);
       }
     }
-    report.WriteFile(opts.json_path);
   }
 
-  if (!delivery_match) return 3;
+  if (!delivery_match) return harness.Finish(3);
   if (min_copy_reduction > 0 && worst_copy_ratio < min_copy_reduction) {
     std::cerr << "bench_dataplane: arena-copy reduction " << worst_copy_ratio
               << "x is below the required " << min_copy_reduction << "x\n";
-    return 3;
+    return harness.Finish(3);
   }
   if (min_speedup > 0 && best_speedup < min_speedup) {
     std::cerr << "bench_dataplane: best-row speedup " << best_speedup
               << "x is below the required " << min_speedup << "x\n";
-    return 3;
+    return harness.Finish(3);
   }
   if (min_stage_speedup > 0 && best_stage_speedup < min_stage_speedup) {
     std::cerr << "bench_dataplane: best-row forwarding-stage speedup "
               << best_stage_speedup << "x is below the required "
               << min_stage_speedup << "x\n";
-    return 3;
+    return harness.Finish(3);
   }
-  return 0;
+  return harness.Finish(0);
 }

@@ -38,14 +38,11 @@ int main(int argc, char** argv) {
   cbt::bench::Options opts("delay_ratio",
                            "E3: shared-tree delay penalty vs core placement");
   opts.Parse(argc, argv);
-  cbt::bench::TraceSession trace(opts.trace_path);
-  cbt::exec::Pool pool(opts.jobs);
-  cbt::bench::ExecReport exec_report(opts.bench_name());
+  cbt::bench::Harness harness(opts);
   const bool csv = opts.csv;
 
   analysis::Table first_table({""});
-  const int rc = cbt::bench::RunRepeated(
-      pool, opts, trace, exec_report, [&](cbt::exec::RunContext& ctx) -> int {
+  const int rc = harness.Repeat([&](cbt::exec::RunContext& ctx) -> int {
   std::ostream& out = ctx.out;
   out << "E3: shared-tree delay penalty vs core placement — Waxman n="
             << kRouters << ", " << kMembers << " members, " << kSeeds
@@ -140,15 +137,10 @@ int main(int argc, char** argv) {
   if (ctx.index == 0) first_table = table;
   return 0;
       });
-  if (!opts.json_path.empty()) {
-    analysis::Table& table = first_table;
-    cbt::bench::JsonReporter report(opts.bench_name());
-    report.Param("routers", kRouters);
-    report.Param("members", kMembers);
-    report.Param("seeds", kSeeds);
-    report.AddTable("delay_ratio", table);
-    report.WriteFile(opts.json_path);
-  }
-  exec_report.WriteIfRequested(opts);
-  return rc;
+  auto& report = harness.report();
+  report.Param("routers", kRouters);
+  report.Param("members", kMembers);
+  report.Param("seeds", kSeeds);
+  report.AddTable("delay_ratio", first_table);
+  return harness.Finish(rc);
 }

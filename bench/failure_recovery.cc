@@ -113,19 +113,9 @@ struct GridResult {
 int main(int argc, char** argv) {
   bench::Options opts("failure_recovery",
                       "E7: parent-failure detection and branch re-attach");
-  bool run_check = false;
-  opts.Flag("check", &run_check,
-            "validate every failure-recovery path with the causal-path "
-            "expectation suite (exit 1 on violations)");
+  opts.EnableCheck();
   opts.Parse(argc, argv);
-  bench::TraceSession trace(opts.trace_path);
-  exec::Pool pool(opts.jobs);
-  bench::ExecReport exec_report(opts.bench_name());
-  exec::SweepOptions sweep_options = bench::MakeSweepOptions(opts, trace);
-  if (run_check && !sweep_options.trace) {
-    sweep_options.trace = true;
-    sweep_options.trace_level = obs::TraceLevel::kSpans;
-  }
+  bench::Harness harness(opts);
   check::CheckReport check_report;
 
   std::cout << "E7: failure recovery — parent router dies; child branch "
@@ -143,24 +133,21 @@ int main(int argc, char** argv) {
       {30 * kSecond, 90 * kSecond},  // the spec's defaults
       {60 * kSecond, 180 * kSecond},
   };
-  exec_report.Add(
-      "echo_sweep",
-      exec::RunSweep(
-          pool, std::size(timer_cases), sweep_options,
-          [&](exec::RunContext& ctx) {
-            const auto& t = timer_cases[ctx.index];
-            return RunDiamond(t.interval, t.timeout, run_check);
-          },
-          [&](exec::RunContext& ctx, Recovery r) {
-            const auto& t = timer_cases[ctx.index];
-            sweep.AddRow({analysis::Table::Num(t.interval / kSecond),
-                          analysis::Table::Num(t.timeout / kSecond),
-                          analysis::Table::Fixed(r.detect_s, 1),
-                          analysis::Table::Fixed(r.recover_s, 1),
-                          analysis::Table::Num(r.messages)});
-            if (r.check_ran) check_report.Merge(r.check_report);
-            trace.Adopt(std::move(ctx.trace));
-          }));
+  harness.Sweep(
+      "echo_sweep", std::size(timer_cases),
+      [&](exec::RunContext& ctx) {
+        const auto& t = timer_cases[ctx.index];
+        return RunDiamond(t.interval, t.timeout, opts.check);
+      },
+      [&](exec::RunContext& ctx, Recovery r) {
+        const auto& t = timer_cases[ctx.index];
+        sweep.AddRow({analysis::Table::Num(t.interval / kSecond),
+                      analysis::Table::Num(t.timeout / kSecond),
+                      analysis::Table::Fixed(r.detect_s, 1),
+                      analysis::Table::Fixed(r.recover_s, 1),
+                      analysis::Table::Num(r.messages)});
+        if (r.check_ran) check_report.Merge(r.check_report);
+      });
   sweep.Print(std::cout);
 
   std::cout << "\n(b) 4x4 grid: primary core fails; orphaned branches "
@@ -170,88 +157,81 @@ int main(int argc, char** argv) {
                "no multicast protocol can survive; hence the 2-connected "
                "grid here)\n\n";
   analysis::Table grid_table({"event", "value"});
-  exec_report.Add(
-      "grid_core_failover",
-      exec::RunSweep(
-          pool, 1, sweep_options,
-          [&](exec::RunContext&) {
-            GridResult result;
-            auto& rows = result.rows;
-            netsim::Simulator sim(1);
-            netsim::Topology topo = netsim::MakeGrid(sim, 4, 4);
-            core::CbtDomain domain(sim, topo);
-            // Primary core: corner (0,0); secondary: corner (3,3).
-            domain.RegisterGroup(kGroup, {topo.routers[0], topo.routers[15]});
-            domain.Start();
-            sim.RunUntil(kSecond);
-            // Members behind four spread routers.
-            std::vector<core::HostAgent*> members;
-            for (const std::size_t idx : {3u, 5u, 10u, 12u}) {
-              members.push_back(&domain.AddHost(topo.router_lans[idx],
-                                                netsim::Numbered("m", idx)));
-              members.back()->JoinGroup(kGroup);
-            }
-            sim.RunUntil(30 * kSecond);
+  harness.Sweep(
+      "grid_core_failover", 1,
+      [&](exec::RunContext&) {
+        GridResult result;
+        auto& rows = result.rows;
+        netsim::Simulator sim(1);
+        netsim::Topology topo = netsim::MakeGrid(sim, 4, 4);
+        core::CbtDomain domain(sim, topo);
+        // Primary core: corner (0,0); secondary: corner (3,3).
+        domain.RegisterGroup(kGroup, {topo.routers[0], topo.routers[15]});
+        domain.Start();
+        sim.RunUntil(kSecond);
+        // Members behind four spread routers.
+        std::vector<core::HostAgent*> members;
+        for (const std::size_t idx : {3u, 5u, 10u, 12u}) {
+          members.push_back(&domain.AddHost(topo.router_lans[idx],
+                                            netsim::Numbered("m", idx)));
+          members.back()->JoinGroup(kGroup);
+        }
+        sim.RunUntil(30 * kSecond);
 
-            const SimTime failure = sim.Now();
-            sim.SetNodeUp(topo.routers[0], false);
-            sim.RunUntil(failure + 600 * kSecond);
+        const SimTime failure = sim.Now();
+        sim.SetNodeUp(topo.routers[0], false);
+        sim.RunUntil(failure + 600 * kSecond);
 
-            // Validate delivery end-to-end after recovery: member 3 sends.
-            members[0]->SendToGroup(kGroup, std::vector<std::uint8_t>{1});
-            sim.RunUntil(sim.Now() + 10 * kSecond);
+        // Validate delivery end-to-end after recovery: member 3 sends.
+        members[0]->SendToGroup(kGroup, std::vector<std::uint8_t>{1});
+        sim.RunUntil(sim.Now() + 10 * kSecond);
 
-            std::uint64_t losses = 0, reconnects = 0;
-            for (const NodeId id : domain.router_ids()) {
-              losses += domain.router(id).stats().parent_losses;
-              reconnects += domain.router(id).stats().reconnects_succeeded;
-            }
-            rows.push_back(
-                {"routers that lost a parent", analysis::Table::Num(losses)});
-            rows.push_back(
-                {"successful reconnects", analysis::Table::Num(reconnects)});
-            rows.push_back(
-                {"secondary core anchors tree",
-                 domain.router(topo.routers[15]).IsOnTree(kGroup) ? "yes"
-                                                                  : "NO"});
-            int delivered = 0;
-            for (std::size_t i = 1; i < members.size(); ++i) {
-              if (members[i]->ReceivedCount(kGroup) > 0) ++delivered;
-            }
-            rows.push_back({"members receiving after recovery",
-                            analysis::Table::Num(delivered) + "/3"});
-            MaybeCheck(run_check, sim, core::CbtConfig{}, &result.check_report,
-                       &result.check_ran);
-            return result;
-          },
-          [&](exec::RunContext& ctx, GridResult result) {
-            for (auto& row : result.rows) grid_table.AddRow(std::move(row));
-            if (result.check_ran) check_report.Merge(result.check_report);
-            trace.Adopt(std::move(ctx.trace));
-          }));
+        std::uint64_t losses = 0, reconnects = 0;
+        for (const NodeId id : domain.router_ids()) {
+          losses += domain.router(id).stats().parent_losses;
+          reconnects += domain.router(id).stats().reconnects_succeeded;
+        }
+        rows.push_back(
+            {"routers that lost a parent", analysis::Table::Num(losses)});
+        rows.push_back(
+            {"successful reconnects", analysis::Table::Num(reconnects)});
+        rows.push_back(
+            {"secondary core anchors tree",
+             domain.router(topo.routers[15]).IsOnTree(kGroup) ? "yes"
+                                                              : "NO"});
+        int delivered = 0;
+        for (std::size_t i = 1; i < members.size(); ++i) {
+          if (members[i]->ReceivedCount(kGroup) > 0) ++delivered;
+        }
+        rows.push_back({"members receiving after recovery",
+                        analysis::Table::Num(delivered) + "/3"});
+        MaybeCheck(opts.check, sim, core::CbtConfig{}, &result.check_report,
+                   &result.check_ran);
+        return result;
+      },
+      [&](exec::RunContext&, GridResult result) {
+        for (auto& row : result.rows) grid_table.AddRow(std::move(row));
+        if (result.check_ran) check_report.Merge(result.check_report);
+      });
   grid_table.Print(std::cout);
   std::cout << "\nExpected shape: detection ~= echo timeout (+ up to one "
                "interval), repair ~= one join RTT on top; smaller echo "
                "timers recover faster but cost proportionally more "
                "keepalive messages. After the primary-core failure the "
                "secondary core anchors delivery.\n";
-  if (run_check) {
+  if (opts.check) {
     std::cout << "\n";
     check_report.Print(std::cout);
   }
-  if (!opts.json_path.empty()) {
-    bench::JsonReporter report(opts.bench_name());
-    report.Param("check", run_check);
-    if (run_check) {
-      report.Param("check_checked", check_report.checked());
-      report.Param("check_violations", check_report.violations());
-      report.Param("check_truncations", check_report.truncations());
-      report.Param("check_waived", check_report.waived());
-    }
-    report.AddTable("echo_sweep", sweep, "s");
-    report.AddTable("grid_core_failover", grid_table);
-    report.WriteFile(opts.json_path);
+  auto& report = harness.report();
+  report.Param("check", opts.check);
+  if (opts.check) {
+    report.Param("check_checked", check_report.checked());
+    report.Param("check_violations", check_report.violations());
+    report.Param("check_truncations", check_report.truncations());
+    report.Param("check_waived", check_report.waived());
   }
-  exec_report.WriteIfRequested(opts);
-  return run_check && !check_report.clean() ? 1 : 0;
+  report.AddTable("echo_sweep", sweep, "s");
+  report.AddTable("grid_core_failover", grid_table);
+  return harness.Finish(opts.check && !check_report.clean() ? 1 : 0);
 }

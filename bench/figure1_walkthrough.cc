@@ -24,13 +24,10 @@ int main(int argc, char** argv) {
   bench::Options opts("figure1_walkthrough",
                       "E8: the spec's Figure-1 worked examples");
   opts.Parse(argc, argv);
-  bench::TraceSession trace(opts.trace_path);
-  exec::Pool pool(opts.jobs);
-  bench::ExecReport exec_report(opts.bench_name());
+  bench::Harness harness(opts);
 
   analysis::Table first_data({""});
-  const int rc = bench::RunRepeated(
-      pool, opts, trace, exec_report, [&](exec::RunContext& ctx) -> int {
+  const int rc = harness.Repeat([&](exec::RunContext& ctx) -> int {
   std::ostream& out = ctx.out;
   netsim::Simulator sim(1);
   netsim::Topology topo = netsim::MakeFigure1(sim);
@@ -132,11 +129,7 @@ int main(int argc, char** argv) {
   if (ctx.index == 0) first_data = data;
   return 0;
       });
-  if (!opts.json_path.empty()) {
-    bench::JsonReporter report(opts.bench_name());
-    report.AddTable("data_walkthrough", first_data, "packets");
-    report.WriteFile(opts.json_path);
-  }
-  exec_report.WriteIfRequested(opts);
-  return rc;
+  auto& report = harness.report();
+  report.AddTable("data_walkthrough", first_data, "packets");
+  return harness.Finish(rc);
 }

@@ -176,7 +176,8 @@ elseif(GROUP STREQUAL "bench_exec_differential")
       --json dataplane.jobs${jobs}.json FILE dataplane.jobs${jobs}.json)
   endforeach()
   row(join_latency_csv ${join} --jobs 4)
-  require_text(soak1.jobs4.exec.json replica_wall_seconds)
+  require_text(soak1.jobs4.exec.json
+    replica_wall_seconds sweep_wall_seconds total_wall_seconds)
 
 elseif(GROUP STREQUAL "bench_pdes_differential")
   # --shards N >= 1: stdout and BENCH json are independent of the region

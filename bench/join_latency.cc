@@ -12,7 +12,6 @@
 // Also ablates the proxy-ack optimization (section 2.6): latency is the
 // same, but the LAN's D-DR keeps state without it.
 #include <iostream>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -20,7 +19,6 @@
 #include "analysis/table.h"
 #include "bench_util.h"
 #include "cbt/domain.h"
-#include "exec/pdes/runtime.h"
 #include "netsim/topologies.h"
 
 namespace {
@@ -64,10 +62,7 @@ int main(int argc, char** argv) {
   bench::Options opts("join_latency", "E5: join latency vs distance to core");
   opts.EnableShards();
   opts.Parse(argc, argv);
-
-  bench::TraceSession trace(opts.trace_path);
-  cbt::exec::Pool pool(opts.jobs);
-  bench::ExecReport exec_report(opts.bench_name());
+  bench::Harness harness(opts);
 
   std::cout << "E5: join latency\n\n(a) Figure-1 walkthrough (1ms link "
                "delays; joins issued sequentially; latency = IGMP report "
@@ -78,54 +73,41 @@ int main(int argc, char** argv) {
   // join having built the tree). (b) fans one replica per hop count.
   analysis::Table fig1(
       {"host", "D-DR", "DR latency ms", "host-observed ms", "note"});
-  exec_report.Add(
-      "figure1",
-      cbt::exec::RunSweep(
-          pool, 1, bench::MakeSweepOptions(opts, trace),
-          [&](cbt::exec::RunContext&) {
-            std::vector<std::vector<std::string>> rows;
-            netsim::Simulator sim(1);
-            netsim::Topology topo = netsim::MakeFigure1(sim);
-            // Outlives the domain: timer dtors cancel through the backend.
-            std::unique_ptr<cbt::exec::pdes::Runtime> pdes;
-            core::CbtDomain domain(sim, topo);
-            if (opts.shards > 0) {
-              pdes = std::make_unique<cbt::exec::pdes::Runtime>(sim,
-                                                                opts.shards);
-              pdes->Install();
-              domain.ShardRoutes(pdes->region_count(), [&pdes](NodeId id) {
-                return pdes->RegionOf(id);
-              });
-            }
-            domain.RegisterGroup(kGroup, {topo.node("R4"), topo.node("R9")});
-            domain.Start();
-            sim.RunUntil(kSecond);
+  harness.Sweep(
+      "figure1", 1,
+      [&](cbt::exec::RunContext&) {
+        std::vector<std::vector<std::string>> rows;
+        netsim::Simulator sim(1);
+        netsim::Topology topo = netsim::MakeFigure1(sim);
+        const bench::ShardedDomain sharded = harness.Domain(sim, topo);
+        core::CbtDomain& domain = *sharded.domain;
+        domain.RegisterGroup(kGroup, {topo.node("R4"), topo.node("R9")});
+        domain.Start();
+        sim.RunUntil(kSecond);
 
-            const struct {
-              const char* host;
-              const char* dr;
-              const char* note;
-            } cases[] = {
-                {"A", "R1", "first join: travels R1-R3-R4"},
-                {"B", "R6", "terminates at on-tree R3; proxy-ack to R6"},
-                {"G", "R8", "terminates at core R4"},
-                {"H", "R10", "travels R10-R9-R8 (R8 on-tree)"},
-            };
-            for (const auto& c : cases) {
-              const JoinLatency d = MeasureJoin(sim, domain, c.host, c.dr);
-              rows.push_back(
-                  {c.host, c.dr,
-                   analysis::Table::Fixed((double)d.dr / kMillisecond, 1),
-                   analysis::Table::Fixed((double)d.host / kMillisecond, 1),
-                   c.note});
-            }
-            return rows;
-          },
-          [&](cbt::exec::RunContext& ctx,
-              std::vector<std::vector<std::string>> rows) {
-            for (auto& row : rows) fig1.AddRow(std::move(row));
-            trace.Adopt(std::move(ctx.trace));
-          }));
+        const struct {
+          const char* host;
+          const char* dr;
+          const char* note;
+        } cases[] = {
+            {"A", "R1", "first join: travels R1-R3-R4"},
+            {"B", "R6", "terminates at on-tree R3; proxy-ack to R6"},
+            {"G", "R8", "terminates at core R4"},
+            {"H", "R10", "travels R10-R9-R8 (R8 on-tree)"},
+        };
+        for (const auto& c : cases) {
+          const JoinLatency d = MeasureJoin(sim, domain, c.host, c.dr);
+          rows.push_back(
+              {c.host, c.dr,
+               analysis::Table::Fixed((double)d.dr / kMillisecond, 1),
+               analysis::Table::Fixed((double)d.host / kMillisecond, 1),
+               c.note});
+        }
+        return rows;
+      },
+      [&](cbt::exec::RunContext&, std::vector<std::vector<std::string>> rows) {
+        for (auto& row : rows) fig1.AddRow(std::move(row));
+      });
   fig1.Print(std::cout);
 
   std::cout << "\n(b) latency vs hop distance to core (line topology, 1ms "
@@ -133,66 +115,55 @@ int main(int argc, char** argv) {
   analysis::Table line({"hops to core", "latency ms", "expected 2*delay ms",
                         "DR holds state (proxy on)", "DR holds state (off)"});
   const std::vector<int> hop_counts = {1, 2, 4, 6, 8, 10};
-  exec_report.Add(
-      "line",
-      cbt::exec::RunSweep(
-          pool, hop_counts.size(), bench::MakeSweepOptions(opts, trace),
-          [&](cbt::exec::RunContext& ctx) {
-            const int hops = hop_counts[ctx.index];
-            double latency_ms = 0;
-            bool dr_state_on = false, dr_state_off = false;
-            for (const bool proxy : {true, false}) {
-              netsim::Simulator sim(1);
-              netsim::Topology topo = netsim::MakeLine(sim, hops + 1);
-              core::CbtConfig config;
-              config.enable_proxy_ack = proxy;
-              // Outlives the domain: timer dtors cancel through the backend.
-              std::unique_ptr<cbt::exec::pdes::Runtime> pdes;
-              core::CbtDomain domain(sim, topo, config);
-              if (opts.shards > 0) {
-                pdes = std::make_unique<cbt::exec::pdes::Runtime>(
-                    sim, opts.shards);
-                pdes->Install();
-                domain.ShardRoutes(pdes->region_count(), [&pdes](NodeId id) {
-                  return pdes->RegionOf(id);
-                });
-              }
-              domain.RegisterGroup(kGroup, {topo.routers[(std::size_t)hops]});
-              domain.Start();
-              sim.RunUntil(kSecond);
-              auto& host = domain.AddHost(topo.router_lans[0], "m");
+  harness.Sweep(
+      "line", hop_counts.size(),
+      [&](cbt::exec::RunContext& ctx) {
+        const int hops = hop_counts[ctx.index];
+        double latency_ms = 0;
+        bool dr_state_on = false, dr_state_off = false;
+        for (const bool proxy : {true, false}) {
+          netsim::Simulator sim(1);
+          netsim::Topology topo = netsim::MakeLine(sim, hops + 1);
+          core::CbtConfig config;
+          config.enable_proxy_ack = proxy;
+          const bench::ShardedDomain sharded =
+              harness.Domain(sim, topo, config);
+          core::CbtDomain& domain = *sharded.domain;
+          domain.RegisterGroup(kGroup, {topo.routers[(std::size_t)hops]});
+          domain.Start();
+          sim.RunUntil(kSecond);
+          auto& host = domain.AddHost(topo.router_lans[0], "m");
 
-              std::optional<SimTime> established;
-              core::CbtRouter::Callbacks cb;
-              cb.on_group_established = [&](Ipv4Address) {
-                established = sim.Now();
-              };
-              domain.router(topo.routers[0]).set_callbacks(std::move(cb));
-              const SimTime start = sim.Now();
-              host.JoinGroup(kGroup);
-              sim.RunUntil(start + 30 * kSecond);
+          std::optional<SimTime> established;
+          core::CbtRouter::Callbacks cb;
+          cb.on_group_established = [&](Ipv4Address) {
+            established = sim.Now();
+          };
+          domain.router(topo.routers[0]).set_callbacks(std::move(cb));
+          const SimTime start = sim.Now();
+          host.JoinGroup(kGroup);
+          sim.RunUntil(start + 30 * kSecond);
 
-              if (proxy) {
-                latency_ms = established
-                                 ? (double)(*established - start) / kMillisecond
-                                 : -1;
-                dr_state_on = domain.router(topo.routers[0]).IsOnTree(kGroup);
-              } else {
-                dr_state_off = domain.router(topo.routers[0]).IsOnTree(kGroup);
-              }
-            }
-            // Join travels `hops` links, ack travels them back; the IGMP
-            // report adds one LAN delay (1ms) before the DR acts.
-            return std::vector<std::string>{
-                analysis::Table::Num(hops),
-                analysis::Table::Fixed(latency_ms, 1),
-                analysis::Table::Fixed(2.0 * hops + 1.0, 1),
-                dr_state_on ? "yes" : "no", dr_state_off ? "yes" : "no"};
-          },
-          [&](cbt::exec::RunContext& ctx, std::vector<std::string> row) {
-            line.AddRow(std::move(row));
-            trace.Adopt(std::move(ctx.trace));
-          }));
+          if (proxy) {
+            latency_ms = established
+                             ? (double)(*established - start) / kMillisecond
+                             : -1;
+            dr_state_on = domain.router(topo.routers[0]).IsOnTree(kGroup);
+          } else {
+            dr_state_off = domain.router(topo.routers[0]).IsOnTree(kGroup);
+          }
+        }
+        // Join travels `hops` links, ack travels them back; the IGMP
+        // report adds one LAN delay (1ms) before the DR acts.
+        return std::vector<std::string>{
+            analysis::Table::Num(hops),
+            analysis::Table::Fixed(latency_ms, 1),
+            analysis::Table::Fixed(2.0 * hops + 1.0, 1),
+            dr_state_on ? "yes" : "no", dr_state_off ? "yes" : "no"};
+      },
+      [&](cbt::exec::RunContext&, std::vector<std::string> row) {
+        line.AddRow(std::move(row));
+      });
   line.Print(std::cout);
   std::cout << "\nExpected shape: latency linear in hop count at ~one "
                "control RTT; proxy-ack does not change latency (a line's "
@@ -200,13 +171,9 @@ int main(int argc, char** argv) {
                "hold state here — the Figure-1 B case above shows the "
                "stateless-DR effect).\n";
 
-  if (!opts.json_path.empty()) {
-    bench::JsonReporter report(opts.bench_name());
-    report.Param("seed", opts.seed);
-    report.AddTable("figure1", fig1, "ms");
-    report.AddTable("line", line, "ms");
-    report.WriteFile(opts.json_path);
-  }
-  exec_report.WriteIfRequested(opts);
-  return 0;
+  auto& report = harness.report();
+  report.Param("seed", opts.seed);
+  report.AddTable("figure1", fig1, "ms");
+  report.AddTable("line", line, "ms");
+  return harness.Finish(0);
 }

@@ -183,17 +183,14 @@ int main(int argc, char** argv) {
   cbt::bench::Options opts("state_scaling",
                            "E1: router state scaling vs DVMRP and MOSPF");
   opts.Parse(argc, argv);
-  cbt::bench::TraceSession trace(opts.trace_path);
-  cbt::exec::Pool pool(opts.jobs);
-  cbt::bench::ExecReport exec_report(opts.bench_name());
+  cbt::bench::Harness harness(opts);
   const bool csv = opts.csv;
 
   // --repeat replicas fan out over the --jobs pool; the workload is
   // deterministic, so every repetition prints the same tables (the
   // repeat knob exists for wall-clock sampling via BENCH_exec.json).
   analysis::Table first_table({""});
-  const int rc = cbt::bench::RunRepeated(
-      pool, opts, trace, exec_report, [&](cbt::exec::RunContext& ctx) -> int {
+  const int rc = harness.Repeat([&](cbt::exec::RunContext& ctx) -> int {
         std::ostream& out = ctx.out;
         out << "E1: router state scaling — CBT shared tree vs DVMRP "
                "flood-and-prune vs MOSPF link-state\n"
@@ -234,13 +231,9 @@ int main(int argc, char** argv) {
         if (ctx.index == 0) first_table = table;
         return 0;
       });
-  if (!opts.json_path.empty()) {
-    cbt::bench::JsonReporter report(opts.bench_name());
-    report.Param("routers", kRouters);
-    report.Param("members_per_group", kMembersPerGroup);
-    report.AddTable("state_scaling", first_table, "state units");
-    report.WriteFile(opts.json_path);
-  }
-  exec_report.WriteIfRequested(opts);
-  return rc;
+  auto& report = harness.report();
+  report.Param("routers", kRouters);
+  report.Param("members_per_group", kMembersPerGroup);
+  report.AddTable("state_scaling", first_table, "state units");
+  return harness.Finish(rc);
 }

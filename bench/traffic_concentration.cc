@@ -55,15 +55,12 @@ int main(int argc, char** argv) {
   cbt::bench::Options opts("traffic_concentration",
                            "E4: link-load concentration across schemes");
   opts.Parse(argc, argv);
-  cbt::bench::TraceSession trace(opts.trace_path);
-  cbt::exec::Pool pool(opts.jobs);
-  cbt::bench::ExecReport exec_report(opts.bench_name());
+  cbt::bench::Harness harness(opts);
   const bool csv = opts.csv;
 
   analysis::Table first_table({""});
   analysis::Table first_live({""});
-  const int rc = cbt::bench::RunRepeated(
-      pool, opts, trace, exec_report, [&](cbt::exec::RunContext& ctx) -> int {
+  const int rc = harness.Repeat([&](cbt::exec::RunContext& ctx) -> int {
   std::ostream& out = ctx.out;
   out << "E4: traffic concentration (all members send one packet) — "
                "Waxman n="
@@ -222,16 +219,10 @@ int main(int argc, char** argv) {
   }
   return 0;
       });
-  if (!opts.json_path.empty()) {
-    analysis::Table& table = first_table;
-    analysis::Table& live = first_live;
-    cbt::bench::JsonReporter report(opts.bench_name());
-    report.Param("routers", kRouters);
-    report.Param("seeds", kSeeds);
-    report.AddTable("oracle_link_load", table, "packets");
-    report.AddTable("live_grid", live, "frames");
-    report.WriteFile(opts.json_path);
-  }
-  exec_report.WriteIfRequested(opts);
-  return rc;
+  auto& report = harness.report();
+  report.Param("routers", kRouters);
+  report.Param("seeds", kSeeds);
+  report.AddTable("oracle_link_load", first_table, "packets");
+  report.AddTable("live_grid", first_live, "frames");
+  return harness.Finish(rc);
 }

@@ -31,14 +31,11 @@ int main(int argc, char** argv) {
   cbt::bench::Options opts("tree_cost",
                            "E2: shared-tree vs per-source tree cost");
   opts.Parse(argc, argv);
-  cbt::bench::TraceSession trace(opts.trace_path);
-  cbt::exec::Pool pool(opts.jobs);
-  cbt::bench::ExecReport exec_report(opts.bench_name());
+  cbt::bench::Harness harness(opts);
   const bool csv = opts.csv;
 
   analysis::Table first_table({""});
-  const int rc = cbt::bench::RunRepeated(
-      pool, opts, trace, exec_report, [&](cbt::exec::RunContext& ctx) -> int {
+  const int rc = harness.Repeat([&](cbt::exec::RunContext& ctx) -> int {
   std::ostream& out = ctx.out;
   out << "E2: tree cost (links) vs group size — Waxman n=" << kRouters
             << ", averaged over " << kSeeds << " seeds\n"
@@ -112,14 +109,9 @@ int main(int argc, char** argv) {
   if (ctx.index == 0) first_table = table;
   return 0;
       });
-  if (!opts.json_path.empty()) {
-    analysis::Table& table = first_table;
-    cbt::bench::JsonReporter report(opts.bench_name());
-    report.Param("routers", kRouters);
-    report.Param("seeds", kSeeds);
-    report.AddTable("tree_cost", table, "links");
-    report.WriteFile(opts.json_path);
-  }
-  exec_report.WriteIfRequested(opts);
-  return rc;
+  auto& report = harness.report();
+  report.Param("routers", kRouters);
+  report.Param("seeds", kSeeds);
+  report.AddTable("tree_cost", first_table, "links");
+  return harness.Finish(rc);
 }

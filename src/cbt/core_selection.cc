@@ -207,107 +207,101 @@ void OrderByClusterSize(const std::vector<NodeId>& members,
 // unicast delay, one core per cluster.
 // ---------------------------------------------------------------------------
 
-class LocalityStrategy final : public Strategy {
- public:
-  std::string_view name() const override { return "locality"; }
-
-  Placement Place(const PlacementInput& in, std::size_t k) const override {
-    assert(in.routes != nullptr);
-    assert(k >= 1 && k <= in.routers.size());
-    routing::RouteManager& routes = *in.routes;
-    const std::vector<NodeId>& members = MembersOrRouters(in);
-
-    // Seed clusters with a delay k-center over the members: the first seed
-    // minimizes member eccentricity, the rest maximize delay to the seeds.
-    std::vector<NodeId> seeds = PickDelayCentreOverMembers(routes, members, k);
-
-    // Lloyd-style refinement: assign members to the nearest seed, then
-    // recentre each cluster on the candidate router that minimizes its
-    // eccentricity (ties: lower total delay, then lower id). Three rounds
-    // are enough for the seeded start to settle on these topologies.
-    std::vector<std::size_t> assignment;
-    for (int round = 0; round < 3; ++round) {
-      assignment = AssignNearest(routes, seeds, members);
-      std::vector<NodeId> next = seeds;
-      for (std::size_t c = 0; c < seeds.size(); ++c) {
-        NodeId best = seeds[c];
-        SimDuration best_ecc = std::numeric_limits<SimDuration>::max();
-        SimDuration best_sum = std::numeric_limits<SimDuration>::max();
-        for (const NodeId candidate : in.routers) {
-          if (std::find(next.begin(), next.end(), candidate) != next.end() &&
-              candidate != seeds[c]) {
-            continue;  // keep cluster cores distinct
-          }
-          SimDuration ecc = 0;
-          SimDuration sum = 0;
-          bool any = false;
-          for (std::size_t m = 0; m < members.size(); ++m) {
-            if (assignment[m] != c) continue;
-            any = true;
-            const SimDuration d =
-                DelayOr(routes, candidate, members[m], kUnreachable);
-            ecc = std::max(ecc, d);
-            sum += d;
-          }
-          if (!any) break;  // empty cluster keeps its seed
-          if (ecc < best_ecc || (ecc == best_ecc && sum < best_sum) ||
-              (ecc == best_ecc && sum == best_sum && candidate < best)) {
-            best_ecc = ecc;
-            best_sum = sum;
-            best = candidate;
-          }
-        }
-        next[c] = best;
-      }
-      if (next == seeds) break;
-      seeds = std::move(next);
+std::vector<NodeId> PickDelayCentreOverMembers(
+    routing::RouteManager& routes, const std::vector<NodeId>& members,
+    std::size_t k) {
+  std::vector<NodeId> seeds;
+  NodeId best = members.front();
+  SimDuration best_ecc = std::numeric_limits<SimDuration>::max();
+  for (const NodeId candidate : members) {
+    SimDuration ecc = 0;
+    for (const NodeId other : members) {
+      ecc = std::max(ecc, DelayOr(routes, candidate, other, kUnreachable));
     }
-
-    Placement p = Finish(in, std::move(seeds));
-    OrderByClusterSize(members, routes, p);
-    return p;
+    if (ecc < best_ecc || (ecc == best_ecc && candidate < best)) {
+      best_ecc = ecc;
+      best = candidate;
+    }
   }
-
- private:
-  static std::vector<NodeId> PickDelayCentreOverMembers(
-      routing::RouteManager& routes, const std::vector<NodeId>& members,
-      std::size_t k) {
-    std::vector<NodeId> seeds;
-    NodeId best = members.front();
-    SimDuration best_ecc = std::numeric_limits<SimDuration>::max();
+  seeds.push_back(best);
+  while (seeds.size() < k) {
+    NodeId farthest = NodeId{0};
+    SimDuration farthest_delay = -1;
     for (const NodeId candidate : members) {
-      SimDuration ecc = 0;
-      for (const NodeId other : members) {
-        ecc = std::max(ecc, DelayOr(routes, candidate, other, kUnreachable));
+      if (std::find(seeds.begin(), seeds.end(), candidate) != seeds.end()) {
+        continue;
       }
-      if (ecc < best_ecc || (ecc == best_ecc && candidate < best)) {
-        best_ecc = ecc;
-        best = candidate;
+      SimDuration delay = std::numeric_limits<SimDuration>::max();
+      for (const NodeId s : seeds) {
+        delay = std::min(delay, DelayOr(routes, candidate, s, kUnreachable));
+      }
+      if (delay > farthest_delay) {
+        farthest_delay = delay;
+        farthest = candidate;
       }
     }
-    seeds.push_back(best);
-    while (seeds.size() < k) {
-      NodeId farthest = NodeId{0};
-      SimDuration farthest_delay = -1;
-      for (const NodeId candidate : members) {
-        if (std::find(seeds.begin(), seeds.end(), candidate) != seeds.end()) {
-          continue;
-        }
-        SimDuration delay = std::numeric_limits<SimDuration>::max();
-        for (const NodeId s : seeds) {
-          delay = std::min(delay, DelayOr(routes, candidate, s, kUnreachable));
-        }
-        if (delay > farthest_delay) {
-          farthest_delay = delay;
-          farthest = candidate;
-        }
-      }
-      if (farthest_delay < 0) break;  // fewer distinct members than k
-      seeds.push_back(farthest);
-    }
-    return seeds;
+    if (farthest_delay < 0) break;  // fewer distinct members than k
+    seeds.push_back(farthest);
   }
-};
+  return seeds;
+}
+
+Placement PlaceLocality(const PlacementInput& in, std::size_t k) {
+  assert(in.routes != nullptr);
+  assert(k >= 1 && k <= in.routers.size());
+  routing::RouteManager& routes = *in.routes;
+  const std::vector<NodeId>& members = MembersOrRouters(in);
+
+  // Seed clusters with a delay k-center over the members: the first seed
+  // minimizes member eccentricity, the rest maximize delay to the seeds.
+  std::vector<NodeId> seeds = PickDelayCentreOverMembers(routes, members, k);
+
+  // Lloyd-style refinement: assign members to the nearest seed, then
+  // recentre each cluster on the candidate router that minimizes its
+  // eccentricity (ties: lower total delay, then lower id). Three rounds
+  // are enough for the seeded start to settle on these topologies.
+  std::vector<std::size_t> assignment;
+  for (int round = 0; round < 3; ++round) {
+    assignment = AssignNearest(routes, seeds, members);
+    std::vector<NodeId> next = seeds;
+    for (std::size_t c = 0; c < seeds.size(); ++c) {
+      NodeId best = seeds[c];
+      SimDuration best_ecc = std::numeric_limits<SimDuration>::max();
+      SimDuration best_sum = std::numeric_limits<SimDuration>::max();
+      for (const NodeId candidate : in.routers) {
+        if (std::find(next.begin(), next.end(), candidate) != next.end() &&
+            candidate != seeds[c]) {
+          continue;  // keep cluster cores distinct
+        }
+        SimDuration ecc = 0;
+        SimDuration sum = 0;
+        bool any = false;
+        for (std::size_t m = 0; m < members.size(); ++m) {
+          if (assignment[m] != c) continue;
+          any = true;
+          const SimDuration d =
+              DelayOr(routes, candidate, members[m], kUnreachable);
+          ecc = std::max(ecc, d);
+          sum += d;
+        }
+        if (!any) break;  // empty cluster keeps its seed
+        if (ecc < best_ecc || (ecc == best_ecc && sum < best_sum) ||
+            (ecc == best_ecc && sum == best_sum && candidate < best)) {
+          best_ecc = ecc;
+          best_sum = sum;
+          best = candidate;
+        }
+      }
+      next[c] = best;
+    }
+    if (next == seeds) break;
+    seeds = std::move(next);
+  }
+
+  Placement p = Finish(in, std::move(seeds));
+  OrderByClusterSize(members, routes, p);
+  return p;
+}
 
 // ---------------------------------------------------------------------------
 // VNS strategy (arXiv 1303.4771): variable neighborhood search over
@@ -326,182 +320,181 @@ struct VnsCost {
   }
 };
 
-class VnsStrategy final : public Strategy {
- public:
-  std::string_view name() const override { return "vns"; }
+constexpr int kShakes = 16;
+constexpr int kSearchPasses = 8;
 
-  Placement Place(const PlacementInput& in, std::size_t k) const override {
-    assert(in.routes != nullptr);
-    assert(in.rng != nullptr);
-    assert(k >= 1 && k <= in.routers.size());
-    routing::RouteManager& routes = *in.routes;
-    const std::vector<NodeId>& members = MembersOrRouters(in);
-    Rng& rng = *in.rng;
-
-    const SimDuration bound =
-        in.delay_bound > 0 ? in.delay_bound : AutoBound(routes, in, members);
-
-    std::vector<NodeId> cur = PickDelayCentre(routes, in.routers, k);
-    LocalSearch(routes, in.routers, members, bound, cur);
-    VnsCost cur_cost = Eval(routes, members, bound, cur);
-
-    const std::size_t j_max = std::min<std::size_t>(k, 3);
-    std::size_t j = 1;
-    for (int shake = 0; shake < kShakes; ++shake) {
-      std::vector<NodeId> trial = Shake(in.routers, cur, j, rng);
-      LocalSearch(routes, in.routers, members, bound, trial);
-      const VnsCost trial_cost = Eval(routes, members, bound, trial);
-      if (trial_cost < cur_cost) {
-        cur = std::move(trial);
-        cur_cost = trial_cost;
-        j = 1;  // improvement: restart from the smallest neighborhood
-      } else {
-        j = j % j_max + 1;
-      }
-    }
-
-    Placement p = Finish(in, std::move(cur));
-    OrderByClusterSize(members, routes, p);
-    return p;
-  }
-
- private:
-  static constexpr int kShakes = 16;
-  static constexpr int kSearchPasses = 8;
-
-  static SimDuration AutoBound(routing::RouteManager& routes,
-                               const PlacementInput& in,
-                               const std::vector<NodeId>& members) {
-    SimDuration best = kUnreachable;
-    for (const NodeId candidate : in.routers) {
-      SimDuration ecc = 0;
-      for (const NodeId m : members) {
-        ecc = std::max(ecc, DelayOr(routes, candidate, m, kUnreachable));
-      }
-      best = std::min(best, ecc);
-    }
-    return best + best / 8;
-  }
-
-  static VnsCost Eval(routing::RouteManager& routes,
-                      const std::vector<NodeId>& members, SimDuration bound,
-                      const std::vector<NodeId>& cores) {
-    VnsCost cost;
-    SimDuration min_delay = std::numeric_limits<SimDuration>::max();
+SimDuration AutoBound(routing::RouteManager& routes, const PlacementInput& in,
+                      const std::vector<NodeId>& members) {
+  SimDuration best = kUnreachable;
+  for (const NodeId candidate : in.routers) {
+    SimDuration ecc = 0;
     for (const NodeId m : members) {
-      SimDuration d = kUnreachable;
-      for (const NodeId c : cores) {
-        d = std::min(d, DelayOr(routes, c, m, kUnreachable));
-      }
-      if (d > bound) ++cost.violations;
-      cost.max_delay = std::max(cost.max_delay, d);
-      min_delay = std::min(min_delay, d);
+      ecc = std::max(ecc, DelayOr(routes, candidate, m, kUnreachable));
     }
-    cost.variation =
-        members.empty() ? SimDuration{0} : cost.max_delay - min_delay;
-    return cost;
+    best = std::min(best, ecc);
   }
+  return best + best / 8;
+}
 
-  /// Best-improvement single swaps (chosen core <-> unused candidate)
-  /// until a pass finds no strictly better neighbor.
-  static void LocalSearch(routing::RouteManager& routes,
-                          const std::vector<NodeId>& candidates,
-                          const std::vector<NodeId>& members,
-                          SimDuration bound, std::vector<NodeId>& cores) {
-    VnsCost best = Eval(routes, members, bound, cores);
-    for (int pass = 0; pass < kSearchPasses; ++pass) {
-      std::size_t best_i = cores.size();
-      NodeId best_c{};
-      for (std::size_t i = 0; i < cores.size(); ++i) {
-        const NodeId saved = cores[i];
-        for (const NodeId c : candidates) {
-          if (std::find(cores.begin(), cores.end(), c) != cores.end()) {
-            continue;
-          }
-          cores[i] = c;
-          const VnsCost cost = Eval(routes, members, bound, cores);
-          if (cost < best) {
-            best = cost;
-            best_i = i;
-            best_c = c;
-          }
+VnsCost Eval(routing::RouteManager& routes, const std::vector<NodeId>& members,
+             SimDuration bound, const std::vector<NodeId>& cores) {
+  VnsCost cost;
+  SimDuration min_delay = std::numeric_limits<SimDuration>::max();
+  for (const NodeId m : members) {
+    SimDuration d = kUnreachable;
+    for (const NodeId c : cores) {
+      d = std::min(d, DelayOr(routes, c, m, kUnreachable));
+    }
+    if (d > bound) ++cost.violations;
+    cost.max_delay = std::max(cost.max_delay, d);
+    min_delay = std::min(min_delay, d);
+  }
+  cost.variation =
+      members.empty() ? SimDuration{0} : cost.max_delay - min_delay;
+  return cost;
+}
+
+/// Best-improvement single swaps (chosen core <-> unused candidate)
+/// until a pass finds no strictly better neighbor.
+void LocalSearch(routing::RouteManager& routes,
+                 const std::vector<NodeId>& candidates,
+                 const std::vector<NodeId>& members, SimDuration bound,
+                 std::vector<NodeId>& cores) {
+  VnsCost best = Eval(routes, members, bound, cores);
+  for (int pass = 0; pass < kSearchPasses; ++pass) {
+    std::size_t best_i = cores.size();
+    NodeId best_c{};
+    for (std::size_t i = 0; i < cores.size(); ++i) {
+      const NodeId saved = cores[i];
+      for (const NodeId c : candidates) {
+        if (std::find(cores.begin(), cores.end(), c) != cores.end()) {
+          continue;
         }
-        cores[i] = saved;
-      }
-      if (best_i == cores.size()) break;
-      cores[best_i] = best_c;
-    }
-  }
-
-  /// Replaces j random chosen cores with random unused candidates.
-  static std::vector<NodeId> Shake(const std::vector<NodeId>& candidates,
-                                   std::vector<NodeId> cores, std::size_t j,
-                                   Rng& rng) {
-    for (std::size_t step = 0; step < j; ++step) {
-      if (candidates.size() <= cores.size()) break;
-      const std::size_t slot =
-          static_cast<std::size_t>(rng.NextBelow(cores.size()));
-      for (int tries = 0; tries < 8; ++tries) {
-        const NodeId pick = candidates[static_cast<std::size_t>(
-            rng.NextBelow(candidates.size()))];
-        if (std::find(cores.begin(), cores.end(), pick) == cores.end()) {
-          cores[slot] = pick;
-          break;
+        cores[i] = c;
+        const VnsCost cost = Eval(routes, members, bound, cores);
+        if (cost < best) {
+          best = cost;
+          best_i = i;
+          best_c = c;
         }
       }
+      cores[i] = saved;
     }
-    return cores;
+    if (best_i == cores.size()) break;
+    cores[best_i] = best_c;
   }
-};
+}
+
+/// Replaces j random chosen cores with random unused candidates.
+std::vector<NodeId> Shake(const std::vector<NodeId>& candidates,
+                          std::vector<NodeId> cores, std::size_t j, Rng& rng) {
+  for (std::size_t step = 0; step < j; ++step) {
+    if (candidates.size() <= cores.size()) break;
+    const std::size_t slot =
+        static_cast<std::size_t>(rng.NextBelow(cores.size()));
+    for (int tries = 0; tries < 8; ++tries) {
+      const NodeId pick = candidates[static_cast<std::size_t>(
+          rng.NextBelow(candidates.size()))];
+      if (std::find(cores.begin(), cores.end(), pick) == cores.end()) {
+        cores[slot] = pick;
+        break;
+      }
+    }
+  }
+  return cores;
+}
+
+Placement PlaceVns(const PlacementInput& in, std::size_t k) {
+  assert(in.routes != nullptr);
+  assert(in.rng != nullptr);
+  assert(k >= 1 && k <= in.routers.size());
+  routing::RouteManager& routes = *in.routes;
+  const std::vector<NodeId>& members = MembersOrRouters(in);
+  Rng& rng = *in.rng;
+
+  const SimDuration bound =
+      in.delay_bound > 0 ? in.delay_bound : AutoBound(routes, in, members);
+
+  std::vector<NodeId> cur = PickDelayCentre(routes, in.routers, k);
+  LocalSearch(routes, in.routers, members, bound, cur);
+  VnsCost cur_cost = Eval(routes, members, bound, cur);
+
+  const std::size_t j_max = std::min<std::size_t>(k, 3);
+  std::size_t j = 1;
+  for (int shake = 0; shake < kShakes; ++shake) {
+    std::vector<NodeId> trial = Shake(in.routers, cur, j, rng);
+    LocalSearch(routes, in.routers, members, bound, trial);
+    const VnsCost trial_cost = Eval(routes, members, bound, trial);
+    if (trial_cost < cur_cost) {
+      cur = std::move(trial);
+      cur_cost = trial_cost;
+      j = 1;  // improvement: restart from the smallest neighborhood
+    } else {
+      j = j % j_max + 1;
+    }
+  }
+
+  Placement p = Finish(in, std::move(cur));
+  OrderByClusterSize(members, routes, p);
+  return p;
+}
 
 // ---------------------------------------------------------------------------
 // Single-site strategies expressed through the same interface.
 // ---------------------------------------------------------------------------
 
-class RandomStrategy final : public Strategy {
- public:
-  std::string_view name() const override { return "random"; }
-  Placement Place(const PlacementInput& in, std::size_t k) const override {
-    assert(in.rng != nullptr);
-    return Finish(in, PickRandom(in.routers, k, *in.rng));
-  }
+Placement PlaceRandomly(const PlacementInput& in, std::size_t k) {
+  assert(in.rng != nullptr);
+  return Finish(in, PickRandom(in.routers, k, *in.rng));
+}
+
+Placement PlaceByDegree(const PlacementInput& in, std::size_t k) {
+  assert(in.sim != nullptr);
+  return Finish(in, PickHighestDegree(*in.sim, in.routers, k));
+}
+
+Placement PlaceAtCentre(const PlacementInput& in, std::size_t k) {
+  assert(in.routes != nullptr);
+  return Finish(in, PickCentre(*in.routes, in.routers, k));
+}
+
+Placement PlaceAtDelayCentre(const PlacementInput& in, std::size_t k) {
+  assert(in.routes != nullptr);
+  return Finish(in, PickDelayCentre(*in.routes, in.routers, k));
+}
+
+Placement PlaceByHash(const PlacementInput& in, std::size_t k) {
+  std::vector<NodeId> rotated = RotateByGroupHash(in.routers, in.group);
+  rotated.resize(std::min(k, rotated.size()));
+  return Finish(in, std::move(rotated));
+}
+
+// ---------------------------------------------------------------------------
+// The registry: each strategy's name, once, in canonical sweep order.
+// ---------------------------------------------------------------------------
+
+struct Entry {
+  std::string_view name;
+  Placement (*place)(const PlacementInput&, std::size_t);
 };
 
-class DegreeStrategy final : public Strategy {
- public:
-  std::string_view name() const override { return "degree"; }
-  Placement Place(const PlacementInput& in, std::size_t k) const override {
-    assert(in.sim != nullptr);
-    return Finish(in, PickHighestDegree(*in.sim, in.routers, k));
-  }
+constexpr Entry kRegistry[] = {
+    {"random", PlaceRandomly}, {"degree", PlaceByDegree},
+    {"centre", PlaceAtCentre}, {"delay-centre", PlaceAtDelayCentre},
+    {"hash", PlaceByHash},     {"locality", PlaceLocality},
+    {"vns", PlaceVns},
 };
 
-class CentreStrategy final : public Strategy {
+class RegistryStrategy final : public Strategy {
  public:
-  std::string_view name() const override { return "centre"; }
+  explicit RegistryStrategy(const Entry& entry) : entry_(entry) {}
+  std::string_view name() const override { return entry_.name; }
   Placement Place(const PlacementInput& in, std::size_t k) const override {
-    assert(in.routes != nullptr);
-    return Finish(in, PickCentre(*in.routes, in.routers, k));
+    return entry_.place(in, k);
   }
-};
 
-class DelayCentreStrategy final : public Strategy {
- public:
-  std::string_view name() const override { return "delay-centre"; }
-  Placement Place(const PlacementInput& in, std::size_t k) const override {
-    assert(in.routes != nullptr);
-    return Finish(in, PickDelayCentre(*in.routes, in.routers, k));
-  }
-};
-
-class HashStrategy final : public Strategy {
- public:
-  std::string_view name() const override { return "hash"; }
-  Placement Place(const PlacementInput& in, std::size_t k) const override {
-    std::vector<NodeId> rotated = RotateByGroupHash(in.routers, in.group);
-    rotated.resize(std::min(k, rotated.size()));
-    return Finish(in, std::move(rotated));
-  }
+ private:
+  const Entry& entry_;
 };
 
 }  // namespace
@@ -527,19 +520,16 @@ std::vector<std::size_t> AssignNearest(routing::RouteManager& routes,
 }
 
 std::unique_ptr<Strategy> MakeStrategy(std::string_view name) {
-  if (name == "random") return std::make_unique<RandomStrategy>();
-  if (name == "degree") return std::make_unique<DegreeStrategy>();
-  if (name == "centre") return std::make_unique<CentreStrategy>();
-  if (name == "delay-centre") return std::make_unique<DelayCentreStrategy>();
-  if (name == "hash") return std::make_unique<HashStrategy>();
-  if (name == "locality") return std::make_unique<LocalityStrategy>();
-  if (name == "vns") return std::make_unique<VnsStrategy>();
+  for (const Entry& entry : kRegistry) {
+    if (entry.name == name) return std::make_unique<RegistryStrategy>(entry);
+  }
   return nullptr;
 }
 
 std::vector<std::string_view> StrategyNames() {
-  return {"random", "degree", "centre", "delay-centre", "hash", "locality",
-          "vns"};
+  std::vector<std::string_view> names;
+  for (const Entry& entry : kRegistry) names.push_back(entry.name);
+  return names;
 }
 
 }  // namespace cbt::core_selection

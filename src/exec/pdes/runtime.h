@@ -185,11 +185,10 @@ class Runtime final : public netsim::ShardBackend {
   static constexpr SimTime kNoEvent =
       std::numeric_limits<SimTime>::max();
   /// Windows are also capped so trace side-logs and barrier batches stay
-  /// small even when the lookahead is unbounded (single region). The cap
-  /// is a constant, so window boundaries — and with them every output —
-  /// remain partition-invariant... (width actually varies with lookahead
-  /// across shard counts; only *outputs* must match, and they are
-  /// window-boundary independent: merges append in key order.)
+  /// small even when the lookahead is unbounded (single region). Window
+  /// boundaries still differ across shard counts, since the width follows
+  /// the lookahead. Outputs do not depend on them: every barrier merge
+  /// appends in key order.
   static constexpr SimDuration kMaxWindowWidth = 64 * kMillisecond;
   static constexpr int kCoordRegionCode = 0x7F;  // EventId region field
 

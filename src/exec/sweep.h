@@ -14,7 +14,7 @@
 //     to `--jobs 1`.
 //
 // Timing: RunSweep measures per-replica and whole-sweep wall-clock and
-// returns them (bench::ExecReport turns that into BENCH_exec.json).
+// returns them (bench::Harness turns them into BENCH_exec.json).
 #pragma once
 
 #include <chrono>
@@ -38,7 +38,7 @@ struct SweepOptions {
 
   /// Give each replica a private trace ring (picked up by Simulators the
   /// replica builds). The reducer leaves the ring in ctx.trace for the
-  /// caller to collect (bench::TraceSession adopts them).
+  /// caller to collect (bench::Harness adopts them).
   bool trace = false;
   obs::TraceLevel trace_level = obs::TraceLevel::kVerbose;
   std::size_t trace_capacity = std::size_t{1} << 18;
