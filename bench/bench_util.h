@@ -55,6 +55,7 @@
 #include <functional>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -62,6 +63,9 @@
 
 #include "analysis/table.h"
 #include "cbt/domain.h"
+#include "check/cbt_expectations.h"
+#include "check/expectation.h"
+#include "check/trace_view.h"
 #include "exec/pdes/runtime.h"
 #include "exec/pool.h"
 #include "exec/run_context.h"
@@ -577,7 +581,8 @@ std::vector<std::uint64_t> SeedsOf(const Specs& specs) {
 ///    per-sweep wall-clock, written to --exec-json. It is deliberately a
 ///    separate file from the bench's own report: wall-clock is the one
 ///    thing that legitimately varies across --jobs values;
-///  * the bench's own JSON report, written to --json.
+///  * the bench's own JSON report, written to --json;
+///  * under --check, the expectation report merged over the replicas.
 /// Status lines go to stderr, so stdout stays byte-identical whether or
 /// not tracing and reports are on.
 class Harness {
@@ -652,6 +657,48 @@ class Harness {
     return out;
   }
 
+  /// --check: replays the calling replica's trace ring through the CBT
+  /// expectation suite. Call at the end of a replica body, where the
+  /// simulator (address resolver, end-of-run time) and the run's exact
+  /// config (deadlines) are in scope. Empty when --check is off or the
+  /// replica has no ring.
+  std::optional<check::CheckReport> CheckReplica(
+      const netsim::Simulator& sim, const core::CbtConfig& config) const {
+    if (!opts_.check) return std::nullopt;
+    obs::TraceBuffer* ring = obs::ProcessTraceBuffer();
+    if (ring == nullptr) return std::nullopt;
+    check::CbtSuiteOptions suite_options;
+    suite_options.config = config;
+    suite_options.node_of = check::MakeAddressResolver(sim);
+    return check::RunExpectations(check::TraceView(*ring),
+                                  check::CbtExpectationSuite(suite_options),
+                                  sim.Now());
+  }
+
+  /// Merges one replica's CheckReplica result into the bench's check
+  /// report. Call from a sweep's reduce, so replicas merge in order.
+  void MergeCheck(const std::optional<check::CheckReport>& replica) {
+    if (replica) check_.Merge(*replica);
+  }
+
+  /// Adds the "check" param to the report. Under --check it also prints
+  /// the merged expectation report after a blank line, writes it to
+  /// `json_path` when one is given, and adds its counts as check_*
+  /// params; Finish then returns 1 on any violation.
+  void ReportCheck(const std::string& json_path = {}) {
+    report_.Param("check", opts_.check);
+    if (!opts_.check) return;
+    std::cout << "\n";
+    check_.Print(std::cout);
+    if (!json_path.empty()) {
+      Write(json_path, [this](std::ostream& os) { check_.WriteJson(os); });
+    }
+    report_.Param("check_checked", check_.checked());
+    report_.Param("check_violations", check_.violations());
+    report_.Param("check_truncations", check_.truncations());
+    report_.Param("check_waived", check_.waived());
+  }
+
   /// Writes `path` through `write` and reports it on stderr. A file that
   /// cannot be written makes Finish return kWriteFailed.
   bool Write(const std::string& path,
@@ -673,9 +720,10 @@ class Harness {
 
   /// Writes the JSON report (--json), the exec report (--exec-json, once
   /// a sweep ran) and the trace (--trace), and returns the bench's exit
-  /// code: `rc`, or kWriteFailed if rc is 0 and a file could not be
-  /// written.
+  /// code: `rc`; else 1 if --check found a violation; else kWriteFailed
+  /// if a file could not be written.
   int Finish(int rc) {
+    if (rc == 0 && opts_.check && !check_.clean()) rc = 1;
     if (!opts_.json_path.empty()) {
       Write(opts_.json_path, [this](std::ostream& os) { report_.Write(os); });
     }
@@ -750,6 +798,7 @@ class Harness {
   exec::Pool pool_;
   std::vector<SweepRecord> sweeps_;
   JsonReporter report_;
+  check::CheckReport check_;
   bool write_failed_ = false;
 };
 

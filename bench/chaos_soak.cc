@@ -19,6 +19,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -26,9 +27,6 @@
 #include "analysis/table.h"
 #include "bench_util.h"
 #include "cbt/domain.h"
-#include "check/cbt_expectations.h"
-#include "check/expectation.h"
-#include "check/trace_view.h"
 #include "netsim/chaos.h"
 #include "netsim/topologies.h"
 
@@ -82,8 +80,7 @@ struct SoakResult {
   double final_clean_at_s = -1;
   /// --check: the causal-path expectation report over this replica's
   /// trace ring (empty when checking is off or the replica has no ring).
-  check::CheckReport check_report;
-  bool check_ran = false;
+  std::optional<check::CheckReport> check;
   /// Nonempty => the run aborted (warmup never converged). Replica jobs
   /// must not std::exit() from a worker thread, so the error rides back
   /// to main() in the result.
@@ -107,7 +104,7 @@ SoakResult RunSoak(const std::string& name, netsim::Simulator& sim,
                    netsim::Topology& topo, const MemberPlan& members,
                    std::uint64_t seed, int event_count, bool dump_plan,
                    core::ProtocolMutation mutation,
-                   core::DataplaneMode dataplane, bool run_check,
+                   core::DataplaneMode dataplane,
                    const bench::Harness& harness, std::ostream& out) {
   SoakResult result;
   result.topology = name;
@@ -215,21 +212,8 @@ SoakResult RunSoak(const std::string& name, netsim::Simulator& sim,
     result.malformed += domain.router(id).stats().malformed_control;
   }
 
-  // Post-hoc behavioural validation: replay this replica's trace ring
-  // through the expectation suite. Runs inside the replica body because
-  // the suite needs the simulator (address resolver), the exact config
-  // (deadlines), and the end-of-run time for truncated-window verdicts.
-  if (run_check) {
-    if (obs::TraceBuffer* ring = obs::ProcessTraceBuffer()) {
-      check::CbtSuiteOptions suite_options;
-      suite_options.config = cbt_config;
-      suite_options.node_of = check::MakeAddressResolver(sim);
-      result.check_report = check::RunExpectations(
-          check::TraceView(*ring), check::CbtExpectationSuite(suite_options),
-          sim.Now());
-      result.check_ran = true;
-    }
-  }
+  // Post-hoc behavioural validation of this replica's trace ring.
+  result.check = harness.CheckReplica(sim, cbt_config);
   return result;
 }
 
@@ -339,7 +323,7 @@ int main(int argc, char** argv) {
             return RunSoak(
                 netsim::Numbered(netsim::Numbered("grid-", side) + "x", side),
                 sim, topo, members, ctx.seed, event_count, dump_plan,
-                mutation, dataplane, opts.check, harness, ctx.out);
+                mutation, dataplane, harness, ctx.out);
           }
           case Topo::kGrid4x4: {
             netsim::Simulator sim(1);
@@ -348,7 +332,7 @@ int main(int argc, char** argv) {
                                {topo.routers[0], topo.routers[15]}};
             return RunSoak("grid-4x4", sim, topo, members, ctx.seed,
                            event_count, dump_plan, mutation, dataplane,
-                           opts.check, harness, ctx.out);
+                           harness, ctx.out);
           }
           case Topo::kWaxman20: {
             netsim::Simulator sim(1);
@@ -360,7 +344,7 @@ int main(int argc, char** argv) {
                                {topo.routers[0], topo.routers[13]}};
             return RunSoak("waxman-20", sim, topo, members, ctx.seed,
                            event_count, dump_plan, mutation, dataplane,
-                           opts.check, harness, ctx.out);
+                           harness, ctx.out);
           }
           case Topo::kTransitStub:
           default: {
@@ -374,11 +358,12 @@ int main(int argc, char** argv) {
                                {topo.routers[0], topo.routers[1]}};
             return RunSoak("transit-stub", sim, topo, members, ctx.seed,
                            event_count, dump_plan, mutation, dataplane,
-                           opts.check, harness, ctx.out);
+                           harness, ctx.out);
           }
         }
       },
       [&](exec::RunContext&, SoakResult result) {
+        harness.MergeCheck(result.check);
         results.push_back(std::move(result));
       },
       bench::SeedsOf(specs));
@@ -414,39 +399,19 @@ int main(int argc, char** argv) {
   if (!csv) std::cout << "\n";
   bench::Emit(totals, csv, "totals");
 
-  check::CheckReport check_report;
-  if (opts.check) {
-    for (const SoakResult& r : results) {
-      if (r.check_ran) check_report.Merge(r.check_report);
-    }
-    std::cout << "\n";
-    check_report.Print(std::cout);
-    if (!check_json.empty()) {
-      harness.Write(check_json,
-                    [&](std::ostream& os) { check_report.WriteJson(os); });
-    }
-  }
-
   auto& report = harness.report();
   report.Param("seed", seed);
   report.Param("repeat", opts.repeat);
   report.Param("events", event_count);
   report.Param("routers", routers);
   report.Param("dataplane", dataplane_name);
-  report.Param("check", opts.check);
+  harness.ReportCheck(check_json);
   if (!mutate_name.empty()) report.Param("mutate", mutate_name);
-  if (opts.check) {
-    report.Param("check_checked", check_report.checked());
-    report.Param("check_violations", check_report.violations());
-    report.Param("check_truncations", check_report.truncations());
-    report.Param("check_waived", check_report.waived());
-  }
   report.AddTable("recovery", recovery, "s");
   report.AddTable("totals", totals);
 
   bool all_clean = true;
   for (const SoakResult& r : results) all_clean &= r.final_clean;
-  if (opts.check && !check_report.clean()) all_clean = false;
   if (!csv) {
     std::cout << "\nExpected shape: crash recovery ~= echo timeout + rejoin "
                  "RTT (+ child-assert expiry for the stale child entry); "

@@ -17,9 +17,6 @@
 #include "analysis/table.h"
 #include "bench_util.h"
 #include "cbt/domain.h"
-#include "check/cbt_expectations.h"
-#include "check/expectation.h"
-#include "check/trace_view.h"
 #include "netsim/topologies.h"
 
 namespace {
@@ -32,30 +29,11 @@ struct Recovery {
   double detect_s = -1;   // failure -> on_parent_lost
   double recover_s = -1;  // failure -> on_reconnected
   std::uint64_t messages = 0;
-  check::CheckReport check_report;
-  bool check_ran = false;
+  std::optional<check::CheckReport> check;  // --check
 };
 
-/// --check support: replay the replica's ring through the CBT suite.
-/// Called at the end of a replica body, where the simulator (address
-/// resolver), exact config, and end-of-run time are all in scope.
-void MaybeCheck(bool run_check, const netsim::Simulator& sim,
-                const core::CbtConfig& config, check::CheckReport* report,
-                bool* ran) {
-  if (!run_check) return;
-  obs::TraceBuffer* ring = obs::ProcessTraceBuffer();
-  if (ring == nullptr) return;
-  check::CbtSuiteOptions suite_options;
-  suite_options.config = config;
-  suite_options.node_of = check::MakeAddressResolver(sim);
-  *report = check::RunExpectations(check::TraceView(*ring),
-                                   check::CbtExpectationSuite(suite_options),
-                                   sim.Now());
-  *ran = true;
-}
-
 Recovery RunDiamond(SimDuration echo_interval, SimDuration echo_timeout,
-                    bool run_check) {
+                    const bench::Harness& harness) {
   netsim::Simulator sim(1);
   netsim::Topology topo;
   const NodeId r0 = sim.AddNode("r0", true);
@@ -98,14 +76,13 @@ Recovery RunDiamond(SimDuration echo_interval, SimDuration echo_timeout,
   if (lost) out.detect_s = (double)(*lost - failure) / kSecond;
   if (reconnected) out.recover_s = (double)(*reconnected - failure) / kSecond;
   out.messages = domain.TotalControlMessages() - msgs_before;
-  MaybeCheck(run_check, sim, config, &out.check_report, &out.check_ran);
+  out.check = harness.CheckReplica(sim, config);
   return out;
 }
 
 struct GridResult {
   std::vector<std::vector<std::string>> rows;
-  check::CheckReport check_report;
-  bool check_ran = false;
+  std::optional<check::CheckReport> check;  // --check
 };
 
 }  // namespace
@@ -116,7 +93,6 @@ int main(int argc, char** argv) {
   opts.EnableCheck();
   opts.Parse(argc, argv);
   bench::Harness harness(opts);
-  check::CheckReport check_report;
 
   std::cout << "E7: failure recovery — parent router dies; child branch "
                "re-attaches via the alternate path\n\n(a) diamond "
@@ -137,7 +113,7 @@ int main(int argc, char** argv) {
       "echo_sweep", std::size(timer_cases),
       [&](exec::RunContext& ctx) {
         const auto& t = timer_cases[ctx.index];
-        return RunDiamond(t.interval, t.timeout, opts.check);
+        return RunDiamond(t.interval, t.timeout, harness);
       },
       [&](exec::RunContext& ctx, Recovery r) {
         const auto& t = timer_cases[ctx.index];
@@ -146,7 +122,7 @@ int main(int argc, char** argv) {
                       analysis::Table::Fixed(r.detect_s, 1),
                       analysis::Table::Fixed(r.recover_s, 1),
                       analysis::Table::Num(r.messages)});
-        if (r.check_ran) check_report.Merge(r.check_report);
+        harness.MergeCheck(r.check);
       });
   sweep.Print(std::cout);
 
@@ -205,13 +181,12 @@ int main(int argc, char** argv) {
         }
         rows.push_back({"members receiving after recovery",
                         analysis::Table::Num(delivered) + "/3"});
-        MaybeCheck(opts.check, sim, core::CbtConfig{}, &result.check_report,
-                   &result.check_ran);
+        result.check = harness.CheckReplica(sim, core::CbtConfig{});
         return result;
       },
       [&](exec::RunContext&, GridResult result) {
         for (auto& row : result.rows) grid_table.AddRow(std::move(row));
-        if (result.check_ran) check_report.Merge(result.check_report);
+        harness.MergeCheck(result.check);
       });
   grid_table.Print(std::cout);
   std::cout << "\nExpected shape: detection ~= echo timeout (+ up to one "
@@ -219,19 +194,9 @@ int main(int argc, char** argv) {
                "timers recover faster but cost proportionally more "
                "keepalive messages. After the primary-core failure the "
                "secondary core anchors delivery.\n";
-  if (opts.check) {
-    std::cout << "\n";
-    check_report.Print(std::cout);
-  }
+  harness.ReportCheck();
   auto& report = harness.report();
-  report.Param("check", opts.check);
-  if (opts.check) {
-    report.Param("check_checked", check_report.checked());
-    report.Param("check_violations", check_report.violations());
-    report.Param("check_truncations", check_report.truncations());
-    report.Param("check_waived", check_report.waived());
-  }
   report.AddTable("echo_sweep", sweep, "s");
   report.AddTable("grid_core_failover", grid_table);
-  return harness.Finish(opts.check && !check_report.clean() ? 1 : 0);
+  return harness.Finish(0);
 }

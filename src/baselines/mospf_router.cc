@@ -173,9 +173,9 @@ NodeId MospfRouter::AttachmentRouter(Ipv4Address source) {
   // LPM ignores liveness, so if the most-specific subnet is down fall back
   // to the liveness-aware scan — with overlapping prefixes a broader live
   // subnet may still contain the source.
-  auto sid = routes_->ResolveSubnet(source);
-  if (sid && !sim_->subnet(*sid).up) sid.reset();
-  if (!sid) {
+  SubnetId sid = routes_->ResolveSubnet(source).value_or(SubnetId{});
+  if (sid.IsValid() && !sim_->subnet(sid).up) sid = SubnetId{};
+  if (!sid.IsValid()) {
     for (std::size_t si = 0; si < sim_->subnet_count(); ++si) {
       const auto& s = sim_->subnet(SubnetId(static_cast<std::int32_t>(si)));
       if (s.up && s.address.Contains(source)) {
@@ -184,8 +184,8 @@ NodeId MospfRouter::AttachmentRouter(Ipv4Address source) {
       }
     }
   }
-  if (!sid) return NodeId{};
-  const auto& subnet = sim_->subnet(*sid);
+  if (!sid.IsValid()) return NodeId{};
+  const auto& subnet = sim_->subnet(sid);
   NodeId best;
   Ipv4Address best_addr;
   for (const auto& [peer, pv] : subnet.attachments) {

@@ -89,70 +89,22 @@ struct FlowSlot {
   FlowDecision decision;
 };
 
-/// Set-associative, lazily allocated per-router cache. Sixteen sets of
-/// four ways cover the working set of a router on a handful of trees; a
-/// core router interleaving many concurrent streams keeps up to four
-/// flows per set resident (round-robin victim), so strict A,B,A,B
-/// arrival alternation never degenerates into thrash the way a
-/// direct-mapped slot would. A genuine overflow just costs a rebuild
-/// (counted as a miss), never correctness.
+/// Set-associative per-router cache. Sixteen sets of four ways cover the
+/// working set of a router on a handful of trees; a core router
+/// interleaving many concurrent streams keeps up to four flows per set
+/// resident (round-robin victim), so strict A,B,A,B arrival alternation
+/// never degenerates into thrash the way a direct-mapped slot would. A
+/// genuine overflow just costs a rebuild (counted as a miss), never
+/// correctness. Each set (its four ways and victim cursor) is allocated
+/// when a key first hashes into it: a router off the data path pays for
+/// none, and a transit router on a few trees for the few sets it uses.
 class FlowCache {
  public:
   static constexpr std::size_t kSets = 16;
   static constexpr std::size_t kWays = 4;
   static constexpr std::size_t kSlots = kSets * kWays;
 
-  /// Returns the way holding `key` if it is resident, otherwise the
-  /// victim way the caller should rebuild into. The caller tells the
-  /// cases apart exactly as before: `slot.valid && slot.key == key`.
-  FlowSlot& SlotFor(const FlowKey& key) {
-    if (slots_ == nullptr) slots_ = std::make_unique<Storage>();
-    const std::size_t set = IndexOf(key);
-    FlowSlot* ways = slots_->slots.data() + set * kWays;
-    for (std::size_t w = 0; w < kWays; ++w) {
-      if (ways[w].valid && ways[w].key == key) return ways[w];
-    }
-    for (std::size_t w = 0; w < kWays; ++w) {
-      if (!ways[w].valid) return ways[w];
-    }
-    // Every way is live with some other flow: rotate the victim so
-    // alternating flows spread across the set instead of evicting each
-    // other out of one slot.
-    std::uint8_t& cursor = slots_->cursor[set];
-    FlowSlot& victim = ways[cursor];
-    cursor = static_cast<std::uint8_t>((cursor + 1) % kWays);
-    return victim;
-  }
-
-  /// Drops every cached decision (crash/restart wipes the data plane).
-  void Clear() {
-    if (slots_ == nullptr) return;
-    for (FlowSlot& slot : slots_->slots) slot.valid = false;
-  }
-
-  /// Live (valid) slots — the occupancy gauge.
-  std::size_t Occupancy() const {
-    if (slots_ == nullptr) return 0;
-    std::size_t n = 0;
-    for (const FlowSlot& slot : slots_->slots) n += slot.valid ? 1 : 0;
-    return n;
-  }
-
-  /// Visits every valid slot (the coherence oracle iterates these).
-  template <typename Fn>
-  void ForEachValidSlot(Fn&& fn) const {
-    if (slots_ == nullptr) return;
-    for (const FlowSlot& slot : slots_->slots) {
-      if (slot.valid) fn(slot);
-    }
-  }
-
- private:
-  struct Storage {
-    std::array<FlowSlot, kSlots> slots;
-    std::array<std::uint8_t, kSets> cursor{};
-  };
-
+  /// The set `key` maps to.
   static std::size_t IndexOf(const FlowKey& key) {
     // FNV-1a over EVERY key field: flows that share (group, vif) but
     // differ in source or arrival mode are distinct concurrent streams,
@@ -167,7 +119,62 @@ class FlowCache {
     return static_cast<std::size_t>(h & (kSets - 1));
   }
 
-  std::unique_ptr<Storage> slots_;  // routers off the data path pay nothing
+  /// Returns the way holding `key` if it is resident, otherwise the
+  /// victim way the caller should rebuild into. The caller tells the
+  /// cases apart exactly as before: `slot.valid && slot.key == key`.
+  FlowSlot& SlotFor(const FlowKey& key) {
+    std::unique_ptr<Set>& set = sets_[IndexOf(key)];
+    if (set == nullptr) set = std::make_unique<Set>();
+    std::array<FlowSlot, kWays>& ways = set->ways;
+    for (std::size_t w = 0; w < kWays; ++w) {
+      if (ways[w].valid && ways[w].key == key) return ways[w];
+    }
+    for (std::size_t w = 0; w < kWays; ++w) {
+      if (!ways[w].valid) return ways[w];
+    }
+    // Every way is live with some other flow: rotate the victim so
+    // alternating flows spread across the set instead of evicting each
+    // other out of one slot.
+    std::uint8_t& cursor = set->cursor;
+    FlowSlot& victim = ways[cursor];
+    cursor = static_cast<std::uint8_t>((cursor + 1) % kWays);
+    return victim;
+  }
+
+  /// Drops every cached decision (crash/restart wipes the data plane).
+  void Clear() {
+    for (const std::unique_ptr<Set>& set : sets_) {
+      if (set == nullptr) continue;
+      for (FlowSlot& slot : set->ways) slot.valid = false;
+    }
+  }
+
+  /// Live (valid) slots — the occupancy gauge.
+  std::size_t Occupancy() const {
+    std::size_t n = 0;
+    ForEachValidSlot([&n](const FlowSlot&) { ++n; });
+    return n;
+  }
+
+  /// Visits every valid slot, set by set and way by way (the coherence
+  /// oracle iterates these).
+  template <typename Fn>
+  void ForEachValidSlot(Fn&& fn) const {
+    for (const std::unique_ptr<Set>& set : sets_) {
+      if (set == nullptr) continue;
+      for (const FlowSlot& slot : set->ways) {
+        if (slot.valid) fn(slot);
+      }
+    }
+  }
+
+ private:
+  struct Set {
+    std::array<FlowSlot, kWays> ways;
+    std::uint8_t cursor = 0;  // next round-robin victim way
+  };
+
+  std::array<std::unique_ptr<Set>, kSets> sets_;  // null until first touched
 };
 
 }  // namespace cbt::core

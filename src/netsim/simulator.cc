@@ -122,23 +122,6 @@ void Simulator::StartAgents() {
   }
 }
 
-const NodeRecord& Simulator::node(NodeId id) const {
-  return nodes_.at(static_cast<std::size_t>(id.value()));
-}
-NodeRecord& Simulator::node(NodeId id) {
-  return nodes_.at(static_cast<std::size_t>(id.value()));
-}
-const SubnetRecord& Simulator::subnet(SubnetId id) const {
-  return subnets_.at(static_cast<std::size_t>(id.value()));
-}
-SubnetRecord& Simulator::subnet(SubnetId id) {
-  return subnets_.at(static_cast<std::size_t>(id.value()));
-}
-
-const Interface& Simulator::interface(NodeId node_id, VifIndex vif) const {
-  return node(node_id).interfaces.at(static_cast<std::size_t>(vif));
-}
-
 std::optional<NodeId> Simulator::FindNodeByAddress(Ipv4Address address) const {
   const auto it = address_index_.find(address);
   if (it == address_index_.end()) return std::nullopt;

@@ -306,12 +306,22 @@ class Simulator {
   std::size_t node_count() const { return nodes_.size(); }
   std::size_t subnet_count() const { return subnets_.size(); }
 
-  const NodeRecord& node(NodeId id) const;
-  NodeRecord& node(NodeId id);
-  const SubnetRecord& subnet(SubnetId id) const;
-  SubnetRecord& subnet(SubnetId id);
+  const NodeRecord& node(NodeId id) const {
+    return nodes_.at(static_cast<std::size_t>(id.value()));
+  }
+  NodeRecord& node(NodeId id) {
+    return nodes_.at(static_cast<std::size_t>(id.value()));
+  }
+  const SubnetRecord& subnet(SubnetId id) const {
+    return subnets_.at(static_cast<std::size_t>(id.value()));
+  }
+  SubnetRecord& subnet(SubnetId id) {
+    return subnets_.at(static_cast<std::size_t>(id.value()));
+  }
 
-  const Interface& interface(NodeId node, VifIndex vif) const;
+  const Interface& interface(NodeId node_id, VifIndex vif) const {
+    return node(node_id).interfaces.at(static_cast<std::size_t>(vif));
+  }
 
   /// Looks up the node owning `address`, if any (the lowest node id when
   /// several interfaces share it). Hash lookup, kept current by Attach.

@@ -19,6 +19,15 @@ constexpr double kWarmMargin = 1e-6;
 
 bool ApproxEqual(double a, double b) { return std::fabs(a - b) < kEps; }
 
+// Position of `sid` in a table's sorted tail memo: its entry, or where it
+// would be inserted.
+template <typename Memo>
+auto TailSlot(Memo& memo, SubnetId sid) {
+  return std::lower_bound(
+      memo.begin(), memo.end(), sid,
+      [](const auto& e, SubnetId x) { return e.first.value() < x.value(); });
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -89,8 +98,9 @@ void RouteManager::ApplyScopedChanges(
   //  * a node change scopes to every subnet the node attaches to, and a
   //    change to the table's own source always dirties it (the checks
   //    can't see through an all-infinity node-down table).
-  // Warm survivors still need their route *to* each scoped subnet
-  // patched, since to_subnet liveness is evaluated at compute time.
+  // Warm survivors still need their memoized route *to* each scoped
+  // subnet refreshed, since a tail's liveness is evaluated when it is
+  // computed.
   const auto dirties = [&](const NodeRoutes& t, NodeId src, SubnetId s,
                            bool up) {
     return up ? UpMayImprove(t, src, s) : t.Uses(s);
@@ -133,11 +143,11 @@ void RouteManager::ApplyScopedChanges(
                         .name = "table-dirtied", .node = source.value());
       continue;
     }
-    if (!patch.empty()) {
-      std::sort(patch.begin(), patch.end(),
-                [](SubnetId a, SubnetId b) { return a.value() < b.value(); });
-      patch.erase(std::unique(patch.begin(), patch.end()), patch.end());
-      for (const SubnetId s : patch) RecomputeSubnetTail(table, source, s);
+    for (const SubnetId s : patch) {
+      const auto it = TailSlot(table.to_subnet, s);
+      if (it != table.to_subnet.end() && it->first == s) {
+        it->second = SubnetTail(table, source, s);
+      }
     }
     ++stats_.tables_kept_warm;
   }
@@ -177,19 +187,17 @@ bool RouteManager::UpMayImprove(const NodeRoutes& table, NodeId source,
   return false;
 }
 
-void RouteManager::RecomputeSubnetTail(NodeRoutes& table, NodeId source,
-                                       SubnetId sid) {
-  const auto si = static_cast<std::size_t>(sid.value());
-  Route& best = table.to_subnet[si];
-  best = Route{kInvalidVif, Ipv4Address{}, kInfinity, 0, 0};
+Route RouteManager::SubnetTail(const NodeRoutes& table, NodeId source,
+                               SubnetId sid) const {
+  Route best{kInvalidVif, Ipv4Address{}, kInfinity, 0, 0};
   // A table computed while its source was down is all-infinity and offers
   // no direct-delivery routes either; keep it that way.
   if (table.to_node[static_cast<std::size_t>(source.value())].cost ==
       kInfinity) {
-    return;
+    return best;
   }
   const netsim::SubnetRecord& s = sim_->subnet(sid);
-  if (!s.up) return;
+  if (!s.up) return best;
   for (const auto& [z, z_vif] : s.attachments) {
     const netsim::Interface& zi = sim_->interface(z, z_vif);
     if (!zi.up || !sim_->node(z).up) continue;
@@ -207,6 +215,16 @@ void RouteManager::RecomputeSubnetTail(NodeRoutes& table, NodeId source,
                          rz.next_hop.bits() < best.next_hop.bits());
     if (better) best = rz;
   }
+  return best;
+}
+
+Route RouteManager::MemoTail(NodeRoutes& table, NodeId source,
+                             SubnetId sid) {
+  auto it = TailSlot(table.to_subnet, sid);
+  if (it == table.to_subnet.end() || it->first != sid) {
+    it = table.to_subnet.emplace(it, sid, SubnetTail(table, source, sid));
+  }
+  return it->second;
 }
 
 // ---------------------------------------------------------------------------
@@ -227,8 +245,7 @@ void RouteManager::ComputeFrom(NodeId source) {
   const std::size_t n = sim_->node_count();
   NodeRoutes& table = tables_[static_cast<std::size_t>(source.value())];
   table.to_node.assign(n, Route{kInvalidVif, Ipv4Address{}, kInfinity, 0, 0});
-  table.to_subnet.assign(sim_->subnet_count(),
-                         Route{kInvalidVif, Ipv4Address{}, kInfinity, 0, 0});
+  table.to_subnet.clear();
   table.predecessor.assign(n, NodeId{});
   table.used_subnets.assign((sim_->subnet_count() + 63) / 64, 0);
   table.valid = true;
@@ -316,13 +333,6 @@ void RouteManager::ComputeFrom(NodeId source) {
     if (table.to_node[v].cost == kInfinity) continue;
     const auto si = static_cast<std::size_t>(via_subnet[v].value());
     table.used_subnets[si >> 6] |= std::uint64_t{1} << (si & 63);
-  }
-
-  // Best route per destination subnet: any live attachment point, closest
-  // first, lowest first-hop address on ties.
-  for (std::size_t si = 0; si < sim_->subnet_count(); ++si) {
-    RecomputeSubnetTail(table, source,
-                        SubnetId(static_cast<std::int32_t>(si)));
   }
 }
 
@@ -428,8 +438,7 @@ std::optional<Route> RouteManager::Lookup(NodeId from, Ipv4Address dest) {
     return it->second;
   }
 
-  const NodeRoutes& table = Freshen(from);
-  Route route = table.to_subnet.at(static_cast<std::size_t>(subnet->value()));
+  Route route = MemoTail(Freshen(from), from, *subnet);
   if (route.cost == kInfinity) return std::nullopt;
   if (route.next_hop.IsUnspecified()) {
     // Directly attached: the link-level next hop is the destination itself.

@@ -15,14 +15,17 @@
 // Recompute model (see docs/PROTOCOL.md "Unicast routing & invalidation
 // model"): tables are *lazy* — a topology change marks per-source tables
 // stale via the simulator's scoped change journal, and a source's
-// Dijkstra only runs when that source is actually queried. A table whose
-// shortest-path tree provably avoids every changed subnet is kept warm
-// (only its route *to* the changed subnet is patched in place); anything
-// the conservative check cannot rule out is recomputed. Every answer is
-// bit-for-bit what a freshly built manager computes from scratch (the
-// churn test in tests/routing/route_manager_lazy_test.cc checks each
-// query against one), while a flap touching one region no longer
-// recomputes every router's table.
+// Dijkstra only runs when that source is actually queried. A table holds
+// routes to nodes only; the route to a subnet (its "tail": the best live
+// attachment point) is computed on the first Lookup of that subnet and
+// memoized. A table whose shortest-path tree provably avoids every
+// changed subnet is kept warm (only its memoized tails to the changed
+// subnets are refreshed in place); anything the conservative check
+// cannot rule out is recomputed. Every answer is bit-for-bit what a
+// freshly built manager computes from scratch (the tests in
+// tests/routing/route_manager_lazy_test.cc check queries against one),
+// while a flap touching one region no longer recomputes every router's
+// table.
 #pragma once
 
 #include <array>
@@ -31,6 +34,7 @@
 #include <map>
 #include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include <type_traits>
@@ -116,8 +120,10 @@ class RouteManager {
 
  private:
   struct NodeRoutes {
-    // Indexed by subnet id: best route from this node to that subnet.
-    std::vector<Route> to_subnet;
+    // Memo of the subnet tails looked up from this node, sorted by subnet
+    // id: best route from this node to that subnet. Cleared by every
+    // recompute; a warm patch refreshes the changed subnets' entries.
+    std::vector<std::pair<SubnetId, Route>> to_subnet;
     // Indexed by node id: best route/cost to that node's primary address.
     std::vector<Route> to_node;
     std::vector<NodeId> predecessor;  // for Path()
@@ -174,9 +180,13 @@ class RouteManager {
   /// re-tie any route in `table`? False only when provably not.
   bool UpMayImprove(const NodeRoutes& table, NodeId source, SubnetId s) const;
 
-  /// Recomputes table.to_subnet[s] from the (unchanged) to_node routes —
-  /// the per-subnet tail of ComputeFrom, replayed for one subnet.
-  void RecomputeSubnetTail(NodeRoutes& table, NodeId source, SubnetId s);
+  /// Best route from `source` to subnet `s`, derived from the table's
+  /// to_node routes and the subnet's current attachments: the closest
+  /// live attachment point, lowest first-hop address on ties.
+  Route SubnetTail(const NodeRoutes& table, NodeId source, SubnetId s) const;
+
+  /// The memoized tail of `s` in `table`, computed on first use.
+  Route MemoTail(NodeRoutes& table, NodeId source, SubnetId s);
 
   void InvalidateAllTables();
 

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iterator>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -93,6 +94,73 @@ TEST(FlowCacheUnit, OverflowEvictsWithoutExceedingCapacity) {
   EXPECT_GT(cache.Occupancy(), 0u);
   cache.Clear();
   EXPECT_EQ(cache.Occupancy(), 0u);
+}
+
+TEST(FlowCacheUnit, UnusedCacheIsEmpty) {
+  const FlowCache cache;
+  EXPECT_EQ(cache.Occupancy(), 0u);
+  std::size_t visited = 0;
+  cache.ForEachValidSlot([&visited](const FlowSlot&) { ++visited; });
+  EXPECT_EQ(visited, 0u);
+}
+
+/// The first `count` keys (in KeyFor order) that hash into `set`.
+std::vector<FlowKey> KeysInSet(std::size_t set, std::size_t count) {
+  std::vector<FlowKey> keys;
+  for (int octet = 0; octet < 256 && keys.size() < count; ++octet) {
+    const FlowKey key = KeyFor(static_cast<std::uint8_t>(octet));
+    if (FlowCache::IndexOf(key) == set) keys.push_back(key);
+  }
+  return keys;
+}
+
+TEST(FlowCacheUnit, FullSetEvictsRoundRobin) {
+  // Five flows in one four-way set: the first four fill ways 0..3 in
+  // order, then each miss evicts the next way round, starting at way 0.
+  const std::vector<FlowKey> keys = KeysInSet(FlowCache::IndexOf(KeyFor(1)), 5);
+  ASSERT_EQ(keys.size(), 5u);
+  FlowCache cache;
+  // One SlotFor per arrival, as the router makes: a miss on a full set
+  // advances the victim cursor.
+  const auto install = [&cache](const FlowKey& key) {
+    FlowSlot& slot = cache.SlotFor(key);
+    EXPECT_FALSE(slot.valid && slot.key == key);
+    slot.key = key;
+    slot.valid = true;
+    return &slot;
+  };
+  std::vector<const FlowSlot*> ways;
+  for (std::size_t i = 0; i < 4; ++i) ways.push_back(install(keys[i]));
+  // k4 evicts k0 (way 0), k0 evicts k1 (way 1), ... k2 evicts k3 (way
+  // 3); the cursor wraps, so k3 evicts k4 (way 0) and k4 evicts k0 (way 1).
+  const std::size_t order[] = {4, 0, 1, 2, 3, 4};
+  for (std::size_t step = 0; step < std::size(order); ++step) {
+    EXPECT_EQ(install(keys[order[step]]), ways[step % 4]) << "step " << step;
+    EXPECT_EQ(cache.Occupancy(), 4u);
+  }
+  // The ways now hold k3, k4, k1, k2: k0 is the one flow out.
+  for (const std::size_t i : {1, 2, 3, 4}) {
+    EXPECT_TRUE(Probe(cache, keys[i])) << "k" << i;
+  }
+  EXPECT_FALSE(Probe(cache, keys[0]));
+}
+
+TEST(FlowCacheUnit, ClearInvalidatesEverySet) {
+  FlowCache cache;
+  std::vector<FlowKey> keys;
+  for (std::size_t set = 0; set < FlowCache::kSets; set += 5) {
+    for (const FlowKey& key : KeysInSet(set, 2)) keys.push_back(key);
+  }
+  ASSERT_EQ(keys.size(), 8u);  // two flows in each of sets 0, 5, 10, 15
+  for (const FlowKey& key : keys) Probe(cache, key);
+  EXPECT_EQ(cache.Occupancy(), keys.size());
+
+  cache.Clear();
+  EXPECT_EQ(cache.Occupancy(), 0u);
+  std::size_t visited = 0;
+  cache.ForEachValidSlot([&visited](const FlowSlot&) { ++visited; });
+  EXPECT_EQ(visited, 0u);
+  for (const FlowKey& key : keys) EXPECT_FALSE(Probe(cache, key));
 }
 
 // ---------------------------------------------------------------------

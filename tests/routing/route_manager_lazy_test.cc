@@ -122,6 +122,59 @@ TEST(RouteManagerLazy, ScopedChangeKeepsUnaffectedTablesWarm) {
   EXPECT_EQ(routes.stats().tables_computed, 1u);
 }
 
+TEST(RouteManagerLazy, SubnetTailsMatchFreshAfterScopedChanges) {
+  // Tails are memoized per looked-up subnet; a warm table must refresh the
+  // memoized tail of every subnet a change touches. Every (router,
+  // subnet) pair is looked up before each change, so any stale memo shows.
+  Simulator sim;
+  Topology topo = MakeGrid(sim, 3, 3);
+  netsim::AttachHost(sim, topo, topo.router_lans[0], "h0");
+  netsim::AttachHost(sim, topo, topo.router_lans[4], "h4");
+  RouteManager routes(sim);
+
+  // One address per subnet: its last attachment's (a host where one is).
+  std::vector<Ipv4Address> dests;
+  for (std::size_t si = 0; si < sim.subnet_count(); ++si) {
+    const auto& [node, vif] =
+        sim.subnet(SubnetId(static_cast<std::int32_t>(si))).attachments.back();
+    dests.push_back(sim.interface(node, vif).address);
+  }
+  const auto expect_fresh = [&](const char* phase) {
+    RouteManager fresh(sim);
+    for (const NodeId r : topo.routers) {
+      for (const Ipv4Address dest : dests) {
+        ASSERT_TRUE(SameRoute(routes.Lookup(r, dest), fresh.Lookup(r, dest)))
+            << phase << ": router " << r.value() << " dest " << dest.bits();
+      }
+    }
+  };
+  expect_fresh("initial");
+  routes.ResetStats();
+
+  // The stub LAN of the last router has no host: no shortest path crosses
+  // it, so its down keeps every table warm yet makes it unreachable.
+  const SubnetId unused = topo.router_lans.back();
+  sim.SetSubnetUp(unused, false);
+  expect_fresh("unused subnet down");
+  // Back up: entering it costs more than reaching its only router.
+  sim.SetSubnetUp(unused, true);
+  expect_fresh("unused subnet up");
+  EXPECT_EQ(routes.stats().tables_computed, 0u);
+  EXPECT_EQ(routes.stats().tables_kept_warm, 18u);
+  EXPECT_EQ(routes.stats().tables_dirtied, 0u);
+  // A grid link flap dirties the tables routed over it; the rest stay
+  // warm with that link's tail refreshed.
+  const NodeId center = topo.routers[4];
+  sim.SetInterfaceUp(center, 0, false);
+  expect_fresh("interface down");
+  sim.SetInterfaceUp(center, 0, true);
+  expect_fresh("interface up");
+
+  EXPECT_EQ(routes.stats().tables_computed, 14u);
+  EXPECT_EQ(routes.stats().tables_kept_warm, 22u);
+  EXPECT_EQ(routes.stats().tables_dirtied, 14u);
+}
+
 TEST(RouteManagerLazy, EpochChangeInvalidatesWithoutExplicitCall) {
   Square sq;
   RouteManager routes(sq.sim);
