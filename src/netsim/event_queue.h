@@ -1,4 +1,5 @@
-// Discrete-event scheduler core: hierarchical timer wheel + overflow heap.
+// Discrete-event scheduler core: hierarchical timer wheel of per-timestamp
+// buckets + overflow heap.
 //
 // Events are closures ordered by (time, insertion sequence); the sequence
 // tie-break makes simultaneous events run in schedule order, which keeps
@@ -6,23 +7,38 @@
 //
 // Design
 // ------
-// Time is bucketed into ticks of 2^kTickShift microseconds. A hierarchy
-// of kLevels wheels with 64 slots each covers the near future: an event
-// due `d` ticks ahead lives at the lowest level whose span contains it
-// (level k spans 64^(k+1) ticks), in the slot addressed by bits
-// [6k, 6k+6) of its absolute tick. Schedule and cancel are O(1): events
-// live in a slab with an intrusive doubly-linked list per slot, and the
-// EventId encodes (slab index, generation) so Cancel unlinks and frees
-// the slot — and destroys the closure — immediately, so no tombstones
-// accumulate. Events beyond the top level's span go to
-// an *indexed* binary min-heap (heap position stored in the slab entry,
-// so cancellation is a true O(log n) removal).
+// Events that share an exact time share a *bucket*, a FIFO list of
+// events in schedule order. The wheel, the overflow heap and the due run
+// hold buckets, not events, so the timers a periodic soft-state refresh
+// arms for one instant on every router are cascaded, collected and
+// ordered as one entry.
+//
+// A new event is appended to the open bucket of its time, found through a
+// small direct-mapped cache of recently used times; on a miss a new bucket
+// opens and takes over the cache entry. A bucket that has left the cache
+// (evicted by another time, or emptied and freed) never takes another
+// append. So when two buckets hold the same time, every event of the
+// older one was scheduled before every event of the newer one, and
+// ordering buckets by (time, creation counter) gives exactly the events'
+// (time, sequence) order without a per-event sequence key.
+//
+// Time is cut into ticks of 2^kTickShift microseconds. A hierarchy of
+// kLevels wheels with 64 slots each covers the near future: a bucket due
+// `d` ticks ahead lives at the lowest level whose span contains it (level
+// k spans 64^(k+1) ticks), in the slot addressed by bits [6k, 6k+6) of its
+// absolute tick. Buckets beyond the top level's span go to an *indexed*
+// binary min-heap (heap position stored in the bucket, so removing an
+// emptied bucket is a true O(log n) removal). Events live in a slab of
+// 16-byte links with their closures in a parallel array; the EventId
+// encodes (slab index, generation), so Cancel unlinks the event from its
+// bucket in O(1), frees the bucket once it is empty, and destroys the
+// closure immediately: no tombstones accumulate.
 //
 // Execution drains one tick at a time: the earliest occupied slot is
 // found with per-level occupancy bitmaps (O(1) per level), higher-level
 // slots cascade down as the current tick advances past their span, and
-// the events of the due tick are sorted by (time, sequence) before
-// running — restoring the exact global order a single heap would give.
+// the buckets of the due tick are ordered by (time, creation counter)
+// before their events run front to back.
 // tests/netsim/engine_differential_test.cc checks that order against a
 // test-local ordered-map reference queue; the golden digests pin it end
 // to end.
@@ -59,12 +75,11 @@ class EventQueue {
   bool Cancel(EventId id);
 
   /// Re-arms: exactly Cancel(id) followed by ScheduleAt(when, fn), and
-  /// returns the new handle. A still-pending event is moved
-  /// in place — same slab slot, next generation, a fresh sequence number —
-  /// so the new (time, sequence) key, the returned id and the slab's free
-  /// list all equal what the two calls would produce. A wheel event pushed
-  /// to a later tick is not even relinked: it stays parked in its slot
-  /// until that slot drains. A stale or invalid `id` just schedules.
+  /// returns the new handle. A still-pending event keeps its slab slot:
+  /// it leaves its bucket, takes the next generation and is appended to
+  /// the bucket of `when`, so the order, the returned id and the slab's
+  /// free list all equal what the two calls would produce. A stale or
+  /// invalid `id` just schedules.
   EventId Reschedule(EventId id, SimTime when, EventFn fn);
 
   /// True if no runnable (non-cancelled) events remain.
@@ -83,28 +98,48 @@ class EventQueue {
 
   /// Slots ever allocated in the event slab (bounds resident memory;
   /// reused across schedule/cancel cycles).
-  std::size_t slot_capacity() const { return events_.size(); }
+  std::size_t slot_capacity() const { return links_.size(); }
+
+  /// Pending per-timestamp buckets: the entries the wheel slots, the
+  /// overflow heap and the due run hold between them.
+  std::size_t wheel_entries() const { return live_buckets_; }
 
   /// Events parked in the far-future overflow heap.
-  std::size_t overflow_heap_size() const { return heap_.size(); }
+  std::size_t overflow_heap_size() const;
+
+  /// Walks the whole structure and returns false if any invariant is
+  /// broken: occupancy bits, bucket placement, the time cache, the heap
+  /// and the event count. For tests; linear in the queue's size.
+  bool CheckInvariants() const;
 
  private:
   static constexpr int kTickShift = 10;  // 1024 us per tick
   static constexpr int kLevelBits = 6;   // 64 slots per level
   static constexpr int kSlots = 1 << kLevelBits;
   static constexpr int kLevels = 4;      // horizon 64^4 ticks (~4.8 hours)
+  static constexpr int kCacheBits = 6;   // 64 cached open buckets
   static constexpr std::uint32_t kNil = 0xFFFFFFFFu;
+
+  /// An event's place in its bucket's FIFO; `bucket` is kNil while the
+  /// slab slot is free, and `next` then links the free list.
+  struct Link {
+    std::uint32_t next = kNil;
+    std::uint32_t prev = kNil;
+    std::uint32_t gen = 0;
+    std::uint32_t bucket = kNil;
+  };
 
   enum State : std::uint8_t { kFree, kWheel, kHeap, kDue };
 
-  /// The bookkeeping every queue operation touches fills the first 32
-  /// bytes; the closure, needed only to schedule and to run, follows.
-  struct Event {
+  /// All pending events of one exact time that were scheduled while the
+  /// bucket was open, in schedule order.
+  struct Bucket {
     SimTime when = 0;
-    std::uint64_t seq = 0;
-    std::uint32_t gen = 0;
+    std::uint64_t order = 0;  // creation counter: same-time tie-break
+    std::uint32_t head = kNil;
+    std::uint32_t tail = kNil;
     std::uint32_t next = kNil;  // slot list link / free list link
-    // An event sits in a slot list or in the heap, never both.
+    // A bucket sits in a slot list or in the heap, never both.
     union {
       std::uint32_t prev = kNil;  // kWheel: slot list back link
       std::uint32_t heap_pos;     // kHeap: index into heap_
@@ -112,7 +147,6 @@ class EventQueue {
     std::uint8_t state = kFree;
     std::uint8_t level = 0;
     std::uint8_t slot = 0;
-    EventFn fn;
   };
 
   struct Level {
@@ -120,40 +154,60 @@ class EventQueue {
     std::uint64_t occupancy = 0;
   };
 
+  /// A bucket of the tick being drained, with its sort key; stale once
+  /// the bucket is freed (it is kFree, or reused under a new `order`).
   struct DueEntry {
     SimTime when;
-    std::uint64_t seq;
-    std::uint32_t index;
+    std::uint64_t order;
+    std::uint32_t bucket;
+    bool operator<(const DueEntry& o) const {
+      return when != o.when ? when < o.when : order < o.order;
+    }
   };
 
   static std::int64_t TickOf(SimTime when) { return when >> kTickShift; }
+  DueEntry EntryOf(std::uint32_t b) const {
+    return DueEntry{buckets_[b].when, buckets_[b].order, b};
+  }
+  static std::size_t CacheIndex(SimTime when);
+  /// Level and slot the prefix rule assigns to `tick`; level kLevels
+  /// means beyond the wheel (the overflow heap).
+  void Place(std::int64_t tick, int& level, int& slot) const;
 
   std::uint32_t AllocSlot();
-  /// Starts a new incarnation of slab slot `index`: bumps the generation
-  /// (so ids of prior incarnations go stale) and clears the links.
+  /// Starts the next incarnation of slab slot `index`: bumps the
+  /// generation, so ids of prior incarnations go stale.
   void RenewSlot(std::uint32_t index);
-  static void BumpGeneration(Event& ev);
   void FreeSlot(std::uint32_t index);
   /// Index of the pending event `id` names, or kNil when it is stale.
   std::uint32_t PendingIndex(EventId id) const;
-  /// Takes a pending event out of its slot list, heap or due run.
-  void Detach(std::uint32_t index);
-  /// Stamps (when, fn, next sequence) on a renewed slot and queues it.
-  EventId Enqueue(std::uint32_t index, SimTime when, EventFn&& fn);
-  void InsertIntoWheel(std::uint32_t index);
-  void UnlinkFromSlot(std::uint32_t index);
-  void InsertDueSorted(std::uint32_t index);
-  void HeapPush(std::uint32_t index);
+  /// Appends renewed slot `index` to the open bucket of `when`.
+  EventId Append(std::uint32_t index, SimTime when, EventFn&& fn);
+  /// Takes a pending event out of its bucket, freeing the bucket once it
+  /// is empty.
+  void Unlink(std::uint32_t index);
+
+  /// The cached open bucket of `when`, or a new one that takes over its
+  /// cache entry.
+  std::uint32_t OpenBucket(SimTime when);
+  /// Takes an emptied bucket out of its slot list, heap or due run and
+  /// out of the cache.
+  void FreeBucket(std::uint32_t b);
+  void InsertIntoWheel(std::uint32_t b);
+  void UnlinkFromSlot(std::uint32_t b);
+  void InsertDueSorted(std::uint32_t b);
+  void HeapPush(std::uint32_t b);
   void HeapRemove(std::uint32_t pos);
   void HeapSiftUp(std::uint32_t pos);
   void HeapSiftDown(std::uint32_t pos);
+  /// Orders heap positions `a` and `b` by their buckets' due-run keys.
   bool HeapLess(std::uint32_t a, std::uint32_t b) const;
 
-  /// Moves the contents of (level, slot) plus all overflow-heap events of
-  /// tick `tick` into due_, sorted by (when, seq).
+  /// Moves the buckets of (level, slot) plus all overflow-heap buckets of
+  /// tick `tick` into due_, ordered by (when, order).
   void CollectTick(std::int64_t tick, int level, int slot);
 
-  /// Ensures due_[due_pos_] is a live event, cascading/refilling as
+  /// Ensures due_[due_pos_] is a live bucket, cascading/refilling as
   /// needed. Returns false when the queue is empty.
   bool EnsureDueFront();
   void RefillDue();
@@ -163,12 +217,17 @@ class EventQueue {
   /// (checked at the public entry points: ScheduleAt/Cancel/RunNext).
   ThreadOwnershipGuard guard_;
   std::size_t live_ = 0;
-  std::uint64_t next_seq_ = 0;
+  std::size_t live_buckets_ = 0;
+  std::uint64_t next_order_ = 0;
 
-  std::vector<Event> events_;
+  std::vector<Link> links_;
+  std::vector<EventFn> fns_;  // parallel to links_
   std::uint32_t free_head_ = kNil;
+  std::vector<Bucket> buckets_;
+  std::uint32_t free_bucket_ = kNil;
+  std::array<std::uint32_t, 1 << kCacheBits> cache_;  // open bucket or kNil
   std::array<Level, kLevels> levels_;
-  std::vector<std::uint32_t> heap_;  // slab indices, indexed min-heap
+  std::vector<std::uint32_t> heap_;  // bucket indices, indexed min-heap
   std::int64_t cur_tick_ = 0;
   std::vector<DueEntry> due_;
   std::size_t due_pos_ = 0;

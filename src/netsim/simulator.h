@@ -435,8 +435,9 @@ class Simulator {
     return backend_ != nullptr ? backend_->Cancel(id) : events_.Cancel(id);
   }
   /// Cancel(id) followed by Schedule(delay, fn), as one queue operation
-  /// on the serial engine (EventQueue::Reschedule); a shard backend gets
-  /// the two calls.
+  /// on the serial engine (EventQueue::Reschedule moves the pending event
+  /// to the bucket of its new time without freeing its slab slot); a
+  /// shard backend gets the two calls.
   EventId Reschedule(EventId id, SimDuration delay, EventFn fn) {
     if (backend_ != nullptr) {
       if (id != kInvalidEventId) backend_->Cancel(id);

@@ -33,7 +33,8 @@ class Timer {
   void BindTo(Simulator& sim) { sim_ = &sim; }
 
   /// Cancels any pending firing and schedules `fn` after `delay`. A
-  /// pending timer is re-armed in place (Simulator::Reschedule), which
+  /// pending timer is re-armed through Simulator::Reschedule: its event
+  /// keeps its slab slot and moves to the bucket of its new time, which
   /// orders events exactly as a cancel plus a fresh schedule would.
   /// Templated on the callable so the id-reset wrapper stays within
   /// EventFn's inline capture budget (no per-arm heap allocation).

@@ -5,6 +5,7 @@
 // (bench/golden_digests.cmake).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <unordered_map>
 #include <utility>
@@ -40,6 +41,9 @@ class ReferenceQueue {
     Cancel(id);
     return ScheduleAt(when, std::move(fn));
   }
+
+  /// A map has no invariants of its own to break.
+  bool CheckInvariants() const { return true; }
 
   bool RunNext(SimTime& clock) {
     if (pending_.empty()) return false;
@@ -105,6 +109,7 @@ std::vector<std::pair<SimTime, int>> QueueTrace(std::uint64_t seed) {
     for (int i = 0; i < runs; ++i) {
       if (!q.RunNext(clock)) break;
     }
+    EXPECT_TRUE(q.CheckInvariants()) << "round " << round;
   }
   while (q.RunNext(clock)) {
   }
@@ -153,6 +158,7 @@ class RearmHarness {
       for (int i = 0; i < runs; ++i) {
         if (!q_.RunNext(clock_)) break;
       }
+      EXPECT_TRUE(q_.CheckInvariants()) << "round " << round;
     }
     while (q_.RunNext(clock_)) {
     }
@@ -238,6 +244,121 @@ TEST_P(EngineDifferential, RescheduleMatchesCancelThenSchedule) {
 TEST_P(EngineDifferential, RescheduleMatchesLegacyHeap) {
   RearmHarness<EventQueue> wheel(RearmMode::kReschedule, GetParam());
   RearmHarness<ReferenceQueue> reference(RearmMode::kReschedule, GetParam());
+  wheel.Run();
+  reference.Run();
+  ASSERT_EQ(wheel.trace().size(), reference.trace().size());
+  for (std::size_t i = 0; i < wheel.trace().size(); ++i) {
+    ASSERT_EQ(wheel.trace()[i], reference.trace()[i])
+        << "divergence at event " << i;
+  }
+}
+
+// --- Same-time collisions ---------------------------------------------------
+
+/// A seeded workload where most events share their time with others. Times
+/// come from a pool of offsets into the current ~1 s period, spread over
+/// every wheel level and the overflow heap. The pool has more times than
+/// the queue's 64-entry time cache, so a time's open bucket is evicted
+/// while it still holds events and a second bucket for that time opens.
+/// Each round also cancels or re-arms an event that is alone at its time,
+/// and running events schedule same-instant follow-ups.
+template <typename Queue>
+class CollisionHarness {
+ public:
+  explicit CollisionHarness(std::uint64_t seed) : rng_(seed) {
+    // Even offsets: every pooled time is even and lone events take odd
+    // ones, so a lone event shares its time with no other.
+    const auto band = [this](SimTime lo, std::uint64_t width) {
+      for (int i = 0; i < 24; ++i) {
+        pool_.push_back(lo + 2 * static_cast<SimTime>(rng_.NextBelow(width)));
+      }
+    };
+    band(0, 30'000);                       // level 0
+    band(70'000, 2'000'000);               // level 1
+    band(4'300'000, 130'000'000);          // level 2
+    band(270'000'000, 8'000'000'000);      // level 3
+    band(20'000'000'000, 5'000'000'000);   // beyond: the overflow heap
+  }
+
+  void Run() {
+    for (int round = 0; round < 300; ++round) {
+      const int n = static_cast<int>(1 + rng_.NextBelow(30));
+      for (int i = 0; i < n; ++i) handles_.push_back(Schedule(PoolTime()));
+      // An event alone at its time leaves an empty bucket behind when it
+      // is cancelled or re-armed.
+      const EventId id = Schedule(
+          clock_ + 2 * static_cast<SimTime>(rng_.NextBelow(1'000'000)) + 1);
+      if (rng_.NextBelow(2) == 0) {
+        q_.Cancel(id);
+      } else {
+        handles_.push_back(Rearm(id));
+      }
+      const int edits = static_cast<int>(rng_.NextBelow(n + 1));
+      for (int i = 0; i < edits && !handles_.empty(); ++i) {
+        const std::size_t pick = rng_.NextBelow(handles_.size());
+        if (rng_.NextBelow(2) == 0) {
+          q_.Cancel(handles_[pick]);
+          handles_.erase(handles_.begin() + static_cast<std::ptrdiff_t>(pick));
+        } else {
+          handles_[pick] = Rearm(handles_[pick]);
+        }
+      }
+      const int runs = static_cast<int>(rng_.NextBelow(40));
+      for (int i = 0; i < runs; ++i) {
+        if (!q_.RunNext(clock_)) break;
+      }
+      EXPECT_TRUE(q_.CheckInvariants()) << "round " << round;
+    }
+    while (q_.RunNext(clock_)) {
+    }
+  }
+
+  const std::vector<std::pair<SimTime, int>>& trace() const { return trace_; }
+
+ private:
+  SimTime Anchor() const { return clock_ & ~SimTime{(1 << 20) - 1}; }
+
+  /// A pool time of the current period, or now if it has passed.
+  SimTime PoolTime() {
+    return std::max(clock_, Anchor() + pool_[rng_.NextBelow(pool_.size())]);
+  }
+
+  EventId Schedule(SimTime when) { return q_.ScheduleAt(when, Fire(when)); }
+
+  EventId Rearm(EventId id) {
+    const SimTime when = PoolTime();
+    return q_.Reschedule(id, when, Fire(when));
+  }
+
+  EventFn Fire(SimTime when) {
+    const int t = tag_++;
+    return [this, when, t] {
+      trace_.emplace_back(when, t);
+      switch (rng_.NextBelow(4)) {
+        case 0:  // same-instant follow-up
+          handles_.push_back(Schedule(clock_));
+          break;
+        case 1:
+          handles_.push_back(Schedule(PoolTime()));
+          break;
+        default:
+          break;
+      }
+    };
+  }
+
+  Queue q_;
+  Rng rng_;
+  std::vector<SimTime> pool_;
+  SimTime clock_ = 0;
+  int tag_ = 0;
+  std::vector<EventId> handles_;
+  std::vector<std::pair<SimTime, int>> trace_;
+};
+
+TEST_P(EngineDifferential, SameTimeCollisionsMatchReference) {
+  CollisionHarness<EventQueue> wheel(GetParam());
+  CollisionHarness<ReferenceQueue> reference(GetParam());
   wheel.Run();
   reference.Run();
   ASSERT_EQ(wheel.trace().size(), reference.trace().size());

@@ -8,6 +8,8 @@
 #include <vector>
 
 #include "common/random.h"
+#include "netsim/simulator.h"
+#include "netsim/timer.h"
 
 namespace cbt::netsim {
 namespace {
@@ -210,6 +212,54 @@ TEST(EventQueue, CancelDestroysClosureEagerly) {
   ASSERT_TRUE(q.Cancel(id));
   // The capture must die at cancel time, not when the slot is popped.
   EXPECT_EQ(sentinel.use_count(), 1);
+}
+
+// Soft-state upkeep arms the same periodic timer on every router for
+// one instant. Those events share one wheel entry, so the wheel cascades
+// and orders them once, and they still fire in arm order.
+TEST(EventQueue, SameInstantTimersShareOneWheelEntry) {
+  constexpr int kTimers = 256;
+  Simulator sim;
+  std::vector<Timer> timers(kTimers);
+  std::vector<int> order;
+  for (int i = 0; i < kTimers; ++i) {
+    timers[i].BindTo(sim);
+    timers[i].Schedule(5 * kSecond, [&order, i] { order.push_back(i); });
+  }
+  EXPECT_EQ(sim.events().size(), static_cast<std::size_t>(kTimers));
+  EXPECT_EQ(sim.events().wheel_entries(), 1u);
+  EXPECT_TRUE(sim.events().CheckInvariants());
+  sim.RunUntilIdle();
+  ASSERT_EQ(order.size(), static_cast<std::size_t>(kTimers));
+  for (int i = 0; i < kTimers; ++i) EXPECT_EQ(order[i], i);
+  EXPECT_EQ(sim.events().wheel_entries(), 0u);
+}
+
+// Refreshing each timer in place to its own later time leaves one entry
+// per distinct time: the emptied shared entry is freed, and the event
+// slab does not grow.
+TEST(EventQueue, TimersRefreshedToDistinctTimesOccupyOneEntryEach) {
+  constexpr int kTimers = 256;
+  Simulator sim;
+  std::vector<Timer> timers(kTimers);
+  std::vector<int> order;
+  for (int i = 0; i < kTimers; ++i) {
+    timers[i].BindTo(sim);
+    timers[i].Schedule(5 * kSecond, [] {});
+  }
+  ASSERT_EQ(sim.events().wheel_entries(), 1u);
+  // Refresh in reverse, so the fire order differs from the arm order.
+  for (int i = kTimers - 1; i >= 0; --i) {
+    timers[i].Schedule(6 * kSecond + i * kMillisecond,
+                       [&order, i] { order.push_back(i); });
+  }
+  EXPECT_EQ(sim.events().size(), static_cast<std::size_t>(kTimers));
+  EXPECT_EQ(sim.events().wheel_entries(), static_cast<std::size_t>(kTimers));
+  EXPECT_EQ(sim.events().slot_capacity(), static_cast<std::size_t>(kTimers));
+  EXPECT_TRUE(sim.events().CheckInvariants());
+  sim.RunUntilIdle();
+  ASSERT_EQ(order.size(), static_cast<std::size_t>(kTimers));
+  for (int i = 0; i < kTimers; ++i) EXPECT_EQ(order[i], i);
 }
 
 }  // namespace
