@@ -292,14 +292,12 @@ void RpTreeRouter::HandleRegister(VifIndex /*vif*/,
   if (!parsed) return;
   const auto data = packet::ExtractCbtModeData(*parsed);
   if (!data) return;
-  const auto inner = packet::ParseDatagram(data->original_datagram);
-  if (!inner) return;
   Entry& entry = EnsureJoined(data->header.group);
   // Registers are unicast tunnels: the decapsulated packet flows down
   // EVERY tree interface, including the one the register arrived on —
   // that up-then-down double traversal is the unidirectional tree's
   // defining cost.
-  ForwardDown(entry, kInvalidVif, inner->ip, data->original_datagram,
+  ForwardDown(entry, kInvalidVif, data->inner, data->original_datagram,
               data->header.group);
 }
 

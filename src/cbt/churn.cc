@@ -84,6 +84,7 @@ ChurnSchedule ChurnSchedule::Generate(const ChurnParams& params,
   }
 
   // Flash crowds: a burst of joins into one group over a short window.
+  const std::size_t flash_begin = records.size();
   for (const FlashCrowd& flash : params.flashes) {
     for (std::uint64_t i = 0; i < flash.members; ++i) {
       MemberRecord r;
@@ -111,24 +112,52 @@ ChurnSchedule ChurnSchedule::Generate(const ChurnParams& params,
     }
   }
 
-  // Expand records into the event list. Join events sort before leave
-  // events at equal times so per-(lan, group) member counts never go
-  // negative (a record's leave can coincide with its own join).
-  ChurnSchedule schedule;
-  schedule.events_.reserve(records.size() * 2);
-  for (const MemberRecord& r : records) {
-    schedule.events_.push_back({r.join_at, r.lan, r.group, true});
-    ++schedule.join_count_;
-    if (r.leave_at < params.duration) {
-      schedule.events_.push_back({r.leave_at, r.lan, r.group, false});
-      ++schedule.leave_count_;
+  // Emit the events in time order, joins before leaves at equal times so
+  // per-(lan, group) member counts never go negative (a record's leave can
+  // coincide with its own join); among equal (time, kind), record index
+  // order. Warm-start and Poisson joins are already in that order; flash
+  // joins and the leaves are sorted by (time, record index) and merged in.
+  using Keyed = std::pair<SimTime, std::uint32_t>;  // (time, record index)
+  std::vector<Keyed> flash_joins;
+  flash_joins.reserve(records.size() - flash_begin);
+  for (std::size_t i = flash_begin; i < records.size(); ++i) {
+    flash_joins.emplace_back(records[i].join_at, static_cast<std::uint32_t>(i));
+  }
+  std::sort(flash_joins.begin(), flash_joins.end());
+  std::vector<Keyed> leaves;
+  leaves.reserve(records.size());
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    if (records[i].leave_at < params.duration) {
+      leaves.emplace_back(records[i].leave_at, static_cast<std::uint32_t>(i));
     }
   }
-  std::stable_sort(schedule.events_.begin(), schedule.events_.end(),
-                   [](const MembershipEvent& a, const MembershipEvent& b) {
-                     if (a.at != b.at) return a.at < b.at;
-                     return a.join && !b.join;
-                   });
+  std::sort(leaves.begin(), leaves.end());
+
+  ChurnSchedule schedule;
+  schedule.join_count_ = records.size();
+  schedule.leave_count_ = leaves.size();
+  schedule.events_.reserve(records.size() + leaves.size());
+  const auto emit = [&](const Keyed& k, bool join) {
+    const MemberRecord& r = records[k.second];
+    schedule.events_.push_back({k.first, r.lan, r.group, join});
+  };
+  std::uint32_t a = 0;  // next warm-start or Poisson record
+  auto f = flash_joins.begin();
+  auto l = leaves.begin();
+  while (a < flash_begin || f != flash_joins.end()) {
+    // Arrivals precede every flash record, so they win (time, index) ties.
+    Keyed join;
+    if (f == flash_joins.end() ||
+        (a < flash_begin && records[a].join_at <= f->first)) {
+      join = {records[a].join_at, a};
+      ++a;
+    } else {
+      join = *f++;
+    }
+    for (; l != leaves.end() && l->first < join.first; ++l) emit(*l, false);
+    emit(join, true);
+  }
+  for (; l != leaves.end(); ++l) emit(*l, false);
 
   std::uint64_t live = 0;
   for (const MembershipEvent& e : schedule.events_) {

@@ -40,13 +40,12 @@ class CbtDomain : public ProtocolDomain<CbtRouter> {
   GroupDirectory& directory() { return directory_; }
 
   /// Space-parallel PDES support: gives every region its own
-  /// RouteManager clone (same mode / LPM mode as the base manager) and
-  /// repoints each router at its region's clone, so routing state is
-  /// never shared across concurrently-executing regions. All router
-  /// lookups are self-sourced, so each clone computes exactly the
-  /// per-source tables its region's routers would have computed on the
-  /// shared manager — byte-identical routes at any region count. The
-  /// base manager keeps serving domain/bench/test queries. Static
+  /// RouteManager and repoints each router at its region's manager, so
+  /// routing state is never shared across concurrently-executing
+  /// regions. Each manager builds its own destination trees for its
+  /// region's routers' next-hop queries; a tree is a function of the
+  /// topology alone, so routes are byte-identical at any region count.
+  /// The base manager keeps serving domain/bench/test queries. Static
   /// next-hop overrides are not copied (bench topologies do not use
   /// them); call before Start().
   void ShardRoutes(int regions,

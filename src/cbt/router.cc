@@ -117,7 +117,7 @@ void CbtRouter::OnDatagram(VifIndex vif, Ipv4Address /*link_src*/,
       return;
     }
     case IpProtocol::kCbt:
-      TimeStage([&] { HandleCbtData(vif, ip, datagram); });
+      TimeStage([&] { HandleCbtData(vif, *parsed, datagram); });
       return;
     default:
       TimeStage([&] {
@@ -322,7 +322,7 @@ void CbtRouter::HandleRejoinNactive(const ControlPacket& pkt) {
     ack.origin = pkt.origin;
     ack.target_core = pkt.target_core;
     ack.cores = entry->cores;
-    const auto route = routes_->Lookup(self_, pkt.target_core);
+    const auto route = routes_->NextHopToward(self_, pkt.target_core);
     if (route) {
       ++stats_.acks_sent;
       SendControl(route->vif, route->next_hop, pkt.target_core, ack);
@@ -662,21 +662,21 @@ void CbtRouter::TryOtherCores(PendingJoin& p) {
   PendingJoinFailed(p.group);
 }
 
-std::optional<routing::Route> CbtRouter::ResolveToward(Ipv4Address target) {
+std::optional<routing::NextHop> CbtRouter::ResolveToward(
+    Ipv4Address target) {
   if (tunnels_.HasRankingFor(target)) {
     const auto endpoint = tunnels_.SelectPath(*sim_, self_, target);
     if (!endpoint) return std::nullopt;
-    routing::Route route;
+    routing::NextHop route;
     route.vif = endpoint->vif;
     route.next_hop = !endpoint->remote.IsUnspecified()
                          ? endpoint->remote
                          : NeighborAddressOn(endpoint->vif, target);
     if (route.next_hop.IsUnspecified()) return std::nullopt;
     route.cost = 1.0;
-    route.hop_count = 1;
     return route;
   }
-  return routes_->Lookup(self_, target);
+  return routes_->NextHopToward(self_, target);
 }
 
 Ipv4Address CbtRouter::NeighborAddressOn(VifIndex vif,
@@ -724,7 +724,7 @@ bool CbtRouter::ForwardJoin(PendingJoin& p) {
   return true;
 }
 
-void CbtRouter::SendJoin(PendingJoin& p, const routing::Route& route) {
+void CbtRouter::SendJoin(PendingJoin& p, const routing::NextHop& route) {
   p.upstream_vif = route.vif;
   p.upstream_next_hop = route.next_hop;
   ControlPacket join;
@@ -1449,11 +1449,11 @@ void CbtRouter::HandleNativeData(VifIndex vif, const packet::Ipv4Header& ip,
   ForwardAlongTree(vif, ip.src, *entry, ip, *forwarded, nullptr);
 }
 
-void CbtRouter::HandleCbtData(VifIndex vif, const packet::Ipv4Header& outer,
+void CbtRouter::HandleCbtData(VifIndex vif,
+                              const packet::ParsedDatagram& parsed,
                               std::span<const std::uint8_t> datagram) {
-  const auto parsed = packet::ParseDatagram(datagram);
-  if (!parsed) return;
-  const auto data = packet::ExtractCbtModeData(*parsed);
+  const packet::Ipv4Header& outer = parsed.ip;
+  const auto data = packet::ExtractCbtModeData(parsed);
   if (!data) {
     ++stats_.malformed_control;
     return;
@@ -1487,9 +1487,7 @@ void CbtRouter::HandleCbtData(VifIndex vif, const packet::Ipv4Header& outer,
   }
   hdr.ip_ttl = static_cast<std::uint8_t>(hdr.ip_ttl - 1);
 
-  const auto inner = packet::ParseDatagram(data->original_datagram);
-  if (!inner) return;
-  ForwardAlongTree(vif, outer.src, *entry, inner->ip, data->original_datagram,
+  ForwardAlongTree(vif, outer.src, *entry, data->inner, data->original_datagram,
                    &hdr);
 }
 
@@ -1786,7 +1784,7 @@ void CbtRouter::RelayNonMemberData(VifIndex /*vif*/,
   if (cores.size() > 1 && directory_->HasAssignments(ip.dst)) {
     double best = std::numeric_limits<double>::infinity();
     for (const Ipv4Address& c : cores) {
-      const auto r = routes_->Lookup(self_, c);
+      const auto r = routes_->NextHopToward(self_, c);
       if (r && r->vif != kInvalidVif && r->cost < best) {
         best = r->cost;
         target = c;
@@ -1814,11 +1812,9 @@ void CbtRouter::RelayNonMemberData(VifIndex /*vif*/,
 
 void CbtRouter::ForwardUnicast(const packet::Ipv4Header& ip,
                                std::span<const std::uint8_t> datagram) {
-  const auto route = routes_->Lookup(self_, ip.dst);
+  const auto route = routes_->NextHopToward(self_, ip.dst);
   if (!route || route->vif == kInvalidVif) return;
-  const Ipv4Address link_dst =
-      route->next_hop == ip.dst || route->hop_count == 0 ? ip.dst
-                                                         : route->next_hop;
+  const Ipv4Address link_dst = route->direct ? ip.dst : route->next_hop;
   if (config_.dataplane == DataplaneMode::kFast) {
     // Relay transit hops are on the data path too: same zero-copy (or
     // at worst one-copy) TTL decrement as HandleNativeData.

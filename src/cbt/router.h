@@ -279,7 +279,7 @@ class CbtRouter : public netsim::NetworkAgent {
   /// Returns false when unroutable (the caller fails or re-targets it).
   bool ForwardJoin(PendingJoin& pending);
   /// Sends the JOIN-REQUEST over `route`, which becomes its upstream hop.
-  void SendJoin(PendingJoin& pending, const routing::Route& route);
+  void SendJoin(PendingJoin& pending, const routing::NextHop& route);
   void RetransmitJoin(Ipv4Address group);
   void PendingJoinFailed(Ipv4Address group);
   /// Ends a local join's span with `outcome`, multicasts the section 2.5
@@ -354,7 +354,8 @@ class CbtRouter : public netsim::NetworkAgent {
   // --- Data plane. ---
   void HandleNativeData(VifIndex vif, const packet::Ipv4Header& ip,
                         std::span<const std::uint8_t> datagram);
-  void HandleCbtData(VifIndex vif, const packet::Ipv4Header& outer,
+  /// `outer` is OnDatagram's parse of `datagram`.
+  void HandleCbtData(VifIndex vif, const packet::ParsedDatagram& outer,
                      std::span<const std::uint8_t> datagram);
   /// Forwards a data packet along the tree (both modes). `inner` is the
   /// original IP datagram; `cbt` carries CBT-mode header state when the
@@ -427,8 +428,9 @@ class CbtRouter : public netsim::NetworkAgent {
 
   // --- Send helpers. ---
   /// Next hop toward `target`: the section 5.2 interface ranking when one
-  /// is configured for it, otherwise the unicast routing table.
-  std::optional<routing::Route> ResolveToward(Ipv4Address target);
+  /// is configured for it, otherwise unicast routing's destination tree
+  /// (RouteManager::NextHopToward).
+  std::optional<routing::NextHop> ResolveToward(Ipv4Address target);
   /// Lowest-addressed neighbouring router on `vif` (tunnel-less ranked
   /// interfaces), or `target` itself when the vif's subnet contains it.
   Ipv4Address NeighborAddressOn(VifIndex vif, Ipv4Address target) const;

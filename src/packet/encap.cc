@@ -110,8 +110,9 @@ std::optional<CbtModeData> ExtractCbtModeData(const ParsedDatagram& dgram) {
   if (!hdr) return std::nullopt;
   const auto inner = dgram.payload.subspan(kCbtDataHeaderSize);
   // The inner payload must itself be a well-formed IP datagram.
-  if (!ParseDatagram(inner)) return std::nullopt;
-  return CbtModeData{dgram.ip, *hdr, inner};
+  const auto parsed_inner = ParseDatagram(inner);
+  if (!parsed_inner) return std::nullopt;
+  return CbtModeData{dgram.ip, *hdr, parsed_inner->ip, inner};
 }
 
 std::vector<std::uint8_t> BuildAppDatagram(Ipv4Address src, Ipv4Address group,

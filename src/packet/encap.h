@@ -59,6 +59,8 @@ std::vector<std::uint8_t> BuildCbtModeDatagram(
 struct CbtModeData {
   Ipv4Header outer;
   CbtDataHeader header;
+  /// The original datagram's IP header, as ParseDatagram reads it.
+  Ipv4Header inner;
   /// The untouched original IP datagram (still a valid datagram itself).
   std::span<const std::uint8_t> original_datagram;
 };

@@ -19,10 +19,10 @@ constexpr double kWarmMargin = 1e-6;
 
 bool ApproxEqual(double a, double b) { return std::fabs(a - b) < kEps; }
 
-// Position of `sid` in a table's sorted tail memo: its entry, or where it
-// would be inserted.
+// Position of `sid` in a vector sorted by subnet id (a table's tail memo,
+// the destination trees): its entry, or where it would be inserted.
 template <typename Memo>
-auto TailSlot(Memo& memo, SubnetId sid) {
+auto SubnetSlot(Memo& memo, SubnetId sid) {
   return std::lower_bound(
       memo.begin(), memo.end(), sid,
       [](const auto& e, SubnetId x) { return e.first.value() < x.value(); });
@@ -40,10 +40,12 @@ void RouteManager::SyncTopology() {
                         synced_subnet_count_ == sim_->subnet_count();
   if (sized_ok && epoch == synced_epoch_) return;
 
+  ++dest_generation_;  // every destination tree is stale
   if (!sized_ok) {
     // Nodes or subnets were added (construction phase, no epoch bump):
     // table/bitset dimensions are stale, so start over.
     tables_.assign(sim_->node_count(), NodeRoutes{});
+    dest_trees_.clear();
     synced_subnet_count_ = sim_->subnet_count();
     ++stats_.full_invalidations;
   } else if (const auto changes = sim_->ChangesSince(synced_epoch_)) {
@@ -144,7 +146,7 @@ void RouteManager::ApplyScopedChanges(
       continue;
     }
     for (const SubnetId s : patch) {
-      const auto it = TailSlot(table.to_subnet, s);
+      const auto it = SubnetSlot(table.to_subnet, s);
       if (it != table.to_subnet.end() && it->first == s) {
         it->second = SubnetTail(table, source, s);
       }
@@ -220,7 +222,7 @@ Route RouteManager::SubnetTail(const NodeRoutes& table, NodeId source,
 
 Route RouteManager::MemoTail(NodeRoutes& table, NodeId source,
                              SubnetId sid) {
-  auto it = TailSlot(table.to_subnet, sid);
+  auto it = SubnetSlot(table.to_subnet, sid);
   if (it == table.to_subnet.end() || it->first != sid) {
     it = table.to_subnet.emplace(it, sid, SubnetTail(table, source, sid));
   }
@@ -336,6 +338,84 @@ void RouteManager::ComputeFrom(NodeId source) {
   }
 }
 
+const RouteManager::DestTree& RouteManager::FreshDestTree(SubnetId sid) {
+  SyncTopology();
+  auto it = SubnetSlot(dest_trees_, sid);
+  if (it == dest_trees_.end() || it->first != sid) {
+    it = dest_trees_.emplace(it, sid, DestTree{});
+  }
+  DestTree& tree = it->second;
+  if (tree.generation != dest_generation_) ComputeDestTree(sid, tree);
+  return tree;
+}
+
+void RouteManager::ComputeDestTree(SubnetId sid, DestTree& tree) {
+  OBS_TRACE_VERBOSE(sim_->trace(), .time = sim_->Now(),
+                    .kind = obs::TraceKind::kRouting,
+                    .name = "dest-tree-computed",
+                    .arg_a = static_cast<std::uint64_t>(sid.value()));
+  const std::size_t n = sim_->node_count();
+  tree.hops.assign(n, DestTree::Hop{});
+  tree.generation = dest_generation_;
+  ++stats_.dest_trees_computed;
+
+  // ComputeFrom run backwards: edges are walked from head to tail, so a
+  // node's cost is to the subnet, and the relaxation that wins is the one
+  // ComputeFrom would pick for that node's first hop. Roots are the
+  // attachments SubnetTail accepts as a path's end: live routers.
+  using QueueEntry = std::pair<double, std::int32_t>;
+  std::priority_queue<QueueEntry, std::vector<QueueEntry>, std::greater<>> pq;
+  std::vector<bool> done(n, false);
+  const netsim::SubnetRecord& s = sim_->subnet(sid);
+  if (s.up) {
+    for (const auto& [z, z_vif] : s.attachments) {
+      const netsim::NodeRecord& z_rec = sim_->node(z);
+      if (!sim_->interface(z, z_vif).up || !z_rec.up || !z_rec.is_router) {
+        continue;
+      }
+      tree.hops[static_cast<std::size_t>(z.value())].cost = 0.0;
+      pq.push(QueueEntry{0.0, z.value()});
+    }
+  }
+
+  while (!pq.empty()) {
+    const auto [dist, w_id] = pq.top();
+    pq.pop();
+    const auto w_idx = static_cast<std::size_t>(w_id);
+    if (done[w_idx]) continue;
+    done[w_idx] = true;
+
+    const NodeId w(w_id);
+    const netsim::NodeRecord& w_rec = sim_->node(w);
+    // Hosts never transit: a host gets a route but extends none.
+    if (!w_rec.is_router) continue;
+
+    for (const netsim::Interface& in : w_rec.interfaces) {
+      if (!in.up) continue;
+      const netsim::SubnetRecord& link = sim_->subnet(in.subnet);
+      if (!link.up) continue;
+      for (const auto& [v, v_vif] : link.attachments) {
+        if (v == w) continue;
+        const auto v_idx = static_cast<std::size_t>(v.value());
+        if (done[v_idx]) continue;
+        const netsim::Interface& out = sim_->interface(v, v_vif);
+        if (!out.up || !sim_->node(v).up) continue;
+
+        // v's first hop is w's address on the shared link.
+        const double cand = dist + out.cost;
+        DestTree::Hop& cur = tree.hops[v_idx];
+        const bool better = cand + kEps < cur.cost ||
+                            (ApproxEqual(cand, cur.cost) &&
+                             in.address.bits() < cur.next_hop.bits());
+        if (better) {
+          cur = DestTree::Hop{cand, out.vif, in.address};
+          pq.push(QueueEntry{cand, v.value()});
+        }
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Destination resolution (LPM)
 // ---------------------------------------------------------------------------
@@ -445,6 +525,35 @@ std::optional<Route> RouteManager::Lookup(NodeId from, Ipv4Address dest) {
     route.next_hop = dest;
   }
   return route;
+}
+
+std::optional<NextHop> RouteManager::NextHopToward(NodeId from,
+                                                   Ipv4Address dest) {
+  ++stats_.lookups;
+  const auto subnet = ResolveSubnet(dest);
+  if (!subnet) return std::nullopt;
+
+  if (const auto it = overrides_.find({from, *subnet});
+      it != overrides_.end() && OverrideLive(from, *subnet, it->second)) {
+    const Route& r = it->second;
+    return NextHop{r.vif, r.next_hop, r.cost, false};
+  }
+
+  // Directly attached, as SubnetTail decides it: the first live interface
+  // of a live node on the live subnet.
+  const netsim::NodeRecord& node = sim_->node(from);
+  if (node.up && sim_->subnet(*subnet).up) {
+    for (const netsim::Interface& iface : node.interfaces) {
+      if (iface.subnet == *subnet && iface.up) {
+        return NextHop{iface.vif, dest, 0.0, true};
+      }
+    }
+  }
+
+  const DestTree::Hop& hop =
+      FreshDestTree(*subnet).hops.at(static_cast<std::size_t>(from.value()));
+  if (hop.cost == kInfinity) return std::nullopt;
+  return NextHop{hop.vif, hop.next_hop, hop.cost, false};
 }
 
 bool RouteManager::IsDirectlyAttached(NodeId node, Ipv4Address addr) {

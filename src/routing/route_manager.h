@@ -12,9 +12,22 @@
 //  * static next-hop overrides, used by tests to create the transient
 //    routing loop of Figure 5 and transient asymmetry.
 //
-// Recompute model (see docs/PROTOCOL.md "Unicast routing & invalidation
-// model"): tables are *lazy* — a topology change marks per-source tables
-// stale via the simulator's scoped change journal, and a source's
+// Two kinds of state answer the queries (see docs/PROTOCOL.md "Unicast
+// routing & invalidation model"):
+//  * destination trees serve NextHopToward, the only query CBT's routers
+//    make: one reverse Dijkstra per destination subnet, rooted at the
+//    subnet's live router attachments, gives every node its distance to
+//    the subnet, and a node's next hop is the lowest neighbour address
+//    among the neighbours on some shortest path — the same answer the
+//    per-source tie-break gives. A tree is built by the first query
+//    toward its subnet and dropped by the next topology change;
+//  * per-source tables serve Lookup, Distance, PathDelay, Path and
+//    TableVersion — the baselines, core selection and the tree-quality
+//    oracle — because only a forward Dijkstra carries hop counts, delays
+//    and predecessors.
+//
+// Per-source recompute model: tables are *lazy* — a topology change marks
+// them stale via the simulator's scoped change journal, and a source's
 // Dijkstra only runs when that source is actually queried. A table holds
 // routes to nodes only; the route to a subnet (its "tail": the best live
 // attachment point) is computed on the first Lookup of that subnet and
@@ -22,7 +35,8 @@
 // changed subnet is kept warm (only its memoized tails to the changed
 // subnets are refreshed in place); anything the conservative check
 // cannot rule out is recomputed. Every answer is bit-for-bit what a
-// freshly built manager computes from scratch (the tests in
+// freshly built manager computes from scratch, and NextHopToward agrees
+// with a fresh Lookup up to the cost's summation order (the tests in
 // tests/routing/route_manager_lazy_test.cc check queries against one),
 // while a flap touching one region no longer recomputes every router's
 // table.
@@ -55,16 +69,29 @@ struct Route {
   SimDuration delay = 0;    // summed subnet delays along the chosen path
 };
 
+/// A next hop toward some destination, read off a destination tree: no
+/// path metrics beyond the cost (see NextHopToward).
+struct NextHop {
+  VifIndex vif = kInvalidVif;
+  /// Link-level next hop; equals the final destination when direct.
+  Ipv4Address next_hop;
+  double cost = 0.0;
+  /// The destination's subnet is attached to the querying node (what
+  /// Route reports as hop_count 0).
+  bool direct = false;
+};
+
 class RouteManager {
  public:
   /// Work counters, reported by the benchmark driver and used by the
   /// invalidation tests.
   struct Stats {
     std::uint64_t tables_computed = 0;   // per-source Dijkstra runs
+    std::uint64_t dest_trees_computed = 0;  // reverse per-subnet Dijkstras
     std::uint64_t tables_dirtied = 0;    // tables invalidated by changes
     std::uint64_t tables_kept_warm = 0;  // verified-unaffected, patched
     std::uint64_t full_invalidations = 0;
-    std::uint64_t lookups = 0;
+    std::uint64_t lookups = 0;  // Lookup and NextHopToward calls
     std::uint64_t lpm_cache_hits = 0;
     std::uint64_t lpm_index_rebuilds = 0;
   };
@@ -74,6 +101,13 @@ class RouteManager {
   /// Next hop from router `from` toward address `dest` (host or router).
   /// nullopt when dest is unreachable or not covered by any known subnet.
   std::optional<Route> Lookup(NodeId from, Ipv4Address dest);
+
+  /// Lookup's vif, next hop and cost (within floating-point summation
+  /// order), read off `dest`'s destination tree instead of `from`'s
+  /// per-source table: static overrides and the directly-attached case
+  /// are answered exactly as Lookup does, anything else in O(1) once the
+  /// subnet's tree exists.
+  std::optional<NextHop> NextHopToward(NodeId from, Ipv4Address dest);
 
   /// True when `addr` is on a subnet directly attached to `node` (and the
   /// attachment is up).
@@ -141,6 +175,19 @@ class RouteManager {
     }
   };
 
+  /// Reverse shortest-path tree toward one subnet: per node (by id), the
+  /// cost to the subnet's nearest live router attachment and the first
+  /// hop on the way (cost infinity when unreachable).
+  struct DestTree {
+    struct Hop {  // 16 bytes: a tree holds one per node
+      double cost = kInfinity;
+      VifIndex vif = kInvalidVif;
+      Ipv4Address next_hop;
+    };
+    std::uint64_t generation = 0;  // valid while == dest_generation_
+    std::vector<Hop> hops;
+  };
+
   /// Longest-prefix-match index: one bucket per distinct mask, longest
   /// (numerically largest contiguous) mask first, each sorted by network
   /// for binary search. Plus a direct-mapped address cache in front.
@@ -190,6 +237,11 @@ class RouteManager {
 
   void InvalidateAllTables();
 
+  /// `sid`'s destination tree for the current topology, built if needed.
+  const DestTree& FreshDestTree(SubnetId sid);
+
+  void ComputeDestTree(SubnetId sid, DestTree& tree);
+
   void RebuildLpmIndex();
 
   /// True when a static override's forwarding path is actually usable.
@@ -206,6 +258,12 @@ class RouteManager {
   /// consumer's cached version can never alias across invalidations.
   std::uint64_t version_counter_ = 0;
   std::vector<NodeRoutes> tables_;  // indexed by node id
+  // Trees of the subnets queried so far, sorted by subnet id (CBT queries
+  // toward few subnets; an index over every subnet would cost more).
+  std::vector<std::pair<SubnetId, DestTree>> dest_trees_;
+  /// Bumped by every topology change SyncTopology sees: destination trees
+  /// are valid for one topology, with no scoped invalidation.
+  std::uint64_t dest_generation_ = 1;
   std::map<std::pair<NodeId, SubnetId>, Route> overrides_;
   LpmIndex lpm_;
   std::array<LpmCacheSlot, kLpmCacheSize> lpm_cache_{};
@@ -219,6 +277,7 @@ template <typename Stats, typename Fn>
 void ForEachStatsField(Stats& s, Fn&& fn) {
   using Tag = obs::FieldTag;
   fn("tables_computed", s.tables_computed, Tag::kNone);
+  fn("dest_trees_computed", s.dest_trees_computed, Tag::kNone);
   fn("tables_dirtied", s.tables_dirtied, Tag::kNone);
   fn("tables_kept_warm", s.tables_kept_warm, Tag::kNone);
   fn("full_invalidations", s.full_invalidations, Tag::kNone);

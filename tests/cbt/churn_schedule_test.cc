@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <map>
 #include <vector>
@@ -152,6 +153,123 @@ TEST(ChurnSchedule, LeaveStormDrainsTheTargetGroup) {
   // window, and nothing is left once it closes.
   EXPECT_GE(leaves_in_window, static_cast<std::uint64_t>(live_at_storm));
   EXPECT_EQ(live, 0);
+}
+
+/// The generator as it was before it emitted events in order: the same
+/// draws, then every record expanded into a join and (inside the horizon)
+/// a leave, stable-sorted by time with joins first at equal times.
+std::vector<MembershipEvent> ExpandAndStableSort(const ChurnParams& params,
+                                                 std::uint32_t lan_count,
+                                                 std::uint64_t seed) {
+  struct Record {
+    SimTime join_at = 0;
+    SimTime leave_at = 0;
+    std::uint32_t lan = 0;
+    std::uint32_t group = 0;
+  };
+  const auto exponential = [](Rng& rng, SimDuration mean) {
+    const double u = rng.NextDouble();
+    return static_cast<SimDuration>(-static_cast<double>(mean) *
+                                    std::log(1.0 - u));
+  };
+  Rng rng(seed);
+  const ZipfSampler zipf(params.groups, params.zipf_s);
+  std::vector<Record> records;
+  const auto draw_member = [&](SimTime join_at) {
+    Record r;
+    r.join_at = join_at;
+    r.leave_at = join_at + std::max<SimDuration>(
+                               0, exponential(rng, params.mean_holding));
+    r.group = zipf.Sample(rng);
+    r.lan = static_cast<std::uint32_t>(rng.NextBelow(lan_count));
+    records.push_back(r);
+  };
+  for (std::uint64_t i = 0; i < params.initial_members; ++i) draw_member(0);
+  if (params.arrivals_per_second > 0) {
+    const auto mean_gap = static_cast<SimDuration>(
+        static_cast<double>(kSecond) / params.arrivals_per_second);
+    SimTime t = exponential(rng, mean_gap);
+    while (t < params.duration) {
+      draw_member(t);
+      t += std::max<SimDuration>(1, exponential(rng, mean_gap));
+    }
+  }
+  for (const FlashCrowd& flash : params.flashes) {
+    for (std::uint64_t i = 0; i < flash.members; ++i) {
+      Record r;
+      r.join_at = flash.at + static_cast<SimDuration>(rng.NextBelow(
+                                 static_cast<std::uint64_t>(flash.window) + 1));
+      r.leave_at = r.join_at + std::max<SimDuration>(
+                                   0, exponential(rng, params.mean_holding));
+      r.group = flash.group % params.groups;
+      r.lan = static_cast<std::uint32_t>(rng.NextBelow(lan_count));
+      records.push_back(r);
+    }
+  }
+  for (const LeaveStorm& storm : params.storms) {
+    const std::uint32_t group = storm.group % params.groups;
+    for (Record& r : records) {
+      if (r.group != group) continue;
+      if (r.join_at > storm.at || r.leave_at <= storm.at) continue;
+      if (!rng.NextBool(storm.fraction)) continue;
+      r.leave_at = storm.at + static_cast<SimDuration>(rng.NextBelow(
+                                  static_cast<std::uint64_t>(storm.window) + 1));
+    }
+  }
+  std::vector<MembershipEvent> events;
+  for (const Record& r : records) {
+    events.push_back({r.join_at, r.lan, r.group, true});
+    if (r.leave_at < params.duration) {
+      events.push_back({r.leave_at, r.lan, r.group, false});
+    }
+  }
+  std::stable_sort(events.begin(), events.end(),
+                   [](const MembershipEvent& a, const MembershipEvent& b) {
+                     if (a.at != b.at) return a.at < b.at;
+                     return a.join && !b.join;
+                   });
+  return events;
+}
+
+TEST(ChurnSchedule, MergedEmissionMatchesExpandAndStableSort) {
+  // bench_churn_scale's profiles at a small scale: zipf churn alone, plus
+  // a flash crowd into the coldest group, plus a leave storm in the
+  // hottest; two flashes overlap so flash joins interleave.
+  ChurnParams smoke;
+  smoke.groups = 8;
+  smoke.initial_members = 3000;
+  smoke.arrivals_per_second = 3000.0 / 60.0;
+  smoke.mean_holding = 60 * kSecond;
+  smoke.duration = 120 * kSecond;
+  ChurnParams flash = smoke;
+  flash.flashes.push_back({60 * kSecond, 7, 750, 5 * kSecond});
+  flash.flashes.push_back({62 * kSecond, 3, 200, 2 * kSecond});
+  ChurnParams storm = smoke;
+  storm.storms.push_back({60 * kSecond, 0, 0.5, 5 * kSecond});
+  // Both inside one 100 us window of one group: many flash joins share a
+  // microsecond with each other and with storm leaves.
+  ChurnParams collide = smoke;
+  collide.flashes.push_back({60 * kSecond, 0, 500, 100});
+  collide.storms.push_back({60 * kSecond, 0, 0.5, 100});
+  const std::pair<const char*, const ChurnParams*> profiles[] = {
+      {"smoke", &smoke}, {"flash", &flash}, {"storm", &storm},
+      {"collide", &collide}};
+  for (const auto& [name, params] : profiles) {
+    for (const std::uint64_t seed : {1u, 2u, 3u, 99u}) {
+      SCOPED_TRACE(testing::Message() << name << " seed " << seed);
+      const std::vector<MembershipEvent> want =
+          ExpandAndStableSort(*params, 64, seed);
+      const ChurnSchedule got = ChurnSchedule::Generate(*params, 64, seed);
+      ASSERT_EQ(got.events().size(), want.size());
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        const MembershipEvent& g = got.events()[i];
+        const MembershipEvent& w = want[i];
+        ASSERT_TRUE(g.at == w.at && g.lan == w.lan && g.group == w.group &&
+                    g.join == w.join)
+            << "event " << i;
+      }
+    }
+  }
 }
 
 TEST(ChurnRunner, AppliesEveryEventAtItsTimestamp) {

@@ -243,5 +243,49 @@ TEST_F(JoinFixture, TreePrinterRendersTheBranch) {
   EXPECT_NE(out.find("+- "), std::string::npos);
 }
 
+// CBT asks unicast routing only for next hops toward cores, so a warm-up
+// of single-core groups builds one destination tree per core and no
+// per-source table (RouteManager::NextHopToward).
+TEST(JoinRoutingWork, GridWarmUpBuildsOneDestinationTreePerCore) {
+  Simulator sim{1};
+  Topology topo = netsim::MakeGrid(sim, 16, 16);
+  CbtDomain domain(sim, topo);
+  constexpr std::uint32_t kGroups = 8;
+  constexpr std::uint32_t kMembers = 8;
+  const auto lans = static_cast<std::uint32_t>(topo.router_lans.size());
+  std::vector<Ipv4Address> groups;
+  for (std::uint32_t g = 0; g < kGroups; ++g) {
+    groups.emplace_back(239, 12, 0, static_cast<std::uint8_t>(g));
+    const std::uint32_t at = ((g + 1) * lans) / (kGroups + 1);
+    domain.RegisterGroup(groups.back(), {topo.routers[at]});
+  }
+  std::vector<HostAgent*> members;
+  for (std::uint32_t g = 0; g < kGroups; ++g) {
+    for (std::uint32_t m = 0; m < kMembers; ++m) {
+      const std::uint32_t lan = ((m * lans) / kMembers + g * 7) % lans;
+      members.push_back(&domain.AddHost(
+          topo.router_lans[lan], netsim::Numbered("m", g * kMembers + m)));
+    }
+  }
+  domain.Start();
+  sim.RunUntil(kSecond);
+  for (std::uint32_t i = 0; i < members.size(); ++i) {
+    members[i]->JoinGroup(groups[i / kMembers]);
+  }
+  sim.RunUntil(30 * kSecond);
+
+  for (std::uint32_t g = 0; g < kGroups; ++g) {
+    const std::uint32_t at = ((g + 1) * lans) / (kGroups + 1);
+    const FibEntry* core_entry =
+        domain.router(topo.routers[at]).fib().Find(groups[g]);
+    ASSERT_NE(core_entry, nullptr) << "group " << g;
+    EXPECT_FALSE(core_entry->children.empty()) << "group " << g;
+  }
+  const routing::RouteManager::Stats& work = domain.routes().stats();
+  EXPECT_GT(work.lookups, 0u);
+  EXPECT_EQ(work.tables_computed, 0u);
+  EXPECT_EQ(work.dest_trees_computed, kGroups);
+}
+
 }  // namespace
 }  // namespace cbt::core

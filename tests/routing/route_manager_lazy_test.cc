@@ -1,8 +1,10 @@
 // Lazy scoped-invalidation route manager: equivalence with a from-scratch
-// recompute, warm-table bookkeeping, the LPM index, and the
-// static-override liveness fix (docs/PROTOCOL.md "Unicast routing &
-// invalidation model").
+// recompute (per-source tables and destination-tree next hops),
+// warm-table bookkeeping, the LPM index, and the static-override liveness
+// fix (docs/PROTOCOL.md "Unicast routing & invalidation model").
 #include <gtest/gtest.h>
+
+#include <cmath>
 
 #include "common/random.h"
 #include "netsim/topologies.h"
@@ -100,6 +102,126 @@ TEST(RouteManagerLazy, MatchesEagerUnderRandomChurn) {
     // The whole point: lazy must not do more Dijkstra work than
     // recomputing from scratch for every query.
     EXPECT_LE(lazy.stats().tables_computed, fresh_tables) << "seed " << seed;
+  }
+}
+
+/// Adds a second link between two routers that already share one, with
+/// the same outgoing cost at each end: their parallel first hops tie on
+/// cost and differ only in address.
+void AddParallelLink(Simulator& sim, NodeId a, NodeId b) {
+  double ab = -1.0;
+  double ba = -1.0;
+  for (const netsim::Interface& out : sim.node(a).interfaces) {
+    for (const netsim::Interface& back : sim.node(b).interfaces) {
+      if (out.subnet == back.subnet) {
+        ab = out.cost;
+        ba = back.cost;
+      }
+    }
+  }
+  ASSERT_GE(ab, 0.0) << "no shared link";
+  sim.Connect(a, b);
+  sim.node(a).interfaces.back().cost = ab;
+  sim.node(b).interfaces.back().cost = ba;
+}
+
+testing::AssertionResult SameNextHop(const std::optional<NextHop>& got,
+                                     const std::optional<Route>& want) {
+  if (got.has_value() != want.has_value()) {
+    return testing::AssertionFailure()
+           << "reachable " << got.has_value() << " want " << want.has_value();
+  }
+  if (!want) return testing::AssertionSuccess();
+  if (got->vif != want->vif || got->next_hop != want->next_hop ||
+      got->direct != (want->hop_count == 0) ||
+      std::fabs(got->cost - want->cost) >= 1e-9) {
+    return testing::AssertionFailure()
+           << "got vif " << got->vif << " via " << got->next_hop.bits()
+           << " cost " << got->cost << " direct " << got->direct
+           << "; want vif " << want->vif << " via " << want->next_hop.bits()
+           << " cost " << want->cost << " hops " << want->hop_count;
+  }
+  return testing::AssertionSuccess();
+}
+
+TEST(RouteManagerLazy, NextHopTowardMatchesFreshLookupUnderChurn) {
+  for (const std::uint64_t seed : {3u, 11u, 29u, 64u, 101u}) {
+    Simulator sim;
+    Topology topo = MakeGrid(sim, 4, 4);
+    Rng rng(seed);
+    // Asymmetric per-interface costs from {0.1, 0.2, 0.3}: many equal-cost
+    // paths whose sums differ in the last bits with summation order.
+    for (const NodeId r : topo.routers) {
+      for (netsim::Interface& iface : sim.node(r).interfaces) {
+        iface.cost = 0.1 * static_cast<double>(1 + rng.NextBelow(3));
+      }
+    }
+    AddParallelLink(sim, topo.routers[0], topo.routers[1]);
+    AddParallelLink(sim, topo.routers[5], topo.routers[9]);
+    AddParallelLink(sim, topo.routers[10], topo.routers[11]);
+    netsim::AttachHost(sim, topo, topo.router_lans[2], "h2");
+    netsim::AttachHost(sim, topo, topo.router_lans[7], "h7");
+    // A host on two LANs: routes may end at it but never cross it.
+    const NodeId bridge =
+        netsim::AttachHost(sim, topo, topo.router_lans[12], "bridge");
+    sim.Attach(bridge, topo.router_lans[15]);
+
+    std::vector<NodeId> nodes;
+    for (std::size_t i = 0; i < sim.node_count(); ++i) {
+      nodes.emplace_back(static_cast<std::int32_t>(i));
+    }
+    // One address per subnet: its last attachment's (a host where one is).
+    std::vector<Ipv4Address> dests;
+    for (std::size_t si = 0; si < sim.subnet_count(); ++si) {
+      const auto& [node, vif] =
+          sim.subnet(SubnetId(static_cast<std::int32_t>(si))).attachments.back();
+      dests.push_back(sim.interface(node, vif).address);
+    }
+    // One static override, installed in every manager compared.
+    const NodeId pinned = topo.routers[6];
+    const SubnetId pinned_dest = topo.router_lans[3];
+    const netsim::Interface& egress = sim.node(pinned).interfaces.back();
+    const VifIndex override_vif = egress.vif;
+    Ipv4Address override_hop;
+    for (const auto& [peer, peer_vif] : sim.subnet(egress.subnet).attachments) {
+      if (peer != pinned) override_hop = sim.interface(peer, peer_vif).address;
+    }
+
+    RouteManager lazy(sim);
+    lazy.SetStaticNextHop(pinned, pinned_dest, override_vif, override_hop);
+    for (int step = 0; step < 80; ++step) {
+      const NodeId node = nodes[rng.NextBelow(nodes.size())];
+      switch (rng.NextBelow(3)) {
+        case 0:
+          sim.SetSubnetUp(SubnetId(static_cast<std::int32_t>(
+                              rng.NextBelow(sim.subnet_count()))),
+                          rng.NextBool(0.6));
+          break;
+        case 1:
+          sim.SetInterfaceUp(
+              node,
+              static_cast<VifIndex>(
+                  rng.NextBelow(sim.node(node).interfaces.size())),
+              rng.NextBool(0.6));
+          break;
+        case 2:
+          sim.SetNodeUp(node, rng.NextBool(0.8));
+          break;
+      }
+      RouteManager fresh(sim);
+      fresh.SetStaticNextHop(pinned, pinned_dest, override_vif, override_hop);
+      for (const NodeId from : nodes) {
+        for (const Ipv4Address dest : dests) {
+          ASSERT_TRUE(SameNextHop(lazy.NextHopToward(from, dest),
+                                  fresh.Lookup(from, dest)))
+              << "seed " << seed << " step " << step << " from "
+              << from.value() << " dest " << dest.bits();
+        }
+      }
+    }
+    // Destination trees alone answer: no per-source table is built.
+    EXPECT_EQ(lazy.stats().tables_computed, 0u) << "seed " << seed;
+    EXPECT_GT(lazy.stats().dest_trees_computed, 0u) << "seed " << seed;
   }
 }
 
