@@ -1,7 +1,7 @@
 #include "analysis/invariant_auditor.h"
 
 #include <algorithm>
-#include <map>
+#include <cstdint>
 #include <set>
 #include <sstream>
 
@@ -17,8 +17,7 @@ using core::FibEntry;
 /// crashed router holds no *effective* state (it can neither forward nor
 /// answer echoes), so references to it are dangling.
 struct RouterView {
-  NodeId id;
-  CbtRouter* router = nullptr;
+  CbtRouter* router = nullptr;      // nullptr for a host
   const FibEntry* entry = nullptr;  // nullptr when off-tree or dead
 };
 
@@ -75,6 +74,30 @@ std::string AuditReport::Summary() const {
   return os.str();
 }
 
+struct InvariantAuditor::Scratch {
+  explicit Scratch(core::CbtDomain& domain)
+      : routers(domain.router_ids()),
+        views(domain.sim().node_count()),
+        stamp(domain.sim().node_count(), 0) {
+    // Checks run in ascending node id: the order of the domain's router
+    // map, not router_ids()'s topology order.
+    std::sort(routers.begin(), routers.end());
+    for (const NodeId id : routers) view(id).router = &domain.router(id);
+  }
+
+  RouterView& view(NodeId id) {
+    return views[static_cast<std::size_t>(id.value())];
+  }
+  const FibEntry* entry_of(NodeId id) { return view(id).entry; }
+
+  std::vector<NodeId> routers;
+  std::vector<RouterView> views;
+  /// stamp[node] == walk while the current parent walk has visited node.
+  std::vector<std::uint32_t> stamp;
+  std::uint32_t walk = 0;
+  std::vector<NodeId> path;
+};
+
 AuditReport InvariantAuditor::Audit() const {
   AuditReport report;
   report.at = domain_->sim().Now();
@@ -84,12 +107,13 @@ AuditReport InvariantAuditor::Audit() const {
   for (const NodeId id : domain_->router_ids()) {
     for (const auto& [g, entry] : domain_->router(id).fib()) groups.insert(g);
   }
-  for (const Ipv4Address g : groups) AuditGroup(g, report);
+  Scratch scratch(*domain_);
+  for (const Ipv4Address g : groups) AuditGroup(g, report, scratch);
   return report;
 }
 
-void InvariantAuditor::AuditGroup(Ipv4Address group,
-                                  AuditReport& report) const {
+void InvariantAuditor::AuditGroup(Ipv4Address group, AuditReport& report,
+                                  Scratch& scratch) const {
   ++report.groups_checked;
   netsim::Simulator& sim = domain_->sim();
 
@@ -103,38 +127,34 @@ void InvariantAuditor::AuditGroup(Ipv4Address group,
   };
 
   // Collect every live router's effective state for this group.
-  std::map<NodeId, RouterView> views;
   bool members_anywhere = false;
-  for (const NodeId id : domain_->router_ids()) {
-    CbtRouter& r = domain_->router(id);
-    RouterView view;
-    view.id = id;
-    view.router = &r;
+  for (const NodeId id : scratch.routers) {
+    RouterView& view = scratch.view(id);
+    const CbtRouter& r = *view.router;
     const bool dead = !sim.node(id).up || r.IsCrashed();
     view.entry = dead ? nullptr : r.fib().Find(group);
     if (view.entry != nullptr) ++report.routers_on_tree;
     if (!dead && r.IsPending(group)) ++report.transient_joins;
     if (!dead && r.igmp().AnyMembers(group)) members_anywhere = true;
-    views[id] = view;
   }
 
-  const auto entry_of = [&](NodeId id) -> const FibEntry* {
-    const auto it = views.find(id);
-    return it == views.end() ? nullptr : it->second.entry;
-  };
-
   // --- Per-router structural checks -----------------------------------
-  for (const auto& [id, view] : views) {
-    if (view.entry == nullptr) continue;
-    const FibEntry& entry = *view.entry;
+  for (const NodeId id : scratch.routers) {
+    const FibEntry* const view_entry = scratch.entry_of(id);
+    if (view_entry == nullptr) continue;
+    const FibEntry& entry = *view_entry;
     const std::string& name = sim.node(id).name;
 
-    // Duplicate children (packet duplication / join races must collapse).
-    std::set<Ipv4Address> child_addrs;
-    for (const ChildEntry& child : entry.children) {
-      if (!child_addrs.insert(child.address).second) {
+    // Duplicate children (packet duplication / join races must collapse):
+    // an entry holds a few children, so a pairwise scan beats a set.
+    for (auto child = entry.children.begin(); child != entry.children.end();
+         ++child) {
+      const auto same = [&](const ChildEntry& c) {
+        return c.address == child->address;
+      };
+      if (std::any_of(entry.children.begin(), child, same)) {
         note(InvariantKind::kDuplicateChild, id,
-             name + " records child " + child.address.ToString() + " twice");
+             name + " records child " + child->address.ToString() + " twice");
       }
     }
 
@@ -143,7 +163,7 @@ void InvariantAuditor::AuditGroup(Ipv4Address group,
     if (entry.HasParent()) {
       const auto parent_node = sim.FindNodeByAddress(entry.parent_address);
       const FibEntry* parent_entry =
-          parent_node ? entry_of(*parent_node) : nullptr;
+          parent_node ? scratch.entry_of(*parent_node) : nullptr;
       if (!parent_node) {
         note(InvariantKind::kBrokenParentLink, id,
              name + " parent " + entry.parent_address.ToString() +
@@ -173,7 +193,7 @@ void InvariantAuditor::AuditGroup(Ipv4Address group,
     for (const ChildEntry& child : entry.children) {
       const auto child_node = sim.FindNodeByAddress(child.address);
       const FibEntry* child_entry =
-          child_node ? entry_of(*child_node) : nullptr;
+          child_node ? scratch.entry_of(*child_node) : nullptr;
       if (!child_node || child_entry == nullptr) {
         note(InvariantKind::kAsymmetricChild, id,
              name + " records child " + AddrName(sim, child.address) +
@@ -215,19 +235,21 @@ void InvariantAuditor::AuditGroup(Ipv4Address group,
   // Parent-pointer walk from every on-tree router must reach the anchor.
   // Broken links and detached roots were reported above; here we only
   // catch cycles. A cycle is reported once, attributed to its
-  // lowest-numbered member.
-  for (const auto& [start, view] : views) {
-    if (view.entry == nullptr) continue;
-    std::vector<NodeId> path;
-    std::set<NodeId> seen;
+  // lowest-numbered member. Each walk stamps the nodes it visits with its
+  // own number, so no per-walk set is built or cleared.
+  std::vector<NodeId>& path = scratch.path;
+  for (const NodeId start : scratch.routers) {
+    const FibEntry* cur_entry = scratch.entry_of(start);
+    if (cur_entry == nullptr) continue;
+    const std::uint32_t walk = ++scratch.walk;
+    path.clear();
     NodeId cur = start;
-    const FibEntry* cur_entry = view.entry;
     while (cur_entry != nullptr && cur_entry->HasParent()) {
       path.push_back(cur);
-      seen.insert(cur);
+      scratch.stamp[static_cast<std::size_t>(cur.value())] = walk;
       const auto next = sim.FindNodeByAddress(cur_entry->parent_address);
       if (!next) break;
-      if (seen.contains(*next)) {
+      if (scratch.stamp[static_cast<std::size_t>(next->value())] == walk) {
         // Cycle: the portion of `path` from *next onward.
         const auto cycle_start = std::find(path.begin(), path.end(), *next);
         const NodeId lowest = *std::min_element(cycle_start, path.end());
@@ -242,7 +264,7 @@ void InvariantAuditor::AuditGroup(Ipv4Address group,
         break;
       }
       cur = *next;
-      cur_entry = entry_of(cur);
+      cur_entry = scratch.entry_of(cur);
     }
   }
 
@@ -255,9 +277,8 @@ void InvariantAuditor::AuditGroup(Ipv4Address group,
     bool present = false;
     bool served = false;
     for (const auto& [node, vif] : subnet.attachments) {
-      const auto it = views.find(node);
-      if (it == views.end()) continue;  // host attachment
-      const RouterView& rv = it->second;
+      const RouterView& rv = scratch.view(node);
+      if (rv.router == nullptr) continue;  // host attachment
       if (!sim.node(node).up || rv.router->IsCrashed()) continue;
       if (!sim.interface(node, vif).up) continue;
       if (rv.router->igmp().HasMembers(vif, group)) present = true;

@@ -84,10 +84,15 @@ class InvariantAuditor {
   /// Audits every group known to the directory or held in any router FIB.
   AuditReport Audit() const;
 
-  /// Audits a single group into `report`.
-  void AuditGroup(Ipv4Address group, AuditReport& report) const;
-
  private:
+  /// Node-id-indexed router views and loop-walk stamps, built once per
+  /// audit and refilled for each of its groups.
+  struct Scratch;
+
+  /// Audits a single group into `report`.
+  void AuditGroup(Ipv4Address group, AuditReport& report,
+                  Scratch& scratch) const;
+
   core::CbtDomain* domain_;
 };
 

@@ -93,7 +93,7 @@ void RpTreeRouter::OnDatagram(VifIndex vif, Ipv4Address /*link_src*/,
     case IpProtocol::kCbt:
       // Register traffic (sender DR -> RP), reusing the encapsulation
       // header as PIM reuses IP-in-IP.
-      HandleRegister(vif, ip, datagram);
+      HandleRegister(vif, *parsed, datagram);
       return;
     default:
       if (ip.dst.IsMulticast() && !ip.dst.IsLinkLocalMulticast()) {
@@ -269,15 +269,15 @@ void RpTreeRouter::HandleData(VifIndex vif, const packet::Ipv4Header& ip,
 }
 
 void RpTreeRouter::HandleRegister(VifIndex /*vif*/,
-                                  const packet::Ipv4Header& outer,
+                                  const packet::ParsedDatagram& outer,
                                   std::span<const std::uint8_t> datagram) {
   // Relay toward the RP if it is not us.
   bool mine = false;
   for (const auto& iface : sim_->node(self_).interfaces) {
-    if (iface.address == outer.dst) mine = true;
+    if (iface.address == outer.ip.dst) mine = true;
   }
   if (!mine) {
-    const auto route = routes_->Lookup(self_, outer.dst);
+    const auto route = routes_->Lookup(self_, outer.ip.dst);
     if (route && route->vif != kInvalidVif) {
       const auto fwd = packet::WithDecrementedTtl(datagram);
       if (fwd) {
@@ -288,9 +288,7 @@ void RpTreeRouter::HandleRegister(VifIndex /*vif*/,
     return;
   }
   // We are the RP: decapsulate and flood the tree downward.
-  const auto parsed = packet::ParseDatagram(datagram);
-  if (!parsed) return;
-  const auto data = packet::ExtractCbtModeData(*parsed);
+  const auto data = packet::ExtractCbtModeData(outer);
   if (!data) return;
   Entry& entry = EnsureJoined(data->header.group);
   // Registers are unicast tunnels: the decapsulated packet flows down

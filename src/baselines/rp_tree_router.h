@@ -137,7 +137,8 @@ class RpTreeRouter : public netsim::NetworkAgent {
                      const RpTreeMessage& msg);
   void HandleData(VifIndex vif, const packet::Ipv4Header& ip,
                   std::span<const std::uint8_t> datagram);
-  void HandleRegister(VifIndex vif, const packet::Ipv4Header& outer,
+  /// `outer` is OnDatagram's parse of `datagram`.
+  void HandleRegister(VifIndex vif, const packet::ParsedDatagram& outer,
                       std::span<const std::uint8_t> datagram);
   /// Ensures (*,G) state exists and the upstream join refresh runs.
   Entry& EnsureJoined(Ipv4Address group);

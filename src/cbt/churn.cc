@@ -34,12 +34,51 @@ SimDuration DrawExponential(Rng& rng, SimDuration mean) {
   return static_cast<SimDuration>(d);
 }
 
+/// Records Generate draws, reserved up front so the array is never
+/// copied as it grows: the warm start, every flash crowd, and the Poisson
+/// arrivals' mean plus four standard deviations. A gap is
+/// max(1, floor(Exp(mean_gap))), whose mean is 1 + q^2 / (1 - q) with
+/// q = e^(-1 / mean_gap).
+std::size_t RecordBound(const ChurnParams& params, SimDuration mean_gap) {
+  std::uint64_t bound = params.initial_members + 16;
+  for (const FlashCrowd& flash : params.flashes) bound += flash.members;
+  if (params.arrivals_per_second > 0 && params.duration > 0) {
+    const double q =
+        mean_gap > 0 ? std::exp(-1.0 / static_cast<double>(mean_gap)) : 0.0;
+    const double arrivals =
+        static_cast<double>(params.duration) / (1 + q * q / (1 - q));
+    bound += static_cast<std::uint64_t>(arrivals + 4 * std::sqrt(arrivals));
+  }
+  return static_cast<std::size_t>(bound);
+}
+
 struct MemberRecord {
   SimTime join_at = 0;
   SimTime leave_at = 0;
   std::uint32_t lan = 0;
-  std::uint32_t group = 0;
+  std::uint16_t group = 0;
 };
+
+/// Buckets at most this full are insertion-sorted; larger ones (the
+/// clumps a narrow leave storm makes) take a merge sort.
+constexpr std::ptrdiff_t kInsertionSortMax = 16;
+
+/// Stable sort of one bucket of leaves by time.
+void SortBucket(MembershipEvent* first, MembershipEvent* last) {
+  if (last - first > kInsertionSortMax) {
+    std::stable_sort(first, last,
+                     [](const MembershipEvent& a, const MembershipEvent& b) {
+                       return a.at < b.at;
+                     });
+    return;
+  }
+  for (MembershipEvent* i = first + 1; i < last; ++i) {
+    const MembershipEvent e = *i;
+    MembershipEvent* j = i;
+    for (; j > first && e.at < (j - 1)->at; --j) *j = *(j - 1);
+    *j = e;
+  }
+}
 
 }  // namespace
 
@@ -47,23 +86,24 @@ ChurnSchedule ChurnSchedule::Generate(const ChurnParams& params,
                                       std::uint32_t lan_count,
                                       std::uint64_t seed) {
   assert(lan_count > 0);
-  assert(params.groups > 0);
+  assert(params.groups > 0 && params.groups <= (1u << 16));
   Rng rng(seed);
   const ZipfSampler zipf(params.groups, params.zipf_s);
 
   std::vector<MemberRecord> records;
-  records.reserve(params.initial_members +
-                  static_cast<std::size_t>(params.arrivals_per_second *
-                                           (static_cast<double>(params.duration) /
-                                            kSecond)) +
-                  16);
+  const SimDuration mean_gap =
+      params.arrivals_per_second > 0
+          ? static_cast<SimDuration>(static_cast<double>(kSecond) /
+                                     params.arrivals_per_second)
+          : 0;
+  records.reserve(RecordBound(params, mean_gap));
 
   const auto draw_member = [&](SimTime join_at) {
     MemberRecord r;
     r.join_at = join_at;
     r.leave_at = join_at + std::max<SimDuration>(
                                0, DrawExponential(rng, params.mean_holding));
-    r.group = zipf.Sample(rng);
+    r.group = static_cast<std::uint16_t>(zipf.Sample(rng));
     r.lan = static_cast<std::uint32_t>(rng.NextBelow(lan_count));
     records.push_back(r);
   };
@@ -74,8 +114,6 @@ ChurnSchedule ChurnSchedule::Generate(const ChurnParams& params,
 
   // Poisson arrival process: exponential inter-arrival gaps.
   if (params.arrivals_per_second > 0) {
-    const auto mean_gap = static_cast<SimDuration>(
-        static_cast<double>(kSecond) / params.arrivals_per_second);
     SimTime t = DrawExponential(rng, mean_gap);
     while (t < params.duration) {
       draw_member(t);
@@ -86,13 +124,14 @@ ChurnSchedule ChurnSchedule::Generate(const ChurnParams& params,
   // Flash crowds: a burst of joins into one group over a short window.
   const std::size_t flash_begin = records.size();
   for (const FlashCrowd& flash : params.flashes) {
+    assert(flash.at >= 0);
     for (std::uint64_t i = 0; i < flash.members; ++i) {
       MemberRecord r;
       r.join_at = flash.at + static_cast<SimDuration>(rng.NextBelow(
                                  static_cast<std::uint64_t>(flash.window) + 1));
       r.leave_at = r.join_at + std::max<SimDuration>(
                                    0, DrawExponential(rng, params.mean_holding));
-      r.group = flash.group % params.groups;
+      r.group = static_cast<std::uint16_t>(flash.group % params.groups);
       r.lan = static_cast<std::uint32_t>(rng.NextBelow(lan_count));
       records.push_back(r);
     }
@@ -102,6 +141,7 @@ ChurnSchedule ChurnSchedule::Generate(const ChurnParams& params,
   // storm instant. Scan order (record index) keeps selection
   // deterministic.
   for (const LeaveStorm& storm : params.storms) {
+    assert(storm.at >= 0);
     const std::uint32_t group = storm.group % params.groups;
     for (MemberRecord& r : records) {
       if (r.group != group) continue;
@@ -116,7 +156,7 @@ ChurnSchedule ChurnSchedule::Generate(const ChurnParams& params,
   // per-(lan, group) member counts never go negative (a record's leave can
   // coincide with its own join); among equal (time, kind), record index
   // order. Warm-start and Poisson joins are already in that order; flash
-  // joins and the leaves are sorted by (time, record index) and merged in.
+  // joins are sorted by (time, record index).
   using Keyed = std::pair<SimTime, std::uint32_t>;  // (time, record index)
   std::vector<Keyed> flash_joins;
   flash_joins.reserve(records.size() - flash_begin);
@@ -124,46 +164,77 @@ ChurnSchedule ChurnSchedule::Generate(const ChurnParams& params,
     flash_joins.emplace_back(records[i].join_at, static_cast<std::uint32_t>(i));
   }
   std::sort(flash_joins.begin(), flash_joins.end());
-  std::vector<Keyed> leaves;
-  leaves.reserve(records.size());
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    if (records[i].leave_at < params.duration) {
-      leaves.emplace_back(records[i].leave_at, static_cast<std::uint32_t>(i));
-    }
+
+  // Leaves go to the tail of the events array, ordered by one stable
+  // bucket pass on leave time over the records: buckets are 2^shift us
+  // wide, at most one per two records, so a bucket holds a leave or two
+  // and ties keep record order. Every leave time lies in [0, duration).
+  const std::size_t joins = records.size();
+  const SimTime horizon = params.duration;
+  const auto span = static_cast<std::uint64_t>(std::max<SimTime>(horizon, 1));
+  const std::uint64_t max_buckets = std::max<std::uint64_t>(joins / 2, 1);
+  int shift = 0;
+  while (((span - 1) >> shift) >= max_buckets) ++shift;
+  const auto bucket_of = [shift](SimTime at) {
+    return static_cast<std::size_t>(static_cast<std::uint64_t>(at) >> shift);
+  };
+  const std::size_t buckets = bucket_of(static_cast<SimTime>(span - 1)) + 1;
+  // bucket_start[b] counts, then ends, then (after the backward scatter)
+  // starts bucket b; bucket_start[buckets] stays the leave count.
+  std::vector<std::uint32_t> bucket_start(buckets + 1, 0);
+  std::size_t leaves = 0;
+  for (const MemberRecord& r : records) {
+    if (r.leave_at >= horizon) continue;
+    ++bucket_start[bucket_of(r.leave_at)];
+    ++leaves;
   }
-  std::sort(leaves.begin(), leaves.end());
+  for (std::size_t b = 1; b <= buckets; ++b) {
+    bucket_start[b] += bucket_start[b - 1];
+  }
 
   ChurnSchedule schedule;
-  schedule.join_count_ = records.size();
-  schedule.leave_count_ = leaves.size();
-  schedule.events_.reserve(records.size() + leaves.size());
-  const auto emit = [&](const Keyed& k, bool join) {
-    const MemberRecord& r = records[k.second];
-    schedule.events_.push_back({k.first, r.lan, r.group, join});
-  };
+  schedule.join_count_ = joins;
+  schedule.leave_count_ = leaves;
+  std::vector<MembershipEvent>& events = schedule.events_;
+  events.resize(joins + leaves);
+  MembershipEvent* const tail = events.data() + joins;
+  for (std::size_t i = records.size(); i-- > 0;) {
+    const MemberRecord& r = records[i];
+    if (r.leave_at >= horizon) continue;
+    tail[--bucket_start[bucket_of(r.leave_at)]] = {r.leave_at, r.lan, r.group,
+                                                   false};
+  }
+  for (std::size_t b = 0; b < buckets; ++b) {
+    if (bucket_start[b + 1] - bucket_start[b] > 1) {
+      SortBucket(tail + bucket_start[b], tail + bucket_start[b + 1]);
+    }
+  }
+
+  // Merge the joins forward into the head. The write index trails the
+  // leaf read index by the joins still to come, so the merge runs in
+  // place; once the joins run out, the remaining leaves already sit in
+  // their final slots.
+  std::size_t w = 0;
+  std::size_t l = joins;
+  const std::size_t end = joins + leaves;
+  std::uint64_t live = 0;
   std::uint32_t a = 0;  // next warm-start or Poisson record
   auto f = flash_joins.begin();
-  auto l = leaves.begin();
   while (a < flash_begin || f != flash_joins.end()) {
     // Arrivals precede every flash record, so they win (time, index) ties.
-    Keyed join;
+    std::uint32_t index;
     if (f == flash_joins.end() ||
         (a < flash_begin && records[a].join_at <= f->first)) {
-      join = {records[a].join_at, a};
-      ++a;
+      index = a++;
     } else {
-      join = *f++;
+      index = (f++)->second;
     }
-    for (; l != leaves.end() && l->first < join.first; ++l) emit(*l, false);
-    emit(join, true);
-  }
-  for (; l != leaves.end(); ++l) emit(*l, false);
-
-  std::uint64_t live = 0;
-  for (const MembershipEvent& e : schedule.events_) {
-    live += e.join ? 1 : 0;
-    live -= e.join ? 0 : 1;
-    schedule.peak_members_ = std::max(schedule.peak_members_, live);
+    const MemberRecord& r = records[index];
+    for (; l < end && events[l].at < r.join_at; ++l, --live) {
+      events[w++] = events[l];
+    }
+    events[w++] = {r.join_at, r.lan, r.group, true};
+    schedule.peak_members_ = std::max(schedule.peak_members_, ++live);
   }
   return schedule;
 }

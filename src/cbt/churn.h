@@ -77,16 +77,20 @@ struct ChurnParams {
   std::vector<LeaveStorm> storms;
 };
 
+/// One schedule entry, packed to 16 bytes: the 10k-router row holds
+/// about five million of them for its whole run.
 struct MembershipEvent {
   SimTime at = 0;
   std::uint32_t lan = 0;    // index into the executor's LAN list
-  std::uint32_t group = 0;  // index into the executor's group list
+  std::uint16_t group = 0;  // index into the executor's group list
   bool join = true;
 };
+static_assert(sizeof(MembershipEvent) == 16);
 
 class ChurnSchedule {
  public:
   /// Deterministically expands `params` over `lan_count` member LANs.
+  /// `params.groups` must fit MembershipEvent::group (at most 65536).
   static ChurnSchedule Generate(const ChurnParams& params,
                                 std::uint32_t lan_count, std::uint64_t seed);
 

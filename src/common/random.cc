@@ -35,6 +35,9 @@ std::uint64_t Rng::NextU64() {
 
 std::uint64_t Rng::NextBelow(std::uint64_t bound) {
   assert(bound > 0);
+  // A power of two divides 2^64: the rejection threshold below is 0 and
+  // the modulo is a mask, so this is the same value without a division.
+  if ((bound & (bound - 1)) == 0) return NextU64() & (bound - 1);
   // Rejection sampling over the top of the range to remove modulo bias.
   const std::uint64_t threshold = -bound % bound;
   for (;;) {

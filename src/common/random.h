@@ -17,7 +17,9 @@ class Rng {
 
   std::uint64_t NextU64();
 
-  /// Uniform integer in [0, bound) via Lemire rejection; bound must be > 0.
+  /// Uniform integer in [0, bound) by rejection sampling over the top of
+  /// the range, then modulo (a mask when bound is a power of two); bound
+  /// must be > 0.
   std::uint64_t NextBelow(std::uint64_t bound);
 
   /// Uniform integer in [lo, hi] inclusive.

@@ -385,6 +385,18 @@ SimTime EventQueue::NextTime() {
 bool EventQueue::RunNext(SimTime& clock) {
   guard_.AssertOwned("netsim::EventQueue");
   if (!EnsureDueFront()) return false;
+  RunFront(clock);
+  return true;
+}
+
+bool EventQueue::RunNextUntil(SimTime until, SimTime& clock) {
+  guard_.AssertOwned("netsim::EventQueue");
+  if (!EnsureDueFront() || due_[due_pos_].when > until) return false;
+  RunFront(clock);
+  return true;
+}
+
+void EventQueue::RunFront(SimTime& clock) {
   const SimTime when = due_[due_pos_].when;
   const std::uint32_t index = buckets_[due_[due_pos_].bucket].head;
   EventFn fn = std::move(fns_[index]);
@@ -394,7 +406,6 @@ bool EventQueue::RunNext(SimTime& clock) {
   assert(when >= clock && "events must not be scheduled in the past");
   clock = when;
   fn();
-  return true;
 }
 
 std::size_t EventQueue::overflow_heap_size() const {

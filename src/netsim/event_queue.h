@@ -94,6 +94,11 @@ class EventQueue {
   /// Returns false if the queue was empty.
   bool RunNext(SimTime& clock);
 
+  /// RunNext, but only if the earliest event is due at or before `until`;
+  /// returns false, running nothing, otherwise. It checks the front once
+  /// per event where NextTime() followed by RunNext() checks it twice.
+  bool RunNextUntil(SimTime until, SimTime& clock);
+
   // --- Accounting (memory-bound regression tests & benches) --------------
 
   /// Slots ever allocated in the event slab (bounds resident memory;
@@ -211,6 +216,8 @@ class EventQueue {
   /// needed. Returns false when the queue is empty.
   bool EnsureDueFront();
   void RefillDue();
+  /// Pops and runs due_'s front event; EnsureDueFront() must hold.
+  void RunFront(SimTime& clock);
 
   /// Slab links and generation counters are non-atomic: one queue
   /// belongs to one replica. Debug builds abort on cross-thread use

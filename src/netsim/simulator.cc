@@ -406,8 +406,7 @@ void Simulator::RunUntil(SimTime until) {
     backend_->RunUntil(until);
     return;
   }
-  while (!events_.Empty() && events_.NextTime() <= until) {
-    events_.RunNext(clock_);
+  while (events_.RunNextUntil(until, clock_)) {
   }
   if (clock_ < until) clock_ = until;
 }

@@ -218,9 +218,10 @@ std::vector<MembershipEvent> ExpandAndStableSort(const ChurnParams& params,
   }
   std::vector<MembershipEvent> events;
   for (const Record& r : records) {
-    events.push_back({r.join_at, r.lan, r.group, true});
+    const auto group = static_cast<std::uint16_t>(r.group);
+    events.push_back({r.join_at, r.lan, group, true});
     if (r.leave_at < params.duration) {
-      events.push_back({r.leave_at, r.lan, r.group, false});
+      events.push_back({r.leave_at, r.lan, group, false});
     }
   }
   std::stable_sort(events.begin(), events.end(),
@@ -254,19 +255,23 @@ TEST(ChurnSchedule, MergedEmissionMatchesExpandAndStableSort) {
   const std::pair<const char*, const ChurnParams*> profiles[] = {
       {"smoke", &smoke}, {"flash", &flash}, {"storm", &storm},
       {"collide", &collide}};
-  for (const auto& [name, params] : profiles) {
-    for (const std::uint64_t seed : {1u, 2u, 3u, 99u}) {
-      SCOPED_TRACE(testing::Message() << name << " seed " << seed);
-      const std::vector<MembershipEvent> want =
-          ExpandAndStableSort(*params, 64, seed);
-      const ChurnSchedule got = ChurnSchedule::Generate(*params, 64, seed);
-      ASSERT_EQ(got.events().size(), want.size());
-      for (std::size_t i = 0; i < want.size(); ++i) {
-        const MembershipEvent& g = got.events()[i];
-        const MembershipEvent& w = want[i];
-        ASSERT_TRUE(g.at == w.at && g.lan == w.lan && g.group == w.group &&
-                    g.join == w.join)
-            << "event " << i;
+  // 64 LANs take NextBelow's power-of-two mask, 48 its rejection loop.
+  for (const std::uint32_t lans : {64u, 48u}) {
+    for (const auto& [name, params] : profiles) {
+      for (const std::uint64_t seed : {1u, 2u, 3u, 99u}) {
+        SCOPED_TRACE(testing::Message()
+                     << name << " seed " << seed << " lans " << lans);
+        const std::vector<MembershipEvent> want =
+            ExpandAndStableSort(*params, lans, seed);
+        const ChurnSchedule got = ChurnSchedule::Generate(*params, lans, seed);
+        ASSERT_EQ(got.events().size(), want.size());
+        for (std::size_t i = 0; i < want.size(); ++i) {
+          const MembershipEvent& g = got.events()[i];
+          const MembershipEvent& w = want[i];
+          ASSERT_TRUE(g.at == w.at && g.lan == w.lan && g.group == w.group &&
+                      g.join == w.join)
+              << "event " << i;
+        }
       }
     }
   }

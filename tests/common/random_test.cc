@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <set>
+#include <vector>
 
 namespace cbt {
 namespace {
@@ -35,6 +38,35 @@ TEST(Rng, NextBelowCoversAllValues) {
   std::set<std::uint64_t> seen;
   for (int i = 0; i < 1000; ++i) seen.insert(rng.NextBelow(7));
   EXPECT_EQ(seen.size(), 7u);
+}
+
+/// NextBelow before power-of-two bounds took a mask: rejection over the
+/// top of the range, then modulo, for every bound.
+std::uint64_t ModuloRejection(Rng& rng, std::uint64_t bound) {
+  const std::uint64_t threshold = -bound % bound;
+  for (;;) {
+    const std::uint64_t r = rng.NextU64();
+    if (r >= threshold) return r % bound;
+  }
+}
+
+TEST(Rng, NextBelowEqualsModuloRejection) {
+  std::vector<std::uint64_t> bounds;
+  for (int k = 0; k < 64; ++k) bounds.push_back(std::uint64_t{1} << k);
+  // Non-powers of two, the last rejecting almost half of all draws.
+  for (const std::uint64_t b : {3ull, 48ull, 1000003ull, (1ull << 63) + 1}) {
+    bounds.push_back(b);
+  }
+  for (const std::uint64_t bound : bounds) {
+    Rng got(bound);
+    Rng want(bound);
+    for (int i = 0; i < 256; ++i) {
+      ASSERT_EQ(got.NextBelow(bound), ModuloRejection(want, bound))
+          << "bound " << bound << " draw " << i;
+    }
+    // Both consumed the same number of raw draws.
+    ASSERT_EQ(got.NextU64(), want.NextU64()) << "bound " << bound;
+  }
 }
 
 TEST(Rng, NextInRangeInclusive) {

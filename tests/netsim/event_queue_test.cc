@@ -78,6 +78,41 @@ TEST(EventQueue, EventsCanScheduleMoreEvents) {
   EXPECT_EQ(fire_times, (std::vector<SimTime>{10, 20}));
 }
 
+TEST(EventQueue, RunNextUntilStopsAtTheBound) {
+  // Same-time, cancelled and self-scheduled events against RunNext on a
+  // twin queue: the same order, clock and slab, stopping at each bound.
+  EventQueue bounded;
+  EventQueue twin;
+  std::vector<int> got;
+  std::vector<int> want;
+  SimTime got_clock = 0;
+  SimTime want_clock = 0;
+  const auto load = [](EventQueue& q, std::vector<int>& order) {
+    for (int i = 0; i < 6; ++i) {
+      q.ScheduleAt(1000 * (i % 3), [&q, &order, i] {
+        order.push_back(i);
+        if (i == 4) q.ScheduleAt(2500, [&order] { order.push_back(9); });
+      });
+    }
+    q.Cancel(q.ScheduleAt(1500, [&order] { order.push_back(8); }));
+  };
+  load(bounded, got);
+  load(twin, want);
+  for (const SimTime until : {SimTime{999}, SimTime{1000}, SimTime{2600}}) {
+    while (bounded.RunNextUntil(until, got_clock)) {
+    }
+    while (!twin.Empty() && twin.NextTime() <= until) twin.RunNext(want_clock);
+    EXPECT_EQ(got, want) << "until " << until;
+    EXPECT_EQ(got_clock, want_clock) << "until " << until;
+    EXPECT_LE(got_clock, until);
+    EXPECT_EQ(bounded.size(), twin.size());
+    EXPECT_EQ(bounded.slot_capacity(), twin.slot_capacity());
+    EXPECT_TRUE(bounded.CheckInvariants());
+  }
+  EXPECT_EQ(got, (std::vector<int>{0, 3, 1, 4, 2, 5, 9}));
+  EXPECT_FALSE(bounded.RunNextUntil(1'000'000, got_clock));
+}
+
 TEST(EventQueue, SizeTracksLiveEvents) {
   EventQueue q;
   EXPECT_TRUE(q.Empty());
