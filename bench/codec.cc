@@ -138,6 +138,43 @@ void BM_TtlDecrement(benchmark::State& state) {
 }
 BENCHMARK(BM_TtlDecrement);
 
+void BM_TtlRewriteInPlace(benchmark::State& state) {
+  // The transit-hop rewrite: TTL and header checksum patched in the
+  // buffer itself (RFC 1624), no copy. The TTL counts down through all
+  // 256 values, so every iteration changes the checksum.
+  auto dgram = BuildAppDatagram(Ipv4Address(10, 10, 0, 100),
+                                Ipv4Address(239, 1, 2, 3),
+                                std::vector<std::uint8_t>(512, 1));
+  for (auto _ : state) {
+    RewriteTtl(dgram, static_cast<std::uint8_t>(dgram[8] - 1));
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_TtlRewriteInPlace);
+
+void BM_ParseDatagram(benchmark::State& state) {
+  // Arg is the frame size: 28 is an IGMP membership report (IP + 8-byte
+  // IGMP message), anything larger a native data frame.
+  const auto size = static_cast<std::size_t>(state.range(0));
+  std::vector<std::uint8_t> frame;
+  if (size == kIpv4HeaderSize + 8) {
+    IgmpMessage msg;
+    msg.type = IgmpType::kMembershipReport;
+    msg.group = Ipv4Address(239, 1, 2, 3);
+    const auto igmp = BuildIgmpDatagram(Ipv4Address(10, 1, 0, 100),
+                                        msg.group, msg);
+    frame.assign(igmp.begin(), igmp.end());
+  } else {
+    frame = BuildAppDatagram(Ipv4Address(10, 10, 0, 100),
+                             Ipv4Address(239, 1, 2, 3),
+                             std::vector<std::uint8_t>(size - kIpv4HeaderSize));
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ParseDatagram(frame));
+  }
+}
+BENCHMARK(BM_ParseDatagram)->Arg(28)->Arg(1420);
+
 void BM_IgmpCoreReportRoundTrip(benchmark::State& state) {
   IgmpMessage msg;
   msg.type = IgmpType::kRpCoreReport;

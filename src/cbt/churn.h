@@ -67,7 +67,13 @@ struct ChurnParams {
   /// Members already present at t = 0 (steady-state warm start); their
   /// residual holding times are exponential, as memorylessness demands.
   std::uint64_t initial_members = 0;
-  /// Poisson arrival rate of new members, per simulated second.
+  /// Poisson arrival rate of new members, per simulated second. The
+  /// realized rate runs above it: Generate truncates the mean gap
+  /// kSecond / rate to whole microseconds, then floors every drawn gap
+  /// (at least 1 us), losing about another half microsecond per gap. At
+  /// the 10k-router row's 1e6 / 60 per second the mean gap becomes 59 us
+  /// and 120 s draw 2,049,362 arrivals, not 2,000,000. Rounding instead
+  /// would change every churn schedule and digest, so the draws stay.
   double arrivals_per_second = 0.0;
   /// Mean of the exponential holding time.
   SimDuration mean_holding = 60 * kSecond;

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <limits>
 
-#include "common/checksum.h"
 #include "common/small_vec.h"
 
 namespace cbt::core {
@@ -17,18 +16,6 @@ using packet::IpProtocol;
 using packet::JoinSubcode;
 
 namespace {
-
-/// Byte-identical to packet::WithTtl's header rewrite: new TTL, checksum
-/// recomputed over the IPv4 header with the checksum field zeroed.
-void PatchTtlBytes(std::span<std::uint8_t> bytes, std::uint8_t ttl) {
-  bytes[8] = ttl;
-  bytes[10] = 0;
-  bytes[11] = 0;
-  const std::uint16_t sum = InternetChecksum(
-      std::span<const std::uint8_t>(bytes.data(), packet::kIpv4HeaderSize));
-  bytes[10] = static_cast<std::uint8_t>(sum >> 8);
-  bytes[11] = static_cast<std::uint8_t>(sum);
-}
 
 /// True if the echo `pkt` covers `group`: its own group, or for an
 /// aggregated echo the Figure 9 range (mask 0 covers every group).
@@ -1675,7 +1662,7 @@ netsim::PacketRef CbtRouter::MakeTtlPatchedPacket(
   // Same bytes packet::WithTtl would produce, without the vector detour:
   // one arena copy, then the header patched in place.
   netsim::PacketRef ref = sim_->MakePacket(datagram);
-  PatchTtlBytes(sim_->MutablePacket(ref), ttl);
+  packet::RewriteTtl(sim_->MutablePacket(ref), ttl);
   return ref;
 }
 
@@ -1695,7 +1682,7 @@ const netsim::PacketRef* CbtRouter::DecrementTtlFast(
   // would copy again.
   if (const netsim::PacketRef* arrival =
           sim_->PatchableDeliveryRef(datagram)) {
-    PatchTtlBytes(sim_->MutablePacket(*arrival), ttl);
+    packet::RewriteTtl(sim_->MutablePacket(*arrival), ttl);
     return arrival;
   }
   staged = MakeTtlPatchedPacket(datagram, ttl);

@@ -392,8 +392,11 @@ class CbtRouter : public netsim::NetworkAgent {
                            const packet::CbtDataHeader& hdr,
                            const netsim::PacketRef* prebuilt);
   /// One-copy hop decrement: stages `datagram` in the arena and patches
-  /// TTL + header checksum in place (byte-identical to packet::WithTtl,
-  /// minus the intermediate vector).
+  /// TTL + header checksum in place with packet::RewriteTtl (byte-
+  /// identical to packet::WithTtl, minus the intermediate vector). Every
+  /// caller passes a header ParseDatagram verified: the arriving datagram,
+  /// the inner datagram ExtractCbtModeData parsed, or one of those after
+  /// an earlier RewriteTtl.
   netsim::PacketRef MakeTtlPatchedPacket(
       std::span<const std::uint8_t> datagram, std::uint8_t ttl);
   /// Fast-path hop decrement: patches the arriving buffer in place when

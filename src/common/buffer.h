@@ -17,6 +17,32 @@
 
 namespace cbt {
 
+/// Big-endian loads and stores at a caller-checked offset, for the
+/// fixed-layout codecs (ParseDatagram, Ipv4Header::Encode) and the
+/// bounds-checked reader and writers below. Byte accesses only, so any
+/// alignment is fine; compilers merge them into one load or store plus a
+/// byte swap.
+inline std::uint16_t LoadBe16(const std::uint8_t* p) {
+  return static_cast<std::uint16_t>((std::uint16_t{p[0]} << 8) | p[1]);
+}
+
+inline std::uint32_t LoadBe32(const std::uint8_t* p) {
+  return (std::uint32_t{p[0]} << 24) | (std::uint32_t{p[1]} << 16) |
+         (std::uint32_t{p[2]} << 8) | std::uint32_t{p[3]};
+}
+
+inline void StoreBe16(std::uint8_t* p, std::uint16_t v) {
+  p[0] = static_cast<std::uint8_t>(v >> 8);
+  p[1] = static_cast<std::uint8_t>(v);
+}
+
+inline void StoreBe32(std::uint8_t* p, std::uint32_t v) {
+  p[0] = static_cast<std::uint8_t>(v >> 24);
+  p[1] = static_cast<std::uint8_t>(v >> 16);
+  p[2] = static_cast<std::uint8_t>(v >> 8);
+  p[3] = static_cast<std::uint8_t>(v);
+}
+
 /// Append-only big-endian serializer.
 class BufferWriter {
  public:
@@ -92,8 +118,7 @@ class SpanWriter {
   /// Overwrites a previously written 16-bit field (checksum back-patching).
   void PatchU16(std::size_t offset, std::uint16_t v) {
     assert(offset + 2 <= pos_);
-    out_[offset] = static_cast<std::uint8_t>(v >> 8);
-    out_[offset + 1] = static_cast<std::uint8_t>(v);
+    StoreBe16(out_.data() + offset, v);
   }
 
   std::size_t size() const { return pos_; }
@@ -120,18 +145,14 @@ class BufferReader {
 
   std::uint16_t ReadU16() {
     if (!Require(2)) return 0;
-    const std::uint16_t v = static_cast<std::uint16_t>(
-        (std::uint16_t{data_[pos_]} << 8) | data_[pos_ + 1]);
+    const std::uint16_t v = LoadBe16(data_.data() + pos_);
     pos_ += 2;
     return v;
   }
 
   std::uint32_t ReadU32() {
     if (!Require(4)) return 0;
-    const std::uint32_t v = (std::uint32_t{data_[pos_]} << 24) |
-                            (std::uint32_t{data_[pos_ + 1]} << 16) |
-                            (std::uint32_t{data_[pos_ + 2]} << 8) |
-                            std::uint32_t{data_[pos_ + 3]};
+    const std::uint32_t v = LoadBe32(data_.data() + pos_);
     pos_ += 4;
     return v;
   }

@@ -218,7 +218,7 @@ bool Simulator::SendDatagram(NodeId node_id, VifIndex vif,
                              std::span<const std::uint8_t> datagram) {
   const NodeRecord& sender = node(node_id);
   if (!sender.up) return false;
-  const Interface& out = interface(node_id, vif);
+  const Interface& out = sender.interfaces.at(static_cast<std::size_t>(vif));
   SubnetRecord& s = subnet(out.subnet);
   // All sender-side state is resolved through the current execution
   // context: counters (per-region deltas for cut subnets), the packet
@@ -249,7 +249,7 @@ bool Simulator::SendDatagramRef(NodeId node_id, VifIndex vif,
                                 const PacketRef& payload) {
   const NodeRecord& sender = node(node_id);
   if (!sender.up) return false;
-  const Interface& out = interface(node_id, vif);
+  const Interface& out = sender.interfaces.at(static_cast<std::size_t>(vif));
   SubnetRecord& s = subnet(out.subnet);
   SubnetCounters& counters = counters_for(s);
   if (!out.up || !s.up) {
@@ -308,8 +308,9 @@ bool Simulator::FanOut(NodeId node_id, VifIndex vif, const Interface& out,
 
   for (const auto& [peer, peer_vif] : s.attachments) {
     if (peer == node_id && peer_vif == vif) continue;  // no self-delivery
-    const Interface& in = interface(peer, peer_vif);
-    if (!multi && in.address != link_dst) continue;
+    // Only a unicast frame filters on the receiver's address; a multicast
+    // one reaches every attachment, and delivery checks the interface.
+    if (!multi && interface(peer, peer_vif).address != link_dst) continue;
     if (faults.loss_rate > 0.0 && frng.NextBool(faults.loss_rate)) {
       ++counters.frames_dropped;
       continue;
@@ -380,7 +381,7 @@ void Simulator::InjectDelivery(NodeId receiver, VifIndex vif,
                                Ipv4Address link_src, Ipv4Address link_dst,
                                std::span<const std::uint8_t> datagram) {
   NodeRecord& n = node(receiver);
-  const Interface& in = interface(receiver, vif);
+  const Interface& in = n.interfaces.at(static_cast<std::size_t>(vif));
   SubnetRecord& s = subnet(in.subnet);
   // Frames in flight die with the link or receiver.
   if (!n.up || !in.up || !s.up) {

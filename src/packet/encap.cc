@@ -84,22 +84,11 @@ CbtModeEncoder::CbtModeEncoder(const CbtDataHeader& hdr,
 std::vector<std::uint8_t> CbtModeEncoder::Build(Ipv4Address outer_src,
                                                 Ipv4Address outer_dst) const {
   std::vector<std::uint8_t> out = template_;
-  const std::uint32_t src = outer_src.bits();
-  const std::uint32_t dst = outer_dst.bits();
-  out[12] = static_cast<std::uint8_t>(src >> 24);
-  out[13] = static_cast<std::uint8_t>(src >> 16);
-  out[14] = static_cast<std::uint8_t>(src >> 8);
-  out[15] = static_cast<std::uint8_t>(src);
-  out[16] = static_cast<std::uint8_t>(dst >> 24);
-  out[17] = static_cast<std::uint8_t>(dst >> 16);
-  out[18] = static_cast<std::uint8_t>(dst >> 8);
-  out[19] = static_cast<std::uint8_t>(dst);
-  out[10] = 0;
-  out[11] = 0;
-  const std::uint16_t sum = InternetChecksum(
-      std::span<const std::uint8_t>(out).subspan(0, kIpv4HeaderSize));
-  out[10] = static_cast<std::uint8_t>(sum >> 8);
-  out[11] = static_cast<std::uint8_t>(sum);
+  StoreBe32(out.data() + 12, outer_src.bits());
+  StoreBe32(out.data() + 16, outer_dst.bits());
+  StoreBe16(out.data() + 10, 0);
+  StoreBe16(out.data() + 10, InternetChecksum(std::span<const std::uint8_t>(
+                                 out.data(), kIpv4HeaderSize)));
   return out;
 }
 
@@ -129,35 +118,19 @@ std::vector<std::uint8_t> BuildAppDatagram(Ipv4Address src, Ipv4Address group,
   return std::move(out).Take();
 }
 
-namespace {
-
-/// Rewrites the TTL byte (offset 8) and re-computes the header checksum.
-std::vector<std::uint8_t> PatchTtl(std::span<const std::uint8_t> datagram,
-                                   std::uint8_t ttl) {
-  std::vector<std::uint8_t> out(datagram.begin(), datagram.end());
-  out[8] = ttl;
-  out[10] = 0;
-  out[11] = 0;
-  const std::uint16_t sum = InternetChecksum(
-      std::span<const std::uint8_t>(out).subspan(0, kIpv4HeaderSize));
-  out[10] = static_cast<std::uint8_t>(sum >> 8);
-  out[11] = static_cast<std::uint8_t>(sum);
-  return out;
-}
-
-}  // namespace
-
 std::optional<std::vector<std::uint8_t>> WithDecrementedTtl(
     std::span<const std::uint8_t> datagram) {
   if (datagram.size() < kIpv4HeaderSize) return std::nullopt;
   const std::uint8_t ttl = datagram[8];
   if (ttl <= 1) return std::nullopt;
-  return PatchTtl(datagram, static_cast<std::uint8_t>(ttl - 1));
+  return WithTtl(datagram, static_cast<std::uint8_t>(ttl - 1));
 }
 
 std::vector<std::uint8_t> WithTtl(std::span<const std::uint8_t> datagram,
                                   std::uint8_t ttl) {
-  return PatchTtl(datagram, ttl);
+  std::vector<std::uint8_t> out(datagram.begin(), datagram.end());
+  RewriteTtl(out, ttl);
+  return out;
 }
 
 }  // namespace cbt::packet

@@ -95,12 +95,14 @@ std::vector<std::uint8_t> BuildAppDatagram(Ipv4Address src, Ipv4Address group,
                                            std::uint8_t ttl = kDefaultTtl);
 
 /// Returns a copy of `datagram` with the IP TTL decremented (checksum
-/// re-patched); nullopt when the TTL would expire (<= 1 on arrival).
+/// updated by RewriteTtl); nullopt when the TTL would expire (<= 1 on
+/// arrival). Like RewriteTtl, it needs a header ParseDatagram accepted.
 std::optional<std::vector<std::uint8_t>> WithDecrementedTtl(
     std::span<const std::uint8_t> datagram);
 
 /// Returns a copy of `datagram` with the IP TTL forced to `ttl` — the
 /// section 5 "TTL set to one before forwarding" rule for member LANs.
+/// The header must have passed ParseDatagram (see RewriteTtl).
 std::vector<std::uint8_t> WithTtl(std::span<const std::uint8_t> datagram,
                                   std::uint8_t ttl);
 

@@ -1,63 +1,57 @@
 #include "packet/ipv4.h"
 
+#include <cassert>
+
 #include "common/checksum.h"
 
 namespace cbt::packet {
 
+// Both directions work on the fixed 20-byte layout (RFC 791, no options):
+//
+//   0  ver/IHL  1 tos  2-3 total_length  4-5 identification
+//   6-7 flags/fragment  8 ttl  9 protocol  10-11 checksum
+//   12-15 src  16-19 dst
+
 void Ipv4Header::Encode(std::span<std::uint8_t> out,
                         std::size_t payload_size) const {
-  SpanWriter w(out.first(kIpv4HeaderSize));
-  w.WriteU8(0x45);  // version 4, IHL 5 (no options)
-  w.WriteU8(tos);
-  w.WriteU16(static_cast<std::uint16_t>(kIpv4HeaderSize + payload_size));
-  w.WriteU16(identification);
-  w.WriteU16(0);  // flags / fragment offset: fragmentation not modelled
-  w.WriteU8(ttl);
-  w.WriteU8(static_cast<std::uint8_t>(protocol));
-  const std::size_t checksum_offset = w.size();
-  w.WriteU16(0);
-  w.WriteAddress(src);
-  w.WriteAddress(dst);
-  w.PatchU16(checksum_offset, InternetChecksum(w.View()));
-}
-
-std::optional<Ipv4Header> Ipv4Header::Decode(BufferReader& in) {
-  if (in.remaining() < kIpv4HeaderSize) return std::nullopt;
-  // Verify checksum over the raw header bytes before consuming fields.
-  // position() is the current offset into the original span; rebuild a view.
-  Ipv4Header h;
-  const std::uint8_t ver_ihl = in.ReadU8();
-  if ((ver_ihl >> 4) != 4 || (ver_ihl & 0x0F) != 5) return std::nullopt;
-  h.tos = in.ReadU8();
-  h.total_length = in.ReadU16();
-  h.identification = in.ReadU16();
-  const std::uint16_t flags_frag = in.ReadU16();
-  if (flags_frag != 0) return std::nullopt;  // fragmentation unsupported
-  h.ttl = in.ReadU8();
-  h.protocol = static_cast<IpProtocol>(in.ReadU8());
-  in.ReadU16();  // checksum validated at ParseDatagram level
-  h.src = in.ReadAddress();
-  h.dst = in.ReadAddress();
-  if (!in.ok()) return std::nullopt;
-  return h;
+  assert(out.size() >= kIpv4HeaderSize);
+  std::uint8_t* p = out.data();
+  p[0] = 0x45;  // version 4, IHL 5 (no options)
+  p[1] = tos;
+  StoreBe16(p + 2, static_cast<std::uint16_t>(kIpv4HeaderSize + payload_size));
+  StoreBe16(p + 4, identification);
+  StoreBe16(p + 6, 0);  // flags / fragment offset: fragmentation not modelled
+  p[8] = ttl;
+  p[9] = static_cast<std::uint8_t>(protocol);
+  StoreBe16(p + 10, 0);
+  StoreBe32(p + 12, src.bits());
+  StoreBe32(p + 16, dst.bits());
+  StoreBe16(p + 10, InternetChecksum(out.first(kIpv4HeaderSize)));
 }
 
 std::optional<ParsedDatagram> ParseDatagram(
     std::span<const std::uint8_t> bytes) {
   if (bytes.size() < kIpv4HeaderSize) return std::nullopt;
-  if (!VerifyInternetChecksum(bytes.subspan(0, kIpv4HeaderSize))) {
+  const std::uint8_t* p = bytes.data();
+  if (!VerifyInternetChecksum(bytes.first(kIpv4HeaderSize))) {
     return std::nullopt;
   }
-  BufferReader reader(bytes);
-  auto header = Ipv4Header::Decode(reader);
-  if (!header) return std::nullopt;
-  if (header->total_length < kIpv4HeaderSize ||
-      header->total_length > bytes.size()) {
+  if (p[0] != 0x45) return std::nullopt;  // version 4, no options
+  if (LoadBe16(p + 6) != 0) return std::nullopt;  // fragmentation unsupported
+  const std::uint16_t total_length = LoadBe16(p + 2);
+  if (total_length < kIpv4HeaderSize || total_length > bytes.size()) {
     return std::nullopt;
   }
-  return ParsedDatagram{
-      *header, bytes.subspan(kIpv4HeaderSize,
-                             header->total_length - kIpv4HeaderSize)};
+  ParsedDatagram d;
+  d.ip.tos = p[1];
+  d.ip.total_length = total_length;
+  d.ip.identification = LoadBe16(p + 4);
+  d.ip.ttl = p[8];
+  d.ip.protocol = static_cast<IpProtocol>(p[9]);
+  d.ip.src = Ipv4Address(LoadBe32(p + 12));
+  d.ip.dst = Ipv4Address(LoadBe32(p + 16));
+  d.payload = bytes.subspan(kIpv4HeaderSize, total_length - kIpv4HeaderSize);
+  return d;
 }
 
 std::vector<std::uint8_t> BuildDatagram(const Ipv4Header& header,

@@ -4,6 +4,7 @@
 // checksum behaviour is observable end to end.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -42,9 +43,6 @@ struct Ipv4Header {
   void Encode(BufferWriter& out, std::size_t payload_size) const {
     Encode(out.Append(kIpv4HeaderSize), payload_size);
   }
-
-  /// Parses and checksum-verifies a header; advances `in` past it.
-  static std::optional<Ipv4Header> Decode(BufferReader& in);
 };
 
 /// A parsed datagram: header plus a borrowed view of the payload bytes.
@@ -53,8 +51,35 @@ struct ParsedDatagram {
   std::span<const std::uint8_t> payload;
 };
 
-/// Parses one datagram (header checksum + length validated).
+/// Parses one datagram, reading the header at fixed offsets. Rejects a
+/// buffer shorter than 20 bytes, a header whose checksum does not verify,
+/// a first byte other than 0x45 (version 4, no options), a nonzero
+/// flags/fragment word (fragmentation is not modelled), and a
+/// total_length below 20 or beyond the buffer. The payload is the
+/// total_length - 20 bytes after the header; link padding past
+/// total_length is ignored.
 std::optional<ParsedDatagram> ParseDatagram(std::span<const std::uint8_t> bytes);
+
+/// Sets the TTL of the datagram's IPv4 header in place and updates the
+/// header checksum incrementally (RFC 1624 eqn. 3: HC' = ~(~HC + ~m + m'),
+/// m the 16-bit TTL/protocol word). The header must already have passed
+/// ParseDatagram: then the result is bit for bit the full recompute,
+/// since both are nonzero one's complement sums (the 0x45 byte sees to
+/// that) congruent modulo 0xFFFF. On an unverified header the two can
+/// differ.
+inline void RewriteTtl(std::span<std::uint8_t> datagram, std::uint8_t ttl) {
+  assert(datagram.size() >= kIpv4HeaderSize);
+  std::uint8_t* p = datagram.data();
+  const std::uint16_t old_word = LoadBe16(p + 8);
+  p[8] = ttl;
+  const std::uint16_t new_word = LoadBe16(p + 8);
+  std::uint32_t sum = static_cast<std::uint16_t>(~LoadBe16(p + 10));
+  sum += static_cast<std::uint16_t>(~old_word);
+  sum += new_word;
+  sum = (sum & 0xFFFFu) + (sum >> 16);  // <= 0x2FFFD folds to <= 0x10000
+  sum = (sum & 0xFFFFu) + (sum >> 16);
+  StoreBe16(p + 10, static_cast<std::uint16_t>(~sum));
+}
 
 /// Builds a complete datagram around `payload`.
 std::vector<std::uint8_t> BuildDatagram(const Ipv4Header& header,
