@@ -13,6 +13,7 @@
 // --smoke rather than exposed raw).
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <string>
 #include <vector>
 
@@ -186,6 +187,63 @@ void BM_IgmpCoreReportRoundTrip(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_IgmpCoreReportRoundTrip);
+
+void BM_Ipv4HeaderEncode(benchmark::State& state) {
+  // The 20-byte header every simulated frame carries, checksum included.
+  Ipv4Header hdr;
+  hdr.protocol = IpProtocol::kIgmp;
+  hdr.ttl = 1;
+  hdr.src = Ipv4Address(10, 1, 0, 1);
+  hdr.dst = Ipv4Address(224, 0, 0, 1);
+  std::array<std::uint8_t, kIpv4HeaderSize> out{};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(hdr);
+    hdr.Encode(out, 8);
+    benchmark::DoNotOptimize(out);
+    ++hdr.identification;  // a new checksum every iteration
+  }
+}
+BENCHMARK(BM_Ipv4HeaderEncode);
+
+void BM_BuildIgmpDatagram(benchmark::State& state) {
+  // Arg 0: a general query (the periodic IGMP query timer's frame);
+  // arg N > 0: a core report carrying N cores.
+  const auto cores = static_cast<std::size_t>(state.range(0));
+  IgmpMessage msg;
+  if (cores == 0) {
+    msg.type = IgmpType::kMembershipQuery;
+    msg.code = 100;
+  } else {
+    msg.type = IgmpType::kRpCoreReport;
+    msg.code = kCoreReportCodeCbt;
+    msg.group = Ipv4Address(239, 1, 2, 3);
+    for (std::size_t i = 0; i < cores; ++i) {
+      msg.cores.push_back(
+          Ipv4Address(10, static_cast<std::uint8_t>(90 + i), 0, 1));
+    }
+  }
+  const Ipv4Address dst =
+      cores == 0 ? Ipv4Address(224, 0, 0, 1) : msg.group;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        BuildIgmpDatagram(Ipv4Address(10, 1, 0, 1), dst, msg));
+  }
+}
+BENCHMARK(BM_BuildIgmpDatagram)->Arg(0)->Arg(8);
+
+void BM_BuildControlDatagram(benchmark::State& state) {
+  // A CBT-ECHO-REQUEST: the section 6 keepalive a child sends its parent.
+  ControlPacket pkt;
+  pkt.type = ControlType::kEchoRequest;
+  pkt.group = Ipv4Address(239, 0, 0, 7);
+  pkt.origin = Ipv4Address(10, 4, 0, 1);
+  pkt.target_core = Ipv4Address(10, 99, 0, 1);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(BuildControlDatagram(
+        Ipv4Address(10, 4, 0, 1), Ipv4Address(10, 4, 0, 2), pkt));
+  }
+}
+BENCHMARK(BM_BuildControlDatagram);
 
 /// Console reporter that also keeps every per-iteration run so main()
 /// can emit the shared BENCH_*.json schema after the engine finishes.

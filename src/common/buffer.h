@@ -115,16 +115,6 @@ class SpanWriter {
 
   void WriteAddress(Ipv4Address a) { WriteU32(a.bits()); }
 
-  /// Overwrites a previously written 16-bit field (checksum back-patching).
-  void PatchU16(std::size_t offset, std::uint16_t v) {
-    assert(offset + 2 <= pos_);
-    StoreBe16(out_.data() + offset, v);
-  }
-
-  std::size_t size() const { return pos_; }
-  /// The bytes written so far.
-  std::span<const std::uint8_t> View() const { return out_.first(pos_); }
-
  private:
   std::span<std::uint8_t> out_;
   std::size_t pos_ = 0;

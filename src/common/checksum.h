@@ -63,6 +63,20 @@ inline std::uint16_t InternetChecksum(std::span<const std::uint8_t> data) {
   return static_cast<std::uint16_t>(~folded);
 }
 
+/// The Internet checksum of a header whose fields, read as big-endian
+/// integers of 16 or 32 bits, add up to `sum` (the checksum field counted
+/// as zero). Encoders add up the field values they hold in registers
+/// instead of re-reading the bytes they just stored. The result equals
+/// InternetChecksum over the encoded bytes: 2^16 == 1 modulo 0xFFFF, so a
+/// 32-bit field adds the same as its two 16-bit words, the fold's result
+/// does not depend on how the words were grouped (a nonzero sum has
+/// exactly one folded value in [1, 0xFFFF]; a zero sum folds to zero),
+/// and InternetChecksum's byte-swapped sum swaps back to it.
+inline std::uint16_t ChecksumOfFieldSum(std::uint64_t sum) {
+  while (sum >> 16) sum = (sum & 0xFFFFu) + (sum >> 16);
+  return static_cast<std::uint16_t>(~sum);
+}
+
 /// True if a buffer that *includes* its checksum field sums correctly.
 inline bool VerifyInternetChecksum(std::span<const std::uint8_t> data) {
   // A buffer containing a correct checksum sums to zero after folding.

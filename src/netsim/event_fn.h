@@ -6,6 +6,11 @@
 // kInlineBytes of capture inline so the common closures (a `this`
 // pointer, a couple of ids, a PacketRef) never touch the allocator.
 // Move-only, like the events it carries.
+//
+// The event queue builds each closure once, straight in its slab slot
+// (Emplace), and moves it out once, when the event runs: a relocation is
+// an indirect call, and periodic soft-state timers re-arm often enough
+// for extra ones to show in a profile.
 #pragma once
 
 #include <cstddef>
@@ -15,30 +20,54 @@
 
 namespace cbt::netsim {
 
+/// A closure to be built in place: `make()` returns the callable to
+/// store, and EventFn constructs that prvalue straight in its storage
+/// (guaranteed copy elision). A wrapper around a caller's callable (the
+/// id reset of Timer::Schedule) then moves the caller's callable once,
+/// into the slot, instead of once into the wrapper and again with it.
+template <typename Make>
+struct InPlace {
+  Make make;
+};
+template <typename Make>
+InPlace(Make) -> InPlace<Make>;
+
 class EventFn {
+  template <typename F>
+  struct ClosureOf {
+    using type = F;
+  };
+  template <typename Make>
+  struct ClosureOf<InPlace<Make>> {
+    using type = std::invoke_result_t<Make&>;
+  };
+  /// The closure type an argument of type F stores: F itself, decayed,
+  /// or what an InPlace argument's `make()` returns.
+  template <typename F>
+  using Closure = typename ClosureOf<std::decay_t<F>>::type;
+
  public:
-  /// Sized to fit the frame-delivery closure (this + node/vif ids + two
-  /// addresses + a PacketRef) with room to spare; larger captures fall
-  /// back to one heap allocation.
+  /// Sized to fit the frame-delivery closures (this + node/vif ids + two
+  /// addresses + a PacketRef; the batched one is exactly 48 bytes);
+  /// larger captures fall back to one heap allocation.
   static constexpr std::size_t kInlineBytes = 48;
+
+  /// True if a closure of type F is stored inline; any other closure
+  /// costs a heap allocation per event.
+  template <typename F>
+  static constexpr bool kFitsInline =
+      sizeof(std::decay_t<F>) <= kInlineBytes &&
+      alignof(std::decay_t<F>) <= alignof(std::max_align_t) &&
+      std::is_nothrow_move_constructible_v<std::decay_t<F>>;
 
   EventFn() = default;
 
   template <typename F,
             typename = std::enable_if_t<
                 !std::is_same_v<std::decay_t<F>, EventFn> &&
-                std::is_invocable_r_v<void, std::decay_t<F>&>>>
+                std::is_invocable_r_v<void, Closure<F>&>>>
   EventFn(F&& f) {  // NOLINT(google-explicit-constructor)
-    using Fn = std::decay_t<F>;
-    if constexpr (sizeof(Fn) <= kInlineBytes &&
-                  alignof(Fn) <= alignof(std::max_align_t) &&
-                  std::is_nothrow_move_constructible_v<Fn>) {
-      ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(f));
-      ops_ = &kInlineOps<Fn>;
-    } else {
-      ::new (static_cast<void*>(buf_)) Fn*(new Fn(std::forward<F>(f)));
-      ops_ = &kHeapOps<Fn>;
-    }
+    Build(std::forward<F>(f));
   }
 
   EventFn(EventFn&& other) noexcept { MoveFrom(other); }
@@ -55,6 +84,21 @@ class EventFn {
   EventFn& operator=(const EventFn&) = delete;
 
   ~EventFn() { Reset(); }
+
+  /// Replaces the held closure with one built from `f` straight in this
+  /// object's storage, with no intermediate EventFn. An EventFn argument
+  /// is moved in.
+  template <typename F>
+  void Emplace(F&& f) {
+    if constexpr (std::is_same_v<std::decay_t<F>, EventFn>) {
+      *this = std::forward<F>(f);
+    } else {
+      static_assert(std::is_invocable_r_v<void, Closure<F>&>,
+                    "an event closure takes no arguments");
+      Reset();
+      Build(std::forward<F>(f));
+    }
+  }
 
   explicit operator bool() const { return ops_ != nullptr; }
 
@@ -94,6 +138,30 @@ class EventFn {
       },
       [](void* p) { delete *static_cast<Fn**>(p); },
   };
+
+  /// `f` itself, or the prvalue an InPlace argument makes.
+  template <typename F>
+  static decltype(auto) Source(F&& f) {
+    if constexpr (std::is_same_v<Closure<F>, std::decay_t<F>>) {
+      return std::forward<F>(f);
+    } else {
+      return f.make();
+    }
+  }
+
+  /// Constructs the closure `f` describes into the empty buffer.
+  template <typename F>
+  void Build(F&& f) {
+    using Fn = Closure<F>;
+    if constexpr (kFitsInline<Fn>) {
+      ::new (static_cast<void*>(buf_)) Fn(Source(std::forward<F>(f)));
+      ops_ = &kInlineOps<Fn>;
+    } else {
+      Fn* heap = new Fn(Source(std::forward<F>(f)));
+      ::new (static_cast<void*>(buf_)) Fn*(heap);
+      ops_ = &kHeapOps<Fn>;
+    }
+  }
 
   void MoveFrom(EventFn& other) noexcept {
     ops_ = other.ops_;

@@ -67,27 +67,26 @@ void EventQueue::FreeSlot(std::uint32_t index) {
   free_head_ = index;
 }
 
-EventId EventQueue::ScheduleAt(SimTime when, EventFn fn) {
+std::uint32_t EventQueue::NewSlot() {
   guard_.AssertOwned("netsim::EventQueue");
   ++live_;
-  return Append(AllocSlot(), when, std::move(fn));
+  return AllocSlot();
 }
 
-EventId EventQueue::Reschedule(EventId id, SimTime when, EventFn fn) {
+std::uint32_t EventQueue::RenewSlotOf(EventId id) {
   guard_.AssertOwned("netsim::EventQueue");
   const std::uint32_t index = PendingIndex(id);
-  if (index == kNil) return ScheduleAt(when, std::move(fn));  // nothing to cancel
+  if (index == kNil) return NewSlot();  // nothing to cancel
   // Cancel would free the slot onto the free-list head and ScheduleAt
   // would pop it straight back; skip the round trip.
   fns_[index].Reset();  // the old closure dies first, as in Cancel
   Unlink(index);
   RenewSlot(index);
-  return Append(index, when, std::move(fn));
+  return index;
 }
 
-EventId EventQueue::Append(std::uint32_t index, SimTime when, EventFn&& fn) {
+EventId EventQueue::Append(std::uint32_t index, SimTime when) {
   assert(when >= 0 && "the wheel models nonnegative sim time");
-  fns_[index] = std::move(fn);
   const std::uint32_t b = OpenBucket(when);
   Bucket& bucket = buckets_[b];
   Link& link = links_[index];

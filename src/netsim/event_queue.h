@@ -32,7 +32,10 @@
 // 16-byte links with their closures in a parallel array; the EventId
 // encodes (slab index, generation), so Cancel unlinks the event from its
 // bucket in O(1), frees the bucket once it is empty, and destroys the
-// closure immediately: no tombstones accumulate.
+// closure immediately: no tombstones accumulate. ScheduleAt and
+// Reschedule are templates that build the caller's callable straight in
+// its slab slot (EventFn::Emplace); the closure moves once more, out of
+// the slot when the event runs.
 //
 // Execution drains one tick at a time: the earliest occupied slot is
 // found with per-level occupancy bitmaps (O(1) per level), higher-level
@@ -46,6 +49,7 @@
 
 #include <array>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/thread_guard.h"
@@ -67,7 +71,14 @@ class EventQueue {
   EventQueue& operator=(const EventQueue&) = delete;
 
   /// Schedules `fn` at absolute time `when`; returns a cancellation handle.
-  EventId ScheduleAt(SimTime when, EventFn fn);
+  /// `fn` is any callable EventFn accepts (an EventFn is moved in) and is
+  /// built straight in the event's slab slot.
+  template <typename F>
+  EventId ScheduleAt(SimTime when, F&& fn) {
+    const std::uint32_t index = NewSlot();
+    fns_[index].Emplace(std::forward<F>(fn));
+    return Append(index, when);
+  }
 
   /// Cancels a pending event; returns false if it already ran/was
   /// cancelled. Cancellation reclaims the slot and destroys the closure
@@ -79,8 +90,14 @@ class EventQueue {
   /// it leaves its bucket, takes the next generation and is appended to
   /// the bucket of `when`, so the order, the returned id and the slab's
   /// free list all equal what the two calls would produce. A stale or
-  /// invalid `id` just schedules.
-  EventId Reschedule(EventId id, SimTime when, EventFn fn);
+  /// invalid `id` just schedules. Like ScheduleAt, `fn` is built in the
+  /// slot, after the old closure is destroyed.
+  template <typename F>
+  EventId Reschedule(EventId id, SimTime when, F&& fn) {
+    const std::uint32_t index = RenewSlotOf(id);
+    fns_[index].Emplace(std::forward<F>(fn));
+    return Append(index, when);
+  }
 
   /// True if no runnable (non-cancelled) events remain.
   bool Empty() const { return live_ == 0; }
@@ -186,8 +203,15 @@ class EventQueue {
   void FreeSlot(std::uint32_t index);
   /// Index of the pending event `id` names, or kNil when it is stale.
   std::uint32_t PendingIndex(EventId id) const;
-  /// Appends renewed slot `index` to the open bucket of `when`.
-  EventId Append(std::uint32_t index, SimTime when, EventFn&& fn);
+  /// Counts a new event and claims a renewed slot for it; its closure is
+  /// then built in fns_[index] and the slot appended.
+  std::uint32_t NewSlot();
+  /// Reschedule's slot: the pending event `id` names, with its closure
+  /// destroyed and the event unlinked and renewed, or else NewSlot().
+  std::uint32_t RenewSlotOf(EventId id);
+  /// Appends renewed slot `index`, its closure built, to the open bucket
+  /// of `when`.
+  EventId Append(std::uint32_t index, SimTime when);
   /// Takes a pending event out of its bucket, freeing the bucket once it
   /// is empty.
   void Unlink(std::uint32_t index);
@@ -221,7 +245,8 @@ class EventQueue {
 
   /// Slab links and generation counters are non-atomic: one queue
   /// belongs to one replica. Debug builds abort on cross-thread use
-  /// (checked at the public entry points: ScheduleAt/Cancel/RunNext).
+  /// (checked at the public entry points: ScheduleAt/Reschedule/Cancel/
+  /// RunNext).
   ThreadOwnershipGuard guard_;
   std::size_t live_ = 0;
   std::size_t live_buckets_ = 0;

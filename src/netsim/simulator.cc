@@ -291,8 +291,8 @@ bool Simulator::FanOut(NodeId node_id, VifIndex vif, const Interface& out,
     const SubnetId sid = s.id;
     const auto count = static_cast<std::uint32_t>(s.attachments.size());
     const Ipv4Address link_src = out.address;
-    Schedule(s.delay, [this, sid, count, node_id, vif, link_src, link_dst,
-                       payload = shared] {
+    auto deliver_all = [this, sid, count, node_id, vif, link_src, link_dst,
+                        payload = shared] {
       // Re-fetch per iteration: a receiver's agent may attach new nodes
       // to this subnet mid-batch, reallocating the attachment vector.
       for (std::uint32_t i = 0; i < count; ++i) {
@@ -302,7 +302,11 @@ bool Simulator::FanOut(NodeId node_id, VifIndex vif, const Interface& out,
         // every receiver in turn, so it must never look patchable.
         InjectDelivery(peer, peer_vif, link_src, link_dst, payload.bytes());
       }
-    });
+    };
+    // Every frame pays for a heap allocation if its closure outgrows the
+    // event's inline buffer; this one fills it exactly.
+    static_assert(EventFn::kFitsInline<decltype(deliver_all)>);
+    Schedule(s.delay, std::move(deliver_all));
     return true;
   }
 
@@ -355,10 +359,12 @@ bool Simulator::FanOut(NodeId node_id, VifIndex vif, const Interface& out,
         backend_->ScheduleDelivery(Now() + delay, peer, peer_vif, link_src,
                                    link_dst, payload);
       } else {
-        Schedule(delay, [this, peer, peer_vif, link_src, link_dst,
-                         payload = std::move(payload)] {
+        auto deliver = [this, peer, peer_vif, link_src, link_dst,
+                        payload = std::move(payload)] {
           DeliverFrame(peer, peer_vif, link_src, link_dst, payload);
-        });
+        };
+        static_assert(EventFn::kFitsInline<decltype(deliver)>);
+        Schedule(delay, std::move(deliver));
       }
     }
     if (!multi) break;  // unicast reaches exactly one interface

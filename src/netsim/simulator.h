@@ -31,6 +31,7 @@
 #include <string>
 #include <type_traits>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
@@ -421,15 +422,23 @@ class Simulator {
 
   // --- Scheduling ----------------------------------------------------------
 
-  EventId Schedule(SimDuration delay, EventFn fn) {
+  // Scheduling takes any callable EventFn accepts and, on the serial
+  // engine, builds it straight in the event queue's slab slot; a shard
+  // backend gets it as one EventFn.
+  template <typename F>
+  EventId Schedule(SimDuration delay, F&& fn) {
     if (backend_ != nullptr) {
-      return backend_->Schedule(backend_->Now() + delay, std::move(fn));
+      return backend_->Schedule(backend_->Now() + delay,
+                                EventFn(std::forward<F>(fn)));
     }
-    return events_.ScheduleAt(clock_ + delay, std::move(fn));
+    return events_.ScheduleAt(clock_ + delay, std::forward<F>(fn));
   }
-  EventId ScheduleAt(SimTime when, EventFn fn) {
-    if (backend_ != nullptr) return backend_->Schedule(when, std::move(fn));
-    return events_.ScheduleAt(when, std::move(fn));
+  template <typename F>
+  EventId ScheduleAt(SimTime when, F&& fn) {
+    if (backend_ != nullptr) {
+      return backend_->Schedule(when, EventFn(std::forward<F>(fn)));
+    }
+    return events_.ScheduleAt(when, std::forward<F>(fn));
   }
   bool Cancel(EventId id) {
     return backend_ != nullptr ? backend_->Cancel(id) : events_.Cancel(id);
@@ -438,12 +447,14 @@ class Simulator {
   /// on the serial engine (EventQueue::Reschedule moves the pending event
   /// to the bucket of its new time without freeing its slab slot); a
   /// shard backend gets the two calls.
-  EventId Reschedule(EventId id, SimDuration delay, EventFn fn) {
+  template <typename F>
+  EventId Reschedule(EventId id, SimDuration delay, F&& fn) {
     if (backend_ != nullptr) {
       if (id != kInvalidEventId) backend_->Cancel(id);
-      return backend_->Schedule(backend_->Now() + delay, std::move(fn));
+      return backend_->Schedule(backend_->Now() + delay,
+                                EventFn(std::forward<F>(fn)));
     }
-    return events_.Reschedule(id, clock_ + delay, std::move(fn));
+    return events_.Reschedule(id, clock_ + delay, std::forward<F>(fn));
   }
 
   const EventQueue& events() const { return events_; }

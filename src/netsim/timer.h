@@ -36,15 +36,18 @@ class Timer {
   /// pending timer is re-armed through Simulator::Reschedule: its event
   /// keeps its slab slot and moves to the bucket of its new time, which
   /// orders events exactly as a cancel plus a fresh schedule would.
-  /// Templated on the callable so the id-reset wrapper stays within
-  /// EventFn's inline capture budget (no per-arm heap allocation).
+  /// Templated on the callable, and the id-reset wrapper is built in
+  /// place in the event's slot, so `fn` is moved once into the slot and
+  /// once out when it fires. It is stored inline while `fn` plus the
+  /// wrapper's `this` fit EventFn::kInlineBytes.
   template <typename F>
   void Schedule(SimDuration delay, F&& fn) {
-    id_ = sim_->Reschedule(id_, delay,
-                           [this, fn = std::forward<F>(fn)]() mutable {
-                             id_ = kInvalidEventId;  // fired; re-Schedule ok
-                             fn();
-                           });
+    id_ = sim_->Reschedule(id_, delay, InPlace{[&] {
+      return [this, fn = std::forward<F>(fn)]() mutable {
+        id_ = kInvalidEventId;  // fired; re-Schedule ok
+        fn();
+      };
+    }});
   }
 
   void Cancel() {

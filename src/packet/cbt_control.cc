@@ -25,19 +25,29 @@ std::size_t ControlPacket::EncodedSize() const {
 }
 
 void ControlPacket::EncodeTo(std::span<std::uint8_t> out) const {
-  const std::size_t length = EncodedSize();
-  SpanWriter w(out.first(length));
-  w.WriteU8(static_cast<std::uint8_t>(version << 4));
-  w.WriteU8(static_cast<std::uint8_t>(type));
-  w.WriteU8(code);
+  const auto length = static_cast<std::uint16_t>(EncodedSize());
+  const auto version_byte = static_cast<std::uint8_t>(version << 4);
+  const auto raw_type = static_cast<std::uint8_t>(type);
+  const std::uint8_t count_or_aggregate =
+      IsEcho() ? (aggregate ? 0xFF : 0x00)
+               : static_cast<std::uint8_t>(cores.size());
+  // The checksum is summed from the field values before they are stored.
+  std::uint64_t sum = ((std::uint32_t{version_byte} << 8) | raw_type) +
+                      ((std::uint32_t{code} << 8) | count_or_aggregate) +
+                      std::uint64_t{length} + group.bits() + origin.bits() +
+                      target_core.bits();
   if (IsEcho()) {
-    w.WriteU8(aggregate ? 0xFF : 0x00);
+    sum += group_mask;
   } else {
-    w.WriteU8(static_cast<std::uint8_t>(cores.size()));
+    for (const Ipv4Address& c : cores) sum += c.bits();
   }
-  w.WriteU16(static_cast<std::uint16_t>(length));
-  const std::size_t checksum_offset = w.size();
-  w.WriteU16(0);
+  SpanWriter w(out.first(length));
+  w.WriteU8(version_byte);
+  w.WriteU8(raw_type);
+  w.WriteU8(code);
+  w.WriteU8(count_or_aggregate);
+  w.WriteU16(length);
+  w.WriteU16(ChecksumOfFieldSum(sum));
   w.WriteAddress(group);
   w.WriteAddress(origin);
   w.WriteAddress(target_core);
@@ -46,7 +56,6 @@ void ControlPacket::EncodeTo(std::span<std::uint8_t> out) const {
   } else {
     for (const Ipv4Address& c : cores) w.WriteAddress(c);
   }
-  w.PatchU16(checksum_offset, InternetChecksum(w.View()));
 }
 
 std::vector<std::uint8_t> ControlPacket::Encode() const {

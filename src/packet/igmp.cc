@@ -16,19 +16,25 @@ std::size_t IgmpMessage::EncodedSize() const {
 }
 
 void IgmpMessage::EncodeTo(std::span<std::uint8_t> out) const {
+  const auto raw_type = static_cast<std::uint8_t>(type);
+  const auto count = static_cast<std::uint16_t>(cores.size());
+  // The checksum is summed from the field values before they are stored.
+  std::uint64_t sum = ((std::uint32_t{raw_type} << 8) | code) + group.bits();
+  if (IsCoreReport()) {
+    sum += ((std::uint32_t{version} << 8) | target_core_index) + count;
+    for (const Ipv4Address& c : cores) sum += c.bits();
+  }
   SpanWriter w(out.first(EncodedSize()));
-  w.WriteU8(static_cast<std::uint8_t>(type));
+  w.WriteU8(raw_type);
   w.WriteU8(code);
-  const std::size_t checksum_offset = w.size();
-  w.WriteU16(0);
+  w.WriteU16(ChecksumOfFieldSum(sum));
   w.WriteAddress(group);
   if (IsCoreReport()) {
     w.WriteU8(version);
     w.WriteU8(target_core_index);
-    w.WriteU16(static_cast<std::uint16_t>(cores.size()));
+    w.WriteU16(count);
     for (const Ipv4Address& c : cores) w.WriteAddress(c);
   }
-  w.PatchU16(checksum_offset, InternetChecksum(w.View()));
 }
 
 std::vector<std::uint8_t> IgmpMessage::Encode() const {

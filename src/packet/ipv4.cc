@@ -16,17 +16,23 @@ void Ipv4Header::Encode(std::span<std::uint8_t> out,
                         std::size_t payload_size) const {
   assert(out.size() >= kIpv4HeaderSize);
   std::uint8_t* p = out.data();
+  const auto total_length =
+      static_cast<std::uint16_t>(kIpv4HeaderSize + payload_size);
+  const auto proto = static_cast<std::uint8_t>(protocol);
   p[0] = 0x45;  // version 4, IHL 5 (no options)
   p[1] = tos;
-  StoreBe16(p + 2, static_cast<std::uint16_t>(kIpv4HeaderSize + payload_size));
+  StoreBe16(p + 2, total_length);
   StoreBe16(p + 4, identification);
   StoreBe16(p + 6, 0);  // flags / fragment offset: fragmentation not modelled
   p[8] = ttl;
-  p[9] = static_cast<std::uint8_t>(protocol);
-  StoreBe16(p + 10, 0);
+  p[9] = proto;
   StoreBe32(p + 12, src.bits());
   StoreBe32(p + 16, dst.bits());
-  StoreBe16(p + 10, InternetChecksum(out.first(kIpv4HeaderSize)));
+  // Summed from the field values, not re-read from the bytes just stored.
+  const std::uint64_t sum =
+      (0x4500u | tos) + std::uint64_t{total_length} + identification +
+      ((std::uint32_t{ttl} << 8) | proto) + src.bits() + dst.bits();
+  StoreBe16(p + 10, ChecksumOfFieldSum(sum));
 }
 
 std::optional<ParsedDatagram> ParseDatagram(

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -295,6 +296,272 @@ TEST(EventQueue, TimersRefreshedToDistinctTimesOccupyOneEntryEach) {
   sim.RunUntilIdle();
   ASSERT_EQ(order.size(), static_cast<std::size_t>(kTimers));
   for (int i = 0; i < kTimers; ++i) EXPECT_EQ(order[i], i);
+}
+
+// --- Closure construction and moves ------------------------------------------
+//
+// Every schedule path builds the caller's callable straight in its slab
+// slot and moves it once more, out of the slot when the event runs. A
+// slab that grows relocates the closures already pending in it, so tests
+// that keep several events pending warm the slab first.
+
+struct MoveCounts {
+  int copies = 0;
+  int moves = 0;
+  int runs = 0;
+  int moves_at_run = -1;  // moves made before the closure ran
+};
+
+/// A closure that counts its own copies and moves.
+struct Counted {
+  MoveCounts* counts;
+  explicit Counted(MoveCounts* c) : counts(c) {}
+  Counted(const Counted& o) noexcept : counts(o.counts) { ++counts->copies; }
+  Counted(Counted&& o) noexcept : counts(o.counts) { ++counts->moves; }
+  Counted& operator=(const Counted&) = delete;
+  Counted& operator=(Counted&&) = delete;
+  void operator()() {
+    counts->moves_at_run = counts->moves;
+    ++counts->runs;
+  }
+};
+
+/// Built once into the slab (one move from the caller's temporary), moved
+/// once at the pop, never copied.
+void ExpectBuiltInSlotMovedOnceAtPop(const MoveCounts& c) {
+  EXPECT_EQ(c.copies, 0);
+  EXPECT_EQ(c.runs, 1);
+  EXPECT_EQ(c.moves_at_run, 2);
+  EXPECT_EQ(c.moves, 2);
+}
+
+TEST(EventClosureMoves, QueueScheduleAtBuildsInSlot) {
+  EventQueue q;
+  MoveCounts c;
+  q.ScheduleAt(5, Counted(&c));
+  EXPECT_EQ(c.moves, 1);
+  EXPECT_EQ(c.copies, 0);
+  SimTime clock = 0;
+  while (q.RunNext(clock)) {
+  }
+  ExpectBuiltInSlotMovedOnceAtPop(c);
+}
+
+TEST(EventClosureMoves, QueueScheduleAtCopiesAnLvalueOnce) {
+  EventQueue q;
+  MoveCounts c;
+  const Counted fn(&c);
+  q.ScheduleAt(5, fn);
+  EXPECT_EQ(c.copies, 1);
+  EXPECT_EQ(c.moves, 0);
+  SimTime clock = 0;
+  while (q.RunNext(clock)) {
+  }
+  EXPECT_EQ(c.runs, 1);
+  EXPECT_EQ(c.moves_at_run, 1);
+}
+
+TEST(EventClosureMoves, QueueRescheduleOfPendingIdBuildsInSlot) {
+  EventQueue q;
+  MoveCounts old_counts;
+  MoveCounts c;
+  const EventId id = q.ScheduleAt(5, Counted(&old_counts));
+  const EventId renewed = q.Reschedule(id, 7, Counted(&c));
+  EXPECT_NE(renewed, id);
+  EXPECT_EQ(c.moves, 1);
+  EXPECT_EQ(q.slot_capacity(), 1u);
+  SimTime clock = 0;
+  while (q.RunNext(clock)) {
+  }
+  EXPECT_EQ(old_counts.runs, 0);
+  EXPECT_EQ(old_counts.moves, 1);  // built, then destroyed in its slot
+  ExpectBuiltInSlotMovedOnceAtPop(c);
+}
+
+TEST(EventClosureMoves, QueueRescheduleOfStaleIdBuildsInSlot) {
+  EventQueue q;
+  const EventId stale = q.ScheduleAt(1, [] {});
+  ASSERT_TRUE(q.Cancel(stale));
+  MoveCounts c;
+  q.Reschedule(stale, 7, Counted(&c));
+  EXPECT_EQ(c.moves, 1);
+  SimTime clock = 0;
+  while (q.RunNext(clock)) {
+  }
+  ExpectBuiltInSlotMovedOnceAtPop(c);
+}
+
+/// Leaves `sim`'s event slab with `slots` free slots.
+void WarmSlab(Simulator& sim, int slots) {
+  std::vector<EventId> ids;
+  for (int i = 0; i < slots; ++i) ids.push_back(sim.Schedule(kSecond, [] {}));
+  for (const EventId id : ids) sim.Cancel(id);
+}
+
+TEST(EventClosureMoves, SimulatorSchedulePathsBuildInSlot) {
+  Simulator sim;
+  WarmSlab(sim, 8);
+  MoveCounts scheduled;
+  MoveCounts at;
+  MoveCounts rescheduled;
+  MoveCounts fresh;
+  sim.Schedule(kMillisecond, Counted(&scheduled));
+  sim.ScheduleAt(2 * kMillisecond, Counted(&at));
+  const EventId pending = sim.Schedule(kSecond, [] {});
+  sim.Reschedule(pending, 3 * kMillisecond, Counted(&rescheduled));
+  sim.Reschedule(kInvalidEventId, 4 * kMillisecond, Counted(&fresh));
+  for (const MoveCounts* c : {&scheduled, &at, &rescheduled, &fresh}) {
+    EXPECT_EQ(c->moves, 1);
+  }
+  sim.RunUntilIdle();
+  for (const MoveCounts* c : {&scheduled, &at, &rescheduled, &fresh}) {
+    ExpectBuiltInSlotMovedOnceAtPop(*c);
+  }
+}
+
+TEST(EventClosureMoves, TimerBuildsItsWrapperInSlot) {
+  Simulator sim;
+  Timer timer(sim);
+  MoveCounts first;
+  MoveCounts rearmed;
+  timer.Schedule(kSecond, Counted(&first));
+  EXPECT_EQ(first.moves, 1);
+  timer.Schedule(2 * kSecond, Counted(&rearmed));  // re-arm while pending
+  EXPECT_EQ(rearmed.moves, 1);
+  sim.RunUntilIdle();
+  EXPECT_EQ(first.runs, 0);
+  ExpectBuiltInSlotMovedOnceAtPop(rearmed);
+  EXPECT_FALSE(timer.IsPending());
+}
+
+TEST(EventClosureMoves, AnEventFnArgumentIsMovedIn) {
+  EventQueue q;
+  MoveCounts c;
+  EventFn fn{Counted(&c)};
+  ASSERT_EQ(c.moves, 1);
+  q.ScheduleAt(5, std::move(fn));
+  EXPECT_FALSE(fn);  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(c.moves, 2);
+  SimTime clock = 0;
+  while (q.RunNext(clock)) {
+  }
+  EXPECT_EQ(c.runs, 1);
+  EXPECT_EQ(c.moves_at_run, 3);
+}
+
+/// Sets `*destroyed` when it dies.
+struct DestroyFlag {
+  bool* destroyed;
+  ~DestroyFlag() { *destroyed = true; }
+};
+
+TEST(EventClosureMoves, UniquePtrCaptureIsReleasedWhenTheEventRuns) {
+  EventQueue q;
+  bool destroyed = false;
+  bool ran = false;
+  q.ScheduleAt(5, [p = std::make_unique<DestroyFlag>(&destroyed), &ran] {
+    ran = p != nullptr;
+  });
+  EXPECT_FALSE(destroyed);
+  SimTime clock = 0;
+  ASSERT_TRUE(q.RunNext(clock));
+  EXPECT_TRUE(ran);
+  EXPECT_TRUE(destroyed);
+}
+
+TEST(EventClosureMoves, UniquePtrCaptureIsReleasedWhenCancelled) {
+  EventQueue q;
+  bool destroyed = false;
+  const EventId id =
+      q.ScheduleAt(5, [p = std::make_unique<DestroyFlag>(&destroyed)] {});
+  EXPECT_FALSE(destroyed);
+  ASSERT_TRUE(q.Cancel(id));
+  EXPECT_TRUE(destroyed);
+}
+
+TEST(EventClosureMoves, OversizedCaptureRunsThroughTheHeap) {
+  EventQueue q;
+  MoveCounts c;
+  std::array<std::uint8_t, EventFn::kInlineBytes> pad{};
+  pad.back() = 7;
+  int seen = 0;
+  auto big = [counted = Counted(&c), pad, &seen]() mutable {
+    counted();
+    seen = pad.back();
+  };
+  static_assert(!EventFn::kFitsInline<decltype(big)>);
+  static_assert(EventFn::kFitsInline<Counted>);
+  const int before = c.moves;
+  q.ScheduleAt(5, std::move(big));
+  EXPECT_EQ(c.moves - before, 1);  // into its heap block
+  SimTime clock = 0;
+  ASSERT_TRUE(q.RunNext(clock));
+  EXPECT_EQ(seen, 7);
+  EXPECT_EQ(c.moves_at_run - before, 1);  // the pop moves the pointer only
+}
+
+/// Records what reaches ShardBackend::Schedule; implements nothing else.
+class RecordingBackend : public ShardBackend {
+ public:
+  RecordingBackend() { fns.reserve(8); }
+
+  SimTime Now() const override { return 0; }
+  Rng& ContextRng() override { return rng_; }
+  obs::TraceBuffer* ContextTrace() override { return nullptr; }
+  PacketArena& ContextArena() override { return arena_; }
+  SubnetCounters& CountersFor(SubnetRecord& subnet) override {
+    return subnet.counters;
+  }
+  EventId Schedule(SimTime when, EventFn fn) override {
+    times.push_back(when);
+    fns.push_back(std::move(fn));
+    return fns.size();
+  }
+  bool Cancel(EventId id) override {
+    cancelled.push_back(id);
+    return true;
+  }
+  void ScheduleDelivery(SimTime, NodeId, VifIndex, Ipv4Address, Ipv4Address,
+                        const PacketRef&) override {}
+  void RunUntil(SimTime) override {}
+  void RunUntilIdle(std::size_t) override {}
+  std::int32_t ExchangeAffinity(std::int32_t) override { return -1; }
+
+  std::vector<SimTime> times;
+  std::vector<EventFn> fns;
+  std::vector<EventId> cancelled;
+
+ private:
+  Rng rng_{1};
+  PacketArena arena_;
+};
+
+TEST(EventClosureMoves, ShardBackendStillReceivesEverySchedule) {
+  Simulator sim;
+  RecordingBackend backend;
+  sim.InstallShardBackend(&backend);
+  std::array<MoveCounts, 4> c;
+  sim.Schedule(kMillisecond, Counted(&c[0]));
+  sim.ScheduleAt(2 * kMillisecond, Counted(&c[1]));
+  sim.Reschedule(1, 3 * kMillisecond, Counted(&c[2]));
+  Timer timer(sim);
+  timer.Schedule(4 * kMillisecond, Counted(&c[3]));
+  EXPECT_EQ(backend.times,
+            (std::vector<SimTime>{kMillisecond, 2 * kMillisecond,
+                                  3 * kMillisecond, 4 * kMillisecond}));
+  EXPECT_EQ(backend.cancelled, (std::vector<EventId>{1}));
+  EXPECT_TRUE(sim.events().Empty());
+  for (const MoveCounts& counts : c) {
+    // One move builds the one EventFn, one more stores it in `fns`.
+    EXPECT_EQ(counts.moves, 2);
+  }
+  for (EventFn& fn : backend.fns) fn();
+  for (const MoveCounts& counts : c) {
+    EXPECT_EQ(counts.copies, 0);
+    EXPECT_EQ(counts.runs, 1);
+  }
+  EXPECT_FALSE(timer.IsPending());
+  sim.InstallShardBackend(nullptr);
 }
 
 }  // namespace
