@@ -66,7 +66,6 @@
 #include "check/cbt_expectations.h"
 #include "check/expectation.h"
 #include "check/trace_view.h"
-#include "exec/pdes/runtime.h"
 #include "exec/pool.h"
 #include "exec/run_context.h"
 #include "exec/sweep.h"
@@ -121,7 +120,6 @@ class Options {
   std::uint64_t seed = 1;
   int repeat = 1;
   int jobs = 0;
-  int shards = 0;
   bool check = false;
   std::string json_path;
   std::string placement;
@@ -135,16 +133,6 @@ class Options {
     Str("placement", &placement,
         "restrict the core-placement sweep to one registry name "
         "(random | degree | centre | delay-centre | hash | locality | vns)");
-  }
-
-  /// Opt-in registration of --shards (space-parallel PDES). Benches that
-  /// have not been wired for the shard runtime keep rejecting the flag
-  /// through the normal unknown-flag exit-2 path.
-  void EnableShards() {
-    Int("shards", &shards,
-        "PDES regions sharding each simulation across cores "
-        "(0 = classic serial engine; N >= 1 = shard runtime, "
-        "byte-identical output for every N)");
   }
 
   /// Opt-in registration of --check: the Harness gives every replica a
@@ -213,13 +201,6 @@ class Options {
       }
     }
     if (repeat < 1) Fail("--repeat expects a positive count");
-    if (shards > 1 && jobs > 1) {
-      Fail("--shards and --jobs cannot both be > 1: a sharded simulation "
-           "already fans out across the cores");
-    }
-    // A sharded run owns the machine's parallelism; pin the replica pool
-    // to the serial path instead of letting --jobs 0 grab every core too.
-    if (shards > 1 && jobs == 0) jobs = 1;
   }
 
   const std::string& bench_name() const { return bench_name_; }
@@ -552,15 +533,6 @@ inline void ReportMemory(JsonReporter& report, const std::string& label,
 /// Exit code of a run whose requested report could not be written.
 inline constexpr int kWriteFailed = 4;
 
-/// A CbtDomain, on the --shards PDES runtime when `pdes` is set. `pdes`
-/// is the first member so it is destroyed after the domain: router and
-/// host timer destructors cancel PDES-encoded event ids through the
-/// installed backend.
-struct ShardedDomain {
-  std::unique_ptr<exec::pdes::Runtime> pdes;
-  std::unique_ptr<core::CbtDomain> domain;
-};
-
 /// The `seed` of each spec, in order: per-replica seeds for
 /// Harness::Sweep.
 template <typename Specs>
@@ -636,25 +608,6 @@ class Harness {
           std::forward<Body>(body),
           [&rc](exec::RunContext&, int code) { rc = std::max(rc, code); });
     return rc;
-  }
-
-  /// Builds a CbtDomain over `sim` (the remaining arguments are the
-  /// domain constructor's) and, with --shards N >= 1, runs it on an
-  /// N-region PDES runtime with one route manager per region. Replica
-  /// jobs call this concurrently: it only reads the options.
-  template <typename... Args>
-  ShardedDomain Domain(netsim::Simulator& sim, Args&&... args) const {
-    ShardedDomain out;
-    out.domain =
-        std::make_unique<core::CbtDomain>(sim, std::forward<Args>(args)...);
-    if (opts_.shards > 0) {
-      out.pdes = std::make_unique<exec::pdes::Runtime>(sim, opts_.shards);
-      exec::pdes::Runtime& pdes = *out.pdes;
-      pdes.Install();
-      out.domain->ShardRoutes(pdes.region_count(),
-                              [&pdes](NodeId id) { return pdes.RegionOf(id); });
-    }
-    return out;
   }
 
   /// --check: replays the calling replica's trace ring through the CBT

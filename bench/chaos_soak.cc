@@ -112,9 +112,7 @@ SoakResult RunSoak(const std::string& name, netsim::Simulator& sim,
   core::CbtConfig cbt_config = SoakCbtConfig();
   cbt_config.mutation = mutation;
   cbt_config.dataplane = dataplane;
-  const bench::ShardedDomain sharded =
-      harness.Domain(sim, topo, cbt_config, SoakIgmpConfig());
-  core::CbtDomain& domain = *sharded.domain;
+  core::CbtDomain domain(sim, topo, cbt_config, SoakIgmpConfig());
   domain.RegisterGroup(kGroup, members.cores);
   domain.Start();
   sim.RunUntil(kSecond);
@@ -239,7 +237,6 @@ int main(int argc, char** argv) {
   std::string dataplane_name = "fast";
   opts.Str("dataplane", &dataplane_name,
            "forwarding path: fast (flow cache) | slow (per-packet oracle)");
-  opts.EnableShards();
   opts.Parse(argc, argv);
   if (opts.smoke) event_count = std::min(event_count, 10);
   if (!check_json.empty()) opts.check = true;

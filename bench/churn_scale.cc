@@ -22,7 +22,7 @@
 // SPT links over the end-state member set, analysis::CompareTreeQuality).
 //
 // Determinism contract: stdout and the --json report are byte-identical
-// for every --jobs and --shards value ONLY under --deterministic, which
+// for every --jobs value ONLY under --deterministic, which
 // omits the wall-clock / RSS series (those legitimately vary run to
 // run). Default runs additionally record per-row wall seconds, the
 // calibration speedup, and bench::MemorySample series — peak RSS is
@@ -151,8 +151,7 @@ class PerHostDriver {
 };
 
 RowResult RunRow(const RowSpec& spec, const scenario::ChurnParams& params,
-                 const bench::Harness& harness, int data_rate,
-                 core::DataplaneMode dataplane) {
+                 int data_rate, core::DataplaneMode dataplane) {
   const auto wall_start = std::chrono::steady_clock::now();
   RowResult result;
   result.label = spec.label;
@@ -163,9 +162,7 @@ RowResult RunRow(const RowSpec& spec, const scenario::ChurnParams& params,
 
   core::CbtConfig cbt_config;
   cbt_config.dataplane = dataplane;
-  const bench::ShardedDomain sharded =
-      harness.Domain(sim, topo, cbt_config, ChurnIgmpConfig());
-  core::CbtDomain& domain = *sharded.domain;
+  core::CbtDomain domain(sim, topo, cbt_config, ChurnIgmpConfig());
 
   // Members concentrate on a contiguous block of stub LANs; cores sit
   // inside the block so join paths stay local (the other routers still
@@ -338,10 +335,9 @@ int main(int argc, char** argv) {
            "forwarding path: fast (flow cache) | slow (per-packet oracle)");
   opts.Flag("deterministic", &deterministic,
             "omit wall-clock/RSS series so stdout AND --json are "
-            "byte-identical across --jobs/--shards (differential mode)");
+            "byte-identical across --jobs (differential mode)");
   opts.Flag("skip-calibration", &skip_calibration,
             "scale rows only (skip the per-host reference comparison)");
-  opts.EnableShards();
   opts.Parse(argc, argv);
   if (profile != "zipf" && profile != "flash" && profile != "storm") {
     std::cerr << "bench_churn_scale: unknown --profile '" << profile
@@ -431,7 +427,7 @@ int main(int argc, char** argv) {
       "churn", specs.size(),
       [&](exec::RunContext& ctx) {
         const RowSpec& spec = specs[ctx.index];
-        return RunRow(spec, params_for(spec), harness, data_rate, dataplane);
+        return RunRow(spec, params_for(spec), data_rate, dataplane);
       },
       [&](exec::RunContext&, RowResult result) {
         results.push_back(std::move(result));

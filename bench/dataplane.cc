@@ -24,9 +24,7 @@
 //                           buffers fast than slow. Deterministic (a
 //                           structural property of the two paths), so it
 //                           holds under sanitizers, --jobs and noisy
-//                           shared runners alike. Classic engine only:
-//                           the shard runtime stages into region arenas
-//                           and deterministically reports 0 copies.
+//                           shared runners alike.
 //   --min-stage-speedup N   some row's cycle-counted forwarding-stage
 //                           speedup must reach N. Excludes event-queue /
 //                           parse costs both legs share; still wall-time
@@ -128,8 +126,7 @@ void FnvMix(std::uint64_t& h, std::uint64_t v) {
   }
 }
 
-LegResult RunLeg(const RowSpec& spec, core::DataplaneMode dataplane,
-                 const bench::Harness& harness) {
+LegResult RunLeg(const RowSpec& spec, core::DataplaneMode dataplane) {
   LegResult leg;
 
   netsim::Simulator sim(spec.seed);
@@ -140,9 +137,7 @@ LegResult RunLeg(const RowSpec& spec, core::DataplaneMode dataplane,
   // Both legs pay the same two-rdtsc bracket per hop, so the stage ratio
   // is conservative (the constant overhead shrinks it, never grows it).
   cbt_config.time_dataplane = true;
-  const bench::ShardedDomain sharded =
-      harness.Domain(sim, topo, cbt_config, DataplaneIgmpConfig());
-  core::CbtDomain& domain = *sharded.domain;
+  core::CbtDomain domain(sim, topo, cbt_config, DataplaneIgmpConfig());
 
   const auto lan_count = static_cast<std::uint32_t>(topo.router_lans.size());
   for (std::uint32_t g = 0; g < spec.groups; ++g) {
@@ -305,13 +300,10 @@ int main(int argc, char** argv) {
   opts.Int("min-copy-reduction", &min_copy_reduction,
            "fail (exit 3) unless every row stages at least N times fewer "
            "arena buffers fast than slow (deterministic structural gate: "
-           "immune to runner noise, sanitizers and --jobs; classic engine "
-           "only — the shard runtime stages into region arenas and "
-           "reports 0 copies)");
+           "immune to runner noise, sanitizers and --jobs)");
   opts.Flag("deterministic", &deterministic,
             "omit wall-clock throughput from the json report so stdout "
             "AND --json are byte-identical across reruns");
-  opts.EnableShards();
   opts.Parse(argc, argv);
   if (dataplane_name != "both" && dataplane_name != "fast" &&
       dataplane_name != "slow") {
@@ -365,11 +357,11 @@ int main(int argc, char** argv) {
         // Slow leg first so the fast leg's wall clock benefits from a
         // warm allocator — biasing against, not toward, the speedup.
         if (run_slow) {
-          row.slow = RunLeg(row.spec, core::DataplaneMode::kSlow, harness);
+          row.slow = RunLeg(row.spec, core::DataplaneMode::kSlow);
           row.ran_slow = true;
         }
         if (run_fast) {
-          row.fast = RunLeg(row.spec, core::DataplaneMode::kFast, harness);
+          row.fast = RunLeg(row.spec, core::DataplaneMode::kFast);
           row.ran_fast = true;
         }
         return row;

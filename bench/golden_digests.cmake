@@ -148,6 +148,11 @@ if(GROUP STREQUAL "golden_digests")
       ${soak} --seed ${seed} --events 10 --routers 256 --csv)
   endforeach()
   row(join_latency_csv ${join} --csv)
+  # Seeds 1 and 2 run in bench_exec_differential.
+  foreach(seed 3 4 5)
+    row(join_latency_seed${seed}
+      ${join} --seed ${seed} --json join${seed}.json FILE join${seed}.json)
+  endforeach()
   row(failure_recovery ${BENCH_DIR}/bench_failure_recovery)
   row(churn_scale_smoke ${churn} --deterministic --smoke)
   row(dataplane_smoke ${dataplane} --smoke --deterministic)
@@ -178,33 +183,6 @@ elseif(GROUP STREQUAL "bench_exec_differential")
   row(join_latency_csv ${join} --jobs 4)
   require_text(soak1.jobs4.exec.json
     replica_wall_seconds sweep_wall_seconds total_wall_seconds)
-
-elseif(GROUP STREQUAL "bench_pdes_differential")
-  # --shards N >= 1: stdout and BENCH json are independent of the region
-  # count (they differ from the classic serial engine's, which draws from
-  # one global RNG stream).
-  foreach(shards 1 4)
-    foreach(seed 1 2 3 4 5)
-      row(chaos_soak_smoke_e6_shards_seed${seed}
-        ${soak} --smoke --events 6 --seed ${seed} --shards ${shards}
-        --json soak${seed}.shards${shards}.json
-        FILE soak${seed}.shards${shards}.json)
-      row(join_latency_seed${seed} ${join} --seed ${seed}
-        --shards ${shards} --json join${seed}.shards${shards}.json
-        FILE join${seed}.shards${shards}.json)
-    endforeach()
-    row(chaos_soak_r256_e10_shards
-      ${soak} --routers 256 --events 10 --shards ${shards})
-  endforeach()
-  row(chaos_soak_smoke_e6_shards_seed1 ${soak} --smoke --events 6 --shards 4)
-  row(dataplane_smoke_shards ${dataplane} --smoke --deterministic --shards 1)
-  row(dataplane_smoke_shards ${dataplane} --smoke --deterministic --shards 2)
-  # The causal-path checker is clean over a sharded soak.
-  row(chaos_soak_smoke_e6_shards_check
-    ${soak} --smoke --events 6 --shards 4 --check --check-json check.json)
-  # A sharded simulation already fans out across the cores: composing it
-  # with replica parallelism is a usage error.
-  row(chaos_soak_shards_with_jobs ${soak} --smoke --shards 2 --jobs 2 EXIT 2)
 
 elseif(GROUP STREQUAL "bench_trace_differential")
   # Tracing is record-only: --trace leaves stdout byte-identical. The
@@ -250,14 +228,11 @@ elseif(GROUP STREQUAL "bench_dataplane_differential")
   row(chaos_soak_smoke_e6 ${soak} --smoke --events 6 --dataplane slow)
 
 elseif(GROUP STREQUAL "bench_churn_differential")
-  # The aggregate host model under --deterministic: --jobs and --shards
-  # leave stdout and BENCH json unchanged.
+  # The aggregate host model under --deterministic: --jobs leaves stdout
+  # and BENCH json unchanged.
   foreach(n 1 4)
     row(churn_scale_smoke_repeat2 ${churn} --smoke --deterministic --repeat 2
       --seed 1 --jobs ${n} --json jobs${n}.json FILE jobs${n}.json)
-    row(churn_scale_smoke_repeat2_shards ${churn} --smoke --deterministic
-      --repeat 2 --seed 1 --shards ${n} --json shards${n}.json
-      FILE shards${n}.json)
   endforeach()
   # The full report records the calibration perf series.
   run(${churn} --smoke --jobs 1 --seed 1 --json full.json)
@@ -272,21 +247,18 @@ elseif(GROUP STREQUAL "bench_core_placement_smoke")
   row(core_placement_smoke_locality ${placement} --smoke --repeat 2 --seed 1
     --placement locality --json locality.json FILE locality.json)
 
-elseif(GROUP STREQUAL "golden_scale_pdes")
-  # A 4096-router grid split into 4 regions prints what one region
-  # prints, at least twice as fast on 4 cores.
+elseif(GROUP STREQUAL "golden_scale_digests")
+  # The simulated results of the scale rows, with no wall-clock bound:
+  # the 4096-router soak, the 10k-router / 1M-member membership-churn
+  # row and the 1024-router data plane.
   foreach(seed 1 2)
-    foreach(shards 1 4)
-      set(name pdes_shards${shards}_seed${seed})
-      row(chaos_soak_r4096_e8_shards_seed${seed}
-        ${soak} --routers 4096 --events 8 --seed ${seed} --shards ${shards}
-        --json ${name}.json --exec-json BENCH_exec_${name}.json
-        FILE ${name}.json)
-    endforeach()
+    row(chaos_soak_r4096_e8_seed${seed}
+      ${soak} --routers 4096 --events 8 --seed ${seed}
+      --json r4096_seed${seed}.json FILE r4096_seed${seed}.json)
   endforeach()
-  require_speedup(2
-    "BENCH_exec_pdes_shards1_seed1.json;BENCH_exec_pdes_shards1_seed2.json"
-    "BENCH_exec_pdes_shards4_seed1.json;BENCH_exec_pdes_shards4_seed2.json")
+  row(churn_scale_r10000_m1000000 ${churn} --skip-calibration
+    --routers 10000 --members 1000000 --deterministic)
+  row(dataplane_r1024 ${dataplane} --routers 1024 --deterministic)
 
 elseif(GROUP STREQUAL "golden_scale_replicas")
   # Eight replicas on every core run at least three times as fast as

@@ -60,7 +60,6 @@ JoinLatency MeasureJoin(netsim::Simulator& sim, core::CbtDomain& domain,
 
 int main(int argc, char** argv) {
   bench::Options opts("join_latency", "E5: join latency vs distance to core");
-  opts.EnableShards();
   opts.Parse(argc, argv);
   bench::Harness harness(opts);
 
@@ -79,8 +78,7 @@ int main(int argc, char** argv) {
         std::vector<std::vector<std::string>> rows;
         netsim::Simulator sim(1);
         netsim::Topology topo = netsim::MakeFigure1(sim);
-        const bench::ShardedDomain sharded = harness.Domain(sim, topo);
-        core::CbtDomain& domain = *sharded.domain;
+        core::CbtDomain domain(sim, topo);
         domain.RegisterGroup(kGroup, {topo.node("R4"), topo.node("R9")});
         domain.Start();
         sim.RunUntil(kSecond);
@@ -126,9 +124,7 @@ int main(int argc, char** argv) {
           netsim::Topology topo = netsim::MakeLine(sim, hops + 1);
           core::CbtConfig config;
           config.enable_proxy_ack = proxy;
-          const bench::ShardedDomain sharded =
-              harness.Domain(sim, topo, config);
-          core::CbtDomain& domain = *sharded.domain;
+          core::CbtDomain domain(sim, topo, config);
           domain.RegisterGroup(kGroup, {topo.routers[(std::size_t)hops]});
           domain.Start();
           sim.RunUntil(kSecond);

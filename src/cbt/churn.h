@@ -21,7 +21,7 @@
 //
 // Generation never touches a Simulator: it draws from its own seeded Rng
 // so the same (params, lan_count, seed) triple yields the identical
-// schedule in every process, engine, and shard configuration.
+// schedule in every process and at every --jobs count.
 #pragma once
 
 #include <cstdint>

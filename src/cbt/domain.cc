@@ -62,21 +62,6 @@ std::vector<Ipv4Address> CbtDomain::RegisterGroup(
   return addresses;
 }
 
-void CbtDomain::ShardRoutes(int regions,
-                            const std::function<int(NodeId)>& region_of) {
-  assert(regions >= 1);
-  shard_routes_.clear();
-  shard_routes_.reserve(static_cast<std::size_t>(regions));
-  for (int r = 0; r < regions; ++r) {
-    shard_routes_.push_back(std::make_unique<routing::RouteManager>(*sim_));
-  }
-  for (const auto& [id, router] : routers_) {
-    const int r = region_of(id);
-    assert(r >= 0 && r < regions);
-    router->set_routes(shard_routes_[static_cast<std::size_t>(r)].get());
-  }
-}
-
 void CbtDomain::CrashRouter(NodeId id) {
   sim_->SetNodeUp(id, false);
   router(id).Crash();

@@ -5,7 +5,6 @@
 // benchmarks. Hosts attached later (AddHost) get agents too.
 #pragma once
 
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -38,18 +37,6 @@ class CbtDomain : public ProtocolDomain<CbtRouter> {
   igmp::MembershipAggregate& aggregate(NodeId id);
 
   GroupDirectory& directory() { return directory_; }
-
-  /// Space-parallel PDES support: gives every region its own
-  /// RouteManager and repoints each router at its region's manager, so
-  /// routing state is never shared across concurrently-executing
-  /// regions. Each manager builds its own destination trees for its
-  /// region's routers' next-hop queries; a tree is a function of the
-  /// topology alone, so routes are byte-identical at any region count.
-  /// The base manager keeps serving domain/bench/test queries. Static
-  /// next-hop overrides are not copied (bench topologies do not use
-  /// them); call before Start().
-  void ShardRoutes(int regions,
-                   const std::function<int(NodeId)>& region_of);
 
   /// Registers a group in the directory with cores given by node ids
   /// (primary first) and returns the core address list.
@@ -86,8 +73,6 @@ class CbtDomain : public ProtocolDomain<CbtRouter> {
   std::vector<NodeId> OnTreeRouters(Ipv4Address group) const;
 
  private:
-  /// Per-region managers created by ShardRoutes; empty when unsharded.
-  std::vector<std::unique_ptr<routing::RouteManager>> shard_routes_;
   GroupDirectory directory_;
   CbtConfig config_;
   igmp::IgmpConfig igmp_config_;

@@ -31,10 +31,6 @@ void HostAgent::JoinGroup(Ipv4Address group) {
 void HostAgent::JoinGroupWithCores(Ipv4Address group,
                                    std::vector<Ipv4Address> cores,
                                    std::size_t target_index) {
-  // Tests and benches call this from outside any event; under a shard
-  // backend the scope pins the reports, timers, and RNG draws to this
-  // host's region (no-op otherwise).
-  netsim::AffinityScope affinity(*sim_, self_);
   auto& membership = groups_[group];
   if (membership == nullptr) membership = std::make_unique<Membership>();
   membership->cores = cores;
@@ -51,7 +47,6 @@ void HostAgent::JoinGroupWithCores(Ipv4Address group,
 }
 
 void HostAgent::LeaveGroup(Ipv4Address group) {
-  netsim::AffinityScope affinity(*sim_, self_);
   if (groups_.erase(group) == 0) return;
   confirmed_.erase(group);
   // IGMPv1 hosts have no leave message (section 2.4): the router's
@@ -66,7 +61,6 @@ void HostAgent::LeaveGroup(Ipv4Address group) {
 void HostAgent::SendToGroup(Ipv4Address group,
                             std::span<const std::uint8_t> payload,
                             std::uint8_t ttl) {
-  netsim::AffinityScope affinity(*sim_, self_);
   sim_->SendDatagram(self_, 0, group,
                      packet::BuildAppDatagram(address_, group, payload, ttl));
 }

@@ -558,7 +558,6 @@ void CbtRouter::HandleJoinNack(VifIndex /*vif*/, const packet::Ipv4Header& ip,
 
 void CbtRouter::InitiateJoin(Ipv4Address group, std::vector<Ipv4Address> cores,
                              std::size_t target_index) {
-  netsim::AffinityScope affinity(*sim_, self_);
   StartJoin(group, std::move(cores), target_index, /*reconnect=*/false);
 }
 
@@ -777,7 +776,6 @@ void CbtRouter::PendingJoinFailed(Ipv4Address group) {
 }
 
 void CbtRouter::SimulateRestart() {
-  netsim::AffinityScope affinity(*sim_, self_);
   std::vector<Ipv4Address> groups;
   for (const auto& [group, entry] : fib_) groups.push_back(group);
   for (const Ipv4Address& group : groups) RemoveGroupState(group);
@@ -793,7 +791,6 @@ void CbtRouter::SimulateRestart() {
 }
 
 void CbtRouter::Crash() {
-  netsim::AffinityScope affinity(*sim_, self_);
   alive_ = false;
   SimulateRestart();  // wipes FIB + transient state (their timers die too)
   echo_timer_.Cancel();
@@ -808,7 +805,6 @@ void CbtRouter::Crash() {
 }
 
 void CbtRouter::Restart() {
-  netsim::AffinityScope affinity(*sim_, self_);
   alive_ = true;
   OBS_TRACE(sim_->trace(), .time = sim_->Now(), .kind = obs::TraceKind::kFsm,
             .name = "restart", .node = self_.value());

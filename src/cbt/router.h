@@ -90,10 +90,6 @@ class CbtRouter : public netsim::NetworkAgent {
   const RouterStats& stats() const { return stats_; }
   RouterStats& mutable_stats() { return stats_; }
 
-  /// Repoints this router at another route manager. Used by
-  /// CbtDomain::ShardRoutes so each PDES region's routers share a
-  /// region-local manager (RouteManager is single-threaded state).
-  void set_routes(routing::RouteManager* routes) { routes_ = routes; }
   const igmp::RouterIgmp& igmp() const { return igmp_; }
   const CbtConfig& config() const { return config_; }
 
@@ -124,29 +120,19 @@ class CbtRouter : public netsim::NetworkAgent {
 
   /// Force-join a group (bypasses IGMP; used by tests and by cores that
   /// should pre-build the backbone).
-  ///
-  /// This and the other operational hooks below act on behalf of the
-  /// router from outside its events, so each pins the work to the
-  /// router's PDES region (netsim::AffinityScope).
   void InitiateJoin(Ipv4Address group, std::vector<Ipv4Address> cores,
                     std::size_t target_index = 0);
 
   /// Operational hook: abandon the current parent and re-join (the same
   /// path a CBT-ECHO timeout takes, section 6.1). Used by management
   /// tooling and the loop-detection tests to force a re-configuration.
-  void TriggerReconnect(Ipv4Address group) {
-    netsim::AffinityScope affinity(*sim_, self_);
-    StartReconnect(group);
-  }
+  void TriggerReconnect(Ipv4Address group) { StartReconnect(group); }
 
   /// Operational hook: run the soft-state maintenance pass (directory
   /// reconciliation + quit eligibility) for one group now instead of
   /// waiting for the next iff scan. The core migrator uses this to make a
   /// published core-list replacement take effect promptly.
-  void RunQuitCheck(Ipv4Address group) {
-    netsim::AffinityScope affinity(*sim_, self_);
-    QuitCheck(group);
-  }
+  void RunQuitCheck(Ipv4Address group) { QuitCheck(group); }
 
   /// Operational hook: drop all protocol state as if the router process
   /// restarted (section 6.2). IGMP/odometer counters survive; the tree
@@ -466,7 +452,7 @@ class CbtRouter : public netsim::NetworkAgent {
 
   netsim::Simulator* sim_;
   NodeId self_;
-  routing::RouteManager* routes_;
+  routing::RouteManager* const routes_;
   const GroupDirectory* directory_;
   CbtConfig config_;
   Callbacks callbacks_;

@@ -36,13 +36,6 @@ class ThreadOwnershipGuard {
     if (expected != self) Die(what);
   }
 
-  /// Releases the binding so a different thread may adopt the object —
-  /// used when ownership is handed off *between* (never during) uses,
-  /// e.g. a Simulator built on the main thread then run by one worker.
-  void ReleaseOwnership() {
-    owner_.store(std::thread::id{}, std::memory_order_relaxed);
-  }
-
  private:
   [[noreturn]] static void Die(const char* what);
 
@@ -54,7 +47,6 @@ class ThreadOwnershipGuard {
 class ThreadOwnershipGuard {
  public:
   void AssertOwned(const char*) const {}
-  void ReleaseOwnership() {}
 };
 
 #endif  // NDEBUG

@@ -76,42 +76,6 @@ void Pool::Run(std::size_t task_count,
   }
 }
 
-void Pool::RunWith(std::size_t task_count,
-                   const std::function<void(std::size_t)>& task,
-                   const std::function<void()>& caller_task) {
-  if (thread_count_ == 1 || task_count == 0) {
-    for (std::size_t i = 0; i < task_count; ++i) task(i);
-    caller_task();
-    return;
-  }
-
-  for (std::size_t i = 0; i < task_count; ++i) {
-    queues_[i % queues_.size()]->tasks.push_back(i);
-  }
-
-  std::unique_lock<std::mutex> lock(coord_mu_);
-  task_ = &task;
-  first_error_ = nullptr;
-  busy_workers_ = static_cast<int>(workers_.size());
-  ++epoch_;
-  wake_cv_.notify_all();
-  lock.unlock();
-
-  // The caller's work runs concurrently with the workers. It is the
-  // caller's contract that by the time caller_task returns, every
-  // task(i) can run to completion (otherwise this deadlocks below).
-  caller_task();
-
-  lock.lock();
-  done_cv_.wait(lock, [this] { return busy_workers_ == 0; });
-  task_ = nullptr;
-  if (first_error_ != nullptr) {
-    std::exception_ptr error = first_error_;
-    first_error_ = nullptr;
-    std::rethrow_exception(error);
-  }
-}
-
 void Pool::WorkerMain(std::size_t self) {
   std::uint64_t seen_epoch = 0;
   for (;;) {

@@ -47,17 +47,6 @@ class Pool {
   /// Not reentrant: one Run() at a time per pool.
   void Run(std::size_t task_count, const std::function<void(std::size_t)>& task);
 
-  /// Like Run, but the *calling thread* executes `caller_task()`
-  /// concurrently with the workers instead of just blocking — the shard
-  /// runtime uses this to run its window coordinator alongside the
-  /// region executors. `caller_task` must not return until every
-  /// `task(i)` can finish (the PDES coordinator signals phase-over
-  /// before returning); on a pool of 1 the tasks run inline first, then
-  /// `caller_task` (which must cope with the tasks being already done).
-  void RunWith(std::size_t task_count,
-               const std::function<void(std::size_t)>& task,
-               const std::function<void()>& caller_task);
-
   /// std::thread::hardware_concurrency with a floor of 1.
   static int HardwareConcurrency();
 

@@ -59,7 +59,6 @@ void MembershipAggregate::Join(Ipv4Address group) {
 void MembershipAggregate::JoinWithCores(Ipv4Address group,
                                         std::vector<Ipv4Address> cores,
                                         std::size_t target_index) {
-  netsim::AffinityScope affinity(*sim_, self_);
   GroupState& gs = StateFor(group);
   if (gs.active_count == 0 || gs.cores.empty()) {
     gs.cores = cores;
@@ -101,7 +100,6 @@ void MembershipAggregate::JoinWithCores(Ipv4Address group,
 }
 
 void MembershipAggregate::Leave(Ipv4Address group) {
-  netsim::AffinityScope affinity(*sim_, self_);
   GroupState* gs = FindState(group);
   if (gs == nullptr || gs->active_count == 0) return;
 

@@ -78,11 +78,6 @@ class PacketArena {
     return ref.arena_ == this && buffers_[ref.index_].refs == 1;
   }
 
-  /// Releases the debug ownership binding so another thread may adopt
-  /// the arena — the shard runtime hands region arenas between the
-  /// coordinator and pool workers at window barriers (no-op in NDEBUG).
-  void ReleaseOwnership() { guard_.ReleaseOwnership(); }
-
   // --- Accounting (bench + regression tests) -----------------------------
   std::size_t buffers_allocated() const { return buffers_.size(); }
   std::size_t buffers_live() const { return live_; }

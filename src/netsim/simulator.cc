@@ -1,6 +1,5 @@
 #include "netsim/simulator.h"
 
-#include <cassert>
 #include <stdexcept>
 #include <utility>
 
@@ -20,18 +19,7 @@ constexpr std::size_t kTopologyJournalCap = 256;
 }  // namespace
 
 Simulator::Simulator(std::uint64_t seed)
-    : rng_(seed),
-      trace_(obs::ProcessTraceBuffer()),
-      seed_(seed) {}
-
-void Simulator::InstallShardBackend(ShardBackend* backend) {
-  if (backend != nullptr) {
-    // Pending serial state cannot migrate into per-region queues, so a
-    // backend must be in place before the first event is scheduled.
-    assert(events_.Empty() && clock_ == 0);
-  }
-  backend_ = backend;
-}
+    : rng_(seed), trace_(obs::ProcessTraceBuffer()) {}
 
 void Simulator::SetMetrics(obs::Registry* metrics) {
   metrics_ = metrics;
@@ -114,11 +102,7 @@ void Simulator::SetAgent(NodeId node_id, NetworkAgent* agent) {
 
 void Simulator::StartAgents() {
   for (NodeRecord& n : nodes_) {
-    if (n.agent == nullptr) continue;
-    // Pin the startup work (timer scheduling, initial RNG draws) to the
-    // node, so under a shard backend it lands in the node's region.
-    AffinityScope affinity(*this, n.id);
-    n.agent->Start();
+    if (n.agent != nullptr) n.agent->Start();
   }
 }
 
@@ -220,11 +204,7 @@ bool Simulator::SendDatagram(NodeId node_id, VifIndex vif,
   if (!sender.up) return false;
   const Interface& out = sender.interfaces.at(static_cast<std::size_t>(vif));
   SubnetRecord& s = subnet(out.subnet);
-  // All sender-side state is resolved through the current execution
-  // context: counters (per-region deltas for cut subnets), the packet
-  // arena (region-local), and the RNG (per-node stream) — so a sharded
-  // run touches nothing another region could be touching concurrently.
-  SubnetCounters& counters = counters_for(s);
+  SubnetCounters& counters = s.counters;
   if (!out.up || !s.up) {
     ++counters.frames_dropped;
     return false;
@@ -240,8 +220,8 @@ bool Simulator::SendDatagram(NodeId node_id, VifIndex vif,
   // The payload is copied once into the packet arena and shared among all
   // receivers of a multicast frame; delivery closures hold cheap
   // refcounted handles instead of per-hop heap allocations.
-  const PacketRef shared = active_arena().Make(datagram);
-  return FanOut(node_id, vif, out, s, counters, link_dst, shared);
+  const PacketRef shared = arena_.Make(datagram);
+  return FanOut(node_id, vif, out, s, link_dst, shared);
 }
 
 bool Simulator::SendDatagramRef(NodeId node_id, VifIndex vif,
@@ -251,7 +231,7 @@ bool Simulator::SendDatagramRef(NodeId node_id, VifIndex vif,
   if (!sender.up) return false;
   const Interface& out = sender.interfaces.at(static_cast<std::size_t>(vif));
   SubnetRecord& s = subnet(out.subnet);
-  SubnetCounters& counters = counters_for(s);
+  SubnetCounters& counters = s.counters;
   if (!out.up || !s.up) {
     ++counters.frames_dropped;
     return false;
@@ -263,13 +243,13 @@ bool Simulator::SendDatagramRef(NodeId node_id, VifIndex vif,
     frame_observer_(FrameEvent{Now(), node_id, s.id, link_dst,
                                payload.bytes().size(), payload.bytes()});
   }
-  return FanOut(node_id, vif, out, s, counters, link_dst, payload);
+  return FanOut(node_id, vif, out, s, link_dst, payload);
 }
 
 bool Simulator::FanOut(NodeId node_id, VifIndex vif, const Interface& out,
-                       SubnetRecord& s, SubnetCounters& counters,
-                       Ipv4Address link_dst, const PacketRef& shared) {
-  Rng& frng = rng();
+                       SubnetRecord& s, Ipv4Address link_dst,
+                       const PacketRef& shared) {
+  SubnetCounters& counters = s.counters;
   const bool multi = link_dst.IsMulticast() ||
                      link_dst == Ipv4Address(0xFFFFFFFFu);  // broadcast
   const FaultProfile& faults = s.faults;
@@ -284,10 +264,9 @@ bool Simulator::FanOut(NodeId node_id, VifIndex vif, const Interface& out,
   // frames in flight still die with a link or node, and the attachment
   // count is snapshotted so receivers attached after the transmission
   // (AttachHost mid-run) are not reached — both identical to the
-  // per-receiver path. Faulty subnets (per-receiver RNG draws) and shard
-  // backends (region-crossing deliveries) always use per-receiver events.
-  if (backend_ == nullptr && multi && !faults.Any() &&
-      s.attachments.size() > 2) {
+  // per-receiver path. Faulty subnets (per-receiver RNG draws) always use
+  // per-receiver events.
+  if (multi && !faults.Any() && s.attachments.size() > 2) {
     const SubnetId sid = s.id;
     const auto count = static_cast<std::uint32_t>(s.attachments.size());
     const Ipv4Address link_src = out.address;
@@ -315,7 +294,7 @@ bool Simulator::FanOut(NodeId node_id, VifIndex vif, const Interface& out,
     // Only a unicast frame filters on the receiver's address; a multicast
     // one reaches every attachment, and delivery checks the interface.
     if (!multi && interface(peer, peer_vif).address != link_dst) continue;
-    if (faults.loss_rate > 0.0 && frng.NextBool(faults.loss_rate)) {
+    if (faults.loss_rate > 0.0 && rng_.NextBool(faults.loss_rate)) {
       ++counters.frames_dropped;
       continue;
     }
@@ -325,7 +304,7 @@ bool Simulator::FanOut(NodeId node_id, VifIndex vif, const Interface& out,
     // rolls corruption and jitter independently, so a duplicate can be
     // clean while the original is mangled and vice versa.
     int copies = 1;
-    if (faults.duplicate_rate > 0.0 && frng.NextBool(faults.duplicate_rate)) {
+    if (faults.duplicate_rate > 0.0 && rng_.NextBool(faults.duplicate_rate)) {
       ++copies;
       ++counters.frames_duplicated;
     }
@@ -334,38 +313,32 @@ bool Simulator::FanOut(NodeId node_id, VifIndex vif, const Interface& out,
       const bool jitter_eligible =
           faults.reorder_jitter > 0 &&
           (copy > 0 ||  // duplicates always trail the original
-           (faults.reorder_rate > 0.0 && frng.NextBool(faults.reorder_rate)));
+           (faults.reorder_rate > 0.0 && rng_.NextBool(faults.reorder_rate)));
       if (jitter_eligible) {
         delay += static_cast<SimDuration>(
-            frng.NextBelow(static_cast<std::uint64_t>(faults.reorder_jitter)) +
+            rng_.NextBelow(static_cast<std::uint64_t>(faults.reorder_jitter)) +
             1);
         if (copy == 0) ++counters.frames_reordered;
       }
       PacketRef payload = shared;
       if (faults.corrupt_rate > 0.0 && !shared.bytes().empty() &&
-          frng.NextBool(faults.corrupt_rate)) {
-        PacketArena& arena = active_arena();
-        PacketRef mangled = arena.Clone(shared);
-        const std::span<std::uint8_t> bytes = arena.MutableBytes(mangled);
+          rng_.NextBool(faults.corrupt_rate)) {
+        PacketRef mangled = arena_.Clone(shared);
+        const std::span<std::uint8_t> bytes = arena_.MutableBytes(mangled);
         const std::size_t byte =
-            static_cast<std::size_t>(frng.NextBelow(bytes.size()));
+            static_cast<std::size_t>(rng_.NextBelow(bytes.size()));
         const std::uint8_t bit = static_cast<std::uint8_t>(
-            1u << frng.NextBelow(8));
+            1u << rng_.NextBelow(8));
         bytes[byte] ^= bit;
         payload = std::move(mangled);
         ++counters.frames_corrupted;
       }
-      if (backend_ != nullptr) {
-        backend_->ScheduleDelivery(Now() + delay, peer, peer_vif, link_src,
-                                   link_dst, payload);
-      } else {
-        auto deliver = [this, peer, peer_vif, link_src, link_dst,
-                        payload = std::move(payload)] {
-          DeliverFrame(peer, peer_vif, link_src, link_dst, payload);
-        };
-        static_assert(EventFn::kFitsInline<decltype(deliver)>);
-        Schedule(delay, std::move(deliver));
-      }
+      auto deliver = [this, peer, peer_vif, link_src, link_dst,
+                      payload = std::move(payload)] {
+        DeliverFrame(peer, peer_vif, link_src, link_dst, payload);
+      };
+      static_assert(EventFn::kFitsInline<decltype(deliver)>);
+      Schedule(delay, std::move(deliver));
     }
     if (!multi) break;  // unicast reaches exactly one interface
   }
@@ -391,7 +364,7 @@ void Simulator::InjectDelivery(NodeId receiver, VifIndex vif,
   SubnetRecord& s = subnet(in.subnet);
   // Frames in flight die with the link or receiver.
   if (!n.up || !in.up || !s.up) {
-    ++counters_for(s).frames_dropped;
+    ++s.counters.frames_dropped;
     return;
   }
   if (n.agent != nullptr) {
@@ -409,20 +382,12 @@ void Simulator::ResetCounters() {
 }
 
 void Simulator::RunUntil(SimTime until) {
-  if (backend_ != nullptr) {
-    backend_->RunUntil(until);
-    return;
-  }
   while (events_.RunNextUntil(until, clock_)) {
   }
   if (clock_ < until) clock_ = until;
 }
 
 void Simulator::RunUntilIdle(std::size_t max_events) {
-  if (backend_ != nullptr) {
-    backend_->RunUntilIdle(max_events);
-    return;
-  }
   std::size_t executed = 0;
   while (!events_.Empty() && executed < max_events) {
     events_.RunNext(clock_);

@@ -189,51 +189,6 @@ struct TopologyChange {
   bool up = true;  // the new state
 };
 
-/// Execution backend that shards one simulation across cores
-/// (implemented by exec::pdes::Runtime; see docs/PROTOCOL.md,
-/// "Space-parallel PDES & lookahead contract"). While installed, the
-/// Simulator routes its clock, RNG, trace sink, event scheduling, frame
-/// delivery, and subnet counters through the backend, so events execute
-/// on per-region queues with region-local state. With no backend
-/// installed (the default) the classic single-threaded engine runs
-/// byte-for-byte unchanged.
-class ShardBackend {
- public:
-  virtual ~ShardBackend() = default;
-
-  /// Committed global time from the coordinator, or the executing
-  /// region's local clock while a region event runs.
-  virtual SimTime Now() const = 0;
-  /// RNG stream of the current execution context. Per-node streams keep
-  /// each node's draw sequence independent of the region count.
-  virtual Rng& ContextRng() = 0;
-  /// Trace sink of the current execution context: a region-local ring
-  /// merged into the simulation's base ring in deterministic event-key
-  /// order at synchronisation points. Null when tracing is off.
-  virtual obs::TraceBuffer* ContextTrace() = 0;
-  /// Packet arena of the current execution context; packet refs never
-  /// cross regions (cross-region deliveries copy bytes).
-  virtual PacketArena& ContextArena() = 0;
-  /// Counter sink for `subnet`. Cut subnets (attachments in more than
-  /// one region) get per-region delta buffers, summed at
-  /// synchronisation points so concurrent regions never share a row.
-  virtual SubnetCounters& CountersFor(SubnetRecord& subnet) = 0;
-  virtual EventId Schedule(SimTime when, EventFn fn) = 0;
-  virtual bool Cancel(EventId id) = 0;
-  /// Frame delivery to `receiver` at absolute time `when`. Deliveries
-  /// within the sender's region stay packet-arena references; deliveries
-  /// into another region become typed channel messages drained at the
-  /// next window barrier (always >= lookahead away).
-  virtual void ScheduleDelivery(SimTime when, NodeId receiver, VifIndex vif,
-                                Ipv4Address link_src, Ipv4Address link_dst,
-                                const PacketRef& payload) = 0;
-  virtual void RunUntil(SimTime until) = 0;
-  virtual void RunUntilIdle(std::size_t max_events) = 0;
-  /// Sets the calling thread's node affinity (-1 = none) and returns the
-  /// previous value; see AffinityScope below.
-  virtual std::int32_t ExchangeAffinity(std::int32_t node) = 0;
-};
-
 class Simulator {
  public:
   explicit Simulator(std::uint64_t seed = 1);
@@ -268,19 +223,8 @@ class Simulator {
 
   // --- Accessors ---------------------------------------------------------
 
-  SimTime Now() const {
-    return backend_ != nullptr ? backend_->Now() : clock_;
-  }
-  Rng& rng() { return backend_ != nullptr ? backend_->ContextRng() : rng_; }
-
-  /// Seed this simulation was constructed with; shard backends derive
-  /// per-node RNG streams from it.
-  std::uint64_t seed() const { return seed_; }
-
-  /// The simulation's own RNG regardless of any installed backend — the
-  /// backend's coordinator context returns this stream so driver-side
-  /// draws stay coherent with pre-install setup draws.
-  Rng& base_rng() { return rng_; }
+  SimTime Now() const { return clock_; }
+  Rng& rng() { return rng_; }
 
   // --- Observability ------------------------------------------------------
 
@@ -297,12 +241,7 @@ class Simulator {
   /// means tracing off. Recording is passive — event order, RNG draws
   /// and all outputs are byte-identical with tracing on or off.
   void SetTrace(obs::TraceBuffer* trace) { trace_ = trace; }
-  obs::TraceBuffer* trace() const {
-    return backend_ != nullptr ? backend_->ContextTrace() : trace_;
-  }
-  /// The simulation's own ring regardless of any installed backend — the
-  /// merge target a shard backend copies region rings into.
-  obs::TraceBuffer* base_trace() const { return trace_; }
+  obs::TraceBuffer* trace() const { return trace_; }
 
   std::size_t node_count() const { return nodes_.size(); }
   std::size_t subnet_count() const { return subnets_.size(); }
@@ -372,11 +311,11 @@ class Simulator {
                                                       datagram.size()));
   }
 
-  /// Copies `datagram` into the current execution context's packet arena
-  /// and returns the pooled handle. Pair with SendDatagramRef so one
-  /// arena copy serves a whole fan-out (the data-plane encode-once path).
+  /// Copies `datagram` into the packet arena and returns the pooled
+  /// handle. Pair with SendDatagramRef so one arena copy serves a whole
+  /// fan-out (the data-plane encode-once path).
   PacketRef MakePacket(std::span<const std::uint8_t> datagram) {
-    return active_arena().Make(datagram);
+    return arena_.Make(datagram);
   }
 
   /// Like SendDatagram but transmits an already-pooled payload without
@@ -391,7 +330,7 @@ class Simulator {
   /// Lets the data plane patch a header in place instead of copying the
   /// datagram through an intermediate buffer first.
   std::span<std::uint8_t> MutablePacket(const PacketRef& ref) {
-    return active_arena().MutableBytes(ref);
+    return arena_.MutableBytes(ref);
   }
 
   /// Zero-copy transit: while an agent is inside OnDatagram for a
@@ -401,12 +340,12 @@ class Simulator {
   /// bytes in place (TTL decrement) and retransmit the same handle with
   /// SendDatagramRef, eliding the per-hop copy entirely. Returns nullptr
   /// whenever sharing could be observed: batched fan-outs (one buffer,
-  /// many receivers), shard-backend injections, duplicated/corrupted
-  /// copies still in flight, or a sub-span (decapsulated inner packet).
+  /// many receivers), duplicated/corrupted copies still in flight, or a
+  /// sub-span (decapsulated inner packet).
   const PacketRef* PatchableDeliveryRef(
       std::span<const std::uint8_t> datagram) {
     const PacketRef* ref = current_delivery_;
-    if (ref == nullptr || !active_arena().SoleRefHere(*ref)) return nullptr;
+    if (ref == nullptr || !arena_.SoleRefHere(*ref)) return nullptr;
     const std::span<const std::uint8_t> bytes = ref->bytes();
     if (bytes.data() != datagram.data() || bytes.size() != datagram.size()) {
       return nullptr;
@@ -422,68 +361,27 @@ class Simulator {
 
   // --- Scheduling ----------------------------------------------------------
 
-  // Scheduling takes any callable EventFn accepts and, on the serial
-  // engine, builds it straight in the event queue's slab slot; a shard
-  // backend gets it as one EventFn.
+  // Scheduling takes any callable EventFn accepts and builds it straight
+  // in the event queue's slab slot.
   template <typename F>
   EventId Schedule(SimDuration delay, F&& fn) {
-    if (backend_ != nullptr) {
-      return backend_->Schedule(backend_->Now() + delay,
-                                EventFn(std::forward<F>(fn)));
-    }
     return events_.ScheduleAt(clock_ + delay, std::forward<F>(fn));
   }
   template <typename F>
   EventId ScheduleAt(SimTime when, F&& fn) {
-    if (backend_ != nullptr) {
-      return backend_->Schedule(when, EventFn(std::forward<F>(fn)));
-    }
     return events_.ScheduleAt(when, std::forward<F>(fn));
   }
-  bool Cancel(EventId id) {
-    return backend_ != nullptr ? backend_->Cancel(id) : events_.Cancel(id);
-  }
+  bool Cancel(EventId id) { return events_.Cancel(id); }
   /// Cancel(id) followed by Schedule(delay, fn), as one queue operation
-  /// on the serial engine (EventQueue::Reschedule moves the pending event
-  /// to the bucket of its new time without freeing its slab slot); a
-  /// shard backend gets the two calls.
+  /// (EventQueue::Reschedule moves the pending event to the bucket of its
+  /// new time without freeing its slab slot).
   template <typename F>
   EventId Reschedule(EventId id, SimDuration delay, F&& fn) {
-    if (backend_ != nullptr) {
-      if (id != kInvalidEventId) backend_->Cancel(id);
-      return backend_->Schedule(backend_->Now() + delay,
-                                EventFn(std::forward<F>(fn)));
-    }
     return events_.Reschedule(id, clock_ + delay, std::forward<F>(fn));
   }
 
   const EventQueue& events() const { return events_; }
   const PacketArena& packet_arena() const { return arena_; }
-
-  // --- Shard backend (space-parallel PDES) ---------------------------------
-
-  /// Installs (or, with nullptr, removes) a shard backend. Must happen
-  /// before any event is scheduled: the serial queue has to be empty and
-  /// the clock at zero, because pending state cannot migrate engines.
-  void InstallShardBackend(ShardBackend* backend);
-  ShardBackend* shard_backend() const { return backend_; }
-
-  /// Mutable base arena for the backend's coordinator context (packets
-  /// made outside any region). The serial path uses it directly.
-  PacketArena& mutable_packet_arena() { return arena_; }
-
-  /// Delivers a datagram to `receiver` exactly like the tail of frame
-  /// delivery (down-check, drop accounting, agent OnDatagram). Public so
-  /// a shard backend can inject deliveries that crossed regions as byte
-  /// copies.
-  void InjectDelivery(NodeId receiver, VifIndex vif, Ipv4Address link_src,
-                      Ipv4Address link_dst,
-                      std::span<const std::uint8_t> datagram);
-
-  /// Forwards to the backend's ExchangeAffinity; -1 no-op without one.
-  std::int32_t ExchangeAffinity(std::int32_t node) {
-    return backend_ != nullptr ? backend_->ExchangeAffinity(node) : -1;
-  }
 
   /// Runs events until `until` (inclusive); leaves later events queued.
   void RunUntil(SimTime until);
@@ -496,24 +394,20 @@ class Simulator {
   void DeliverFrame(NodeId receiver, VifIndex vif, Ipv4Address link_src,
                     Ipv4Address link_dst, const PacketRef& datagram);
 
+  /// The tail of frame delivery (down-check, drop accounting, agent
+  /// OnDatagram) for a datagram whose ref is not exposed as patchable.
+  void InjectDelivery(NodeId receiver, VifIndex vif, Ipv4Address link_src,
+                      Ipv4Address link_dst,
+                      std::span<const std::uint8_t> datagram);
+
   /// Receiver fan-out shared by both SendDatagram overloads: per-receiver
   /// fault application and delivery scheduling (or one batched event).
   bool FanOut(NodeId node, VifIndex vif, const Interface& out,
-              SubnetRecord& s, SubnetCounters& counters,
-              Ipv4Address link_dst, const PacketRef& shared);
+              SubnetRecord& s, Ipv4Address link_dst, const PacketRef& shared);
 
   /// Bumps the topology epoch and journals the scoped change.
   void RecordTopologyChange(TopologyChange::Kind kind, SubnetId subnet,
                             NodeId node, bool up);
-
-  /// Counter sink for `s` in the current execution context.
-  SubnetCounters& counters_for(SubnetRecord& s) {
-    return backend_ != nullptr ? backend_->CountersFor(s) : s.counters;
-  }
-  /// Packet arena of the current execution context.
-  PacketArena& active_arena() {
-    return backend_ != nullptr ? backend_->ContextArena() : arena_;
-  }
 
   /// The frame ref currently being delivered (set around the agent
   /// callback in DeliverFrame; see PatchableDeliveryRef). Never set for
@@ -535,28 +429,6 @@ class Simulator {
   std::function<void(const FrameEvent&)> frame_observer_;
   obs::Registry* metrics_ = nullptr;
   obs::TraceBuffer* trace_ = nullptr;
-  std::uint64_t seed_ = 1;
-  ShardBackend* backend_ = nullptr;
-};
-
-/// RAII node-affinity marker for code that acts *on behalf of* a node
-/// from outside any event — agent Start() hooks, host join/leave/send
-/// helpers driven by a test or bench. Under a shard backend the scope
-/// pins scheduling, RNG draws, counters, and packets to the node's
-/// region, so the work is attributed exactly as if the node itself had
-/// executed it; without a backend it is a no-op.
-class AffinityScope {
- public:
-  AffinityScope(Simulator& sim, NodeId node)
-      : sim_(&sim), prev_(sim.ExchangeAffinity(node.value())) {}
-  ~AffinityScope() { sim_->ExchangeAffinity(prev_); }
-
-  AffinityScope(const AffinityScope&) = delete;
-  AffinityScope& operator=(const AffinityScope&) = delete;
-
- private:
-  Simulator* sim_;
-  std::int32_t prev_;
 };
 
 }  // namespace cbt::netsim

@@ -19,7 +19,6 @@
 #include <gtest/gtest.h>
 
 #include "cbt/domain.h"
-#include "common/thread_guard.h"
 #include "exec/pool.h"
 #include "exec/run_context.h"
 #include "exec/sweep.h"
@@ -296,14 +295,6 @@ TEST(SweepIsolationTest, UntracedReplicaMasksProcessTraceBuffer) {
 }  // namespace obs_isolation
 
 // --- Debug-build cross-thread ownership guard ------------------------------
-
-TEST(ThreadGuardTest, ReleaseOwnershipAllowsHandoffBetweenThreads) {
-  ThreadOwnershipGuard guard;
-  guard.AssertOwned("test object");  // binds to this thread
-  guard.AssertOwned("test object");  // same thread: fine
-  guard.ReleaseOwnership();
-  std::thread([&guard] { guard.AssertOwned("test object"); }).join();
-}
 
 #ifndef NDEBUG
 void TouchEventQueueFromSecondThread() {

@@ -500,69 +500,5 @@ TEST(EventClosureMoves, OversizedCaptureRunsThroughTheHeap) {
   EXPECT_EQ(c.moves_at_run - before, 1);  // the pop moves the pointer only
 }
 
-/// Records what reaches ShardBackend::Schedule; implements nothing else.
-class RecordingBackend : public ShardBackend {
- public:
-  RecordingBackend() { fns.reserve(8); }
-
-  SimTime Now() const override { return 0; }
-  Rng& ContextRng() override { return rng_; }
-  obs::TraceBuffer* ContextTrace() override { return nullptr; }
-  PacketArena& ContextArena() override { return arena_; }
-  SubnetCounters& CountersFor(SubnetRecord& subnet) override {
-    return subnet.counters;
-  }
-  EventId Schedule(SimTime when, EventFn fn) override {
-    times.push_back(when);
-    fns.push_back(std::move(fn));
-    return fns.size();
-  }
-  bool Cancel(EventId id) override {
-    cancelled.push_back(id);
-    return true;
-  }
-  void ScheduleDelivery(SimTime, NodeId, VifIndex, Ipv4Address, Ipv4Address,
-                        const PacketRef&) override {}
-  void RunUntil(SimTime) override {}
-  void RunUntilIdle(std::size_t) override {}
-  std::int32_t ExchangeAffinity(std::int32_t) override { return -1; }
-
-  std::vector<SimTime> times;
-  std::vector<EventFn> fns;
-  std::vector<EventId> cancelled;
-
- private:
-  Rng rng_{1};
-  PacketArena arena_;
-};
-
-TEST(EventClosureMoves, ShardBackendStillReceivesEverySchedule) {
-  Simulator sim;
-  RecordingBackend backend;
-  sim.InstallShardBackend(&backend);
-  std::array<MoveCounts, 4> c;
-  sim.Schedule(kMillisecond, Counted(&c[0]));
-  sim.ScheduleAt(2 * kMillisecond, Counted(&c[1]));
-  sim.Reschedule(1, 3 * kMillisecond, Counted(&c[2]));
-  Timer timer(sim);
-  timer.Schedule(4 * kMillisecond, Counted(&c[3]));
-  EXPECT_EQ(backend.times,
-            (std::vector<SimTime>{kMillisecond, 2 * kMillisecond,
-                                  3 * kMillisecond, 4 * kMillisecond}));
-  EXPECT_EQ(backend.cancelled, (std::vector<EventId>{1}));
-  EXPECT_TRUE(sim.events().Empty());
-  for (const MoveCounts& counts : c) {
-    // One move builds the one EventFn, one more stores it in `fns`.
-    EXPECT_EQ(counts.moves, 2);
-  }
-  for (EventFn& fn : backend.fns) fn();
-  for (const MoveCounts& counts : c) {
-    EXPECT_EQ(counts.copies, 0);
-    EXPECT_EQ(counts.runs, 1);
-  }
-  EXPECT_FALSE(timer.IsPending());
-  sim.InstallShardBackend(nullptr);
-}
-
 }  // namespace
 }  // namespace cbt::netsim
